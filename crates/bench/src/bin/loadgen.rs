@@ -37,10 +37,7 @@
 //! * `DART_LOADGEN_IDLE_MS` (default 60000) — server-side idle timeout;
 //!   generous by default so a loaded-but-slow run is never reaped,
 //! * `DART_LOADGEN_TIMEOUT_MS` (default 10000) — client read timeout
-//!   before unanswered frames count as lost,
-//! * `DART_NET_POLLER_SLEEP_MS` (default 5) — fallback poller probe cap,
-//!   forwarded into [`dart_net::NetConfig`] (strict parse, like every
-//!   other knob here: a malformed value exits 2 before any socket opens).
+//!   before unanswered frames count as lost.
 //!
 //! Either mode exits non-zero if any request is lost, failed, or
 //! unaccounted; TCP mode also cross-checks the scraped `/metrics`
@@ -173,10 +170,6 @@ fn run_tcp_mode(
     let window = env_usize_strict("DART_LOADGEN_WINDOW", 256);
     let idle_ms = env_usize_strict("DART_LOADGEN_IDLE_MS", 60_000);
     let timeout_ms = env_usize_strict("DART_LOADGEN_TIMEOUT_MS", 10_000);
-    // Strict-parsed here too (exit 2 with a clear message, like every
-    // loadgen knob) and forwarded explicitly; `NetServer::start` would
-    // otherwise strict-parse the same variable itself at bind time.
-    let poller_sleep_ms = env_usize_strict("DART_NET_POLLER_SLEEP_MS", 5);
     let streams_per_conn = streams.div_ceil(conns).max(1);
 
     let server = dart_net::NetServer::start(
@@ -185,7 +178,6 @@ fn run_tcp_mode(
             addr: bind.to_string(),
             io_threads,
             idle_timeout_ms: idle_ms as u64,
-            fallback_poller_sleep_ms: poller_sleep_ms as u64,
             ..dart_net::NetConfig::default()
         },
     )
@@ -196,6 +188,7 @@ fn run_tcp_mode(
          x {accesses} accesses, window {window}, {io_threads} IO thread(s), \
          idle timeout {idle_ms}ms"
     );
+    println!("tcp: NetServer runs {} thread(s)", server.thread_count());
 
     let report = dart_net::run_tcp_load(&dart_net::TcpLoadConfig {
         addr: addr.to_string(),
@@ -254,7 +247,7 @@ fn run_tcp_mode(
         verdict_ok = false;
     }
     // At meaningful scale the batched write path must actually engage:
-    // with thousands of in-flight requests, some dispatcher pump MUST
+    // with thousands of in-flight requests, some IO-loop pass MUST
     // coalesce >1 response for some connection.
     if report.submitted >= 10_000 && batched == 0 {
         eprintln!("loadgen: batched write path never engaged at {} requests", report.submitted);

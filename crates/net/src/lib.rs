@@ -25,10 +25,13 @@
 //! bounded the same way ([`NetConfig::write_buf_cap`]) and disconnected
 //! rather than buffered without limit.
 //!
-//! Responses ride a **batched, writability-driven** write path: the
-//! dispatcher groups each pump's completions by connection into one
-//! encoded buffer per conn (never touching a socket itself), and the
-//! owning IO thread flushes on writable events — writable interest is
+//! Responses ride a **batched, writability-driven** write path with no
+//! thread in the middle: each IO thread submits through its own
+//! [`dart_serve::CompletionLane`], shard workers append a served batch
+//! to it under one lock and wake that thread's poller, and the thread
+//! encodes its completions straight into its connections' outboxes (one
+//! flush per conn per pass) — a socket and its outbox are only ever
+//! touched by the IO thread that accepted them. Writable interest is
 //! registered only while a conn's outbox actually holds bytes. Idle
 //! connections can be reaped ([`NetConfig::idle_timeout_ms`]), and a
 //! reaped conn's per-stream state is retired from the shard LRU maps.
@@ -39,6 +42,8 @@
 //! NACK), under load, across shards, with the accounting to prove it.
 
 pub mod client;
+mod conn;
+mod counters;
 mod http;
 pub mod server;
 pub mod sys;

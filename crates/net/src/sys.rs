@@ -3,13 +3,26 @@
 //! affinity module), and a portable sleep-then-probe fallback everywhere
 //! else.
 //!
-//! The fallback reports **every** registered token as readable each tick
-//! — spurious readiness, not missed readiness — which is correct (if
-//! lazy) against non-blocking sockets: a spurious wakeup costs one
-//! `WouldBlock` read. Setting `DART_NET_POLLER=fallback` forces it on
-//! Linux too, so CI exercises both backends on one platform.
+//! The fallback is a **portability / sanitizer shim, not a production
+//! backend**: it has no kernel readiness source, so it sleeps at most
+//! [`FALLBACK_PROBE_MS`] and then reports **every** registered token as
+//! readable — spurious readiness, not missed readiness — which is
+//! correct (if lazy) against non-blocking sockets: a spurious wakeup
+//! costs one `WouldBlock` read. It exists so the crate builds and its
+//! suite runs where the epoll shims do not (non-Linux hosts; under TSan,
+//! which cannot see through raw syscalls). `DART_NET_POLLER=fallback`
+//! forces it on Linux for exactly those runs; it is not benchmarked.
+//!
+//! Both backends carry a [`Waker`]: any thread can cut a
+//! [`Poller::wait`] short. The wake is consumed inside `wait` and never
+//! surfaces as an [`Event`], so callers need no reserved token.
 
 use std::io;
+use std::sync::Arc;
+
+/// Longest the fallback backend sleeps between probes, milliseconds:
+/// the bound on how stale its readiness view can get.
+const FALLBACK_PROBE_MS: u64 = 5;
 
 /// One readiness report.
 #[derive(Clone, Copy, Debug)]
@@ -44,19 +57,8 @@ enum Backend {
 }
 
 impl Poller {
-    /// Build the best backend for this platform (see module docs), with
-    /// the fallback backend's default 5 ms probe cap.
+    /// Build the best backend for this platform (see module docs).
     pub fn new() -> io::Result<Poller> {
-        Self::with_fallback_sleep(5)
-    }
-
-    /// [`Self::new`], but with the fallback backend's probe-sleep cap set
-    /// to `sleep_cap_ms` milliseconds (clamped to at least 1 — a zero cap
-    /// would turn the sleep-then-probe loop into a busy spin). Irrelevant
-    /// when the epoll backend is selected; on fallback it bounds how long
-    /// the poller can be blind to new readiness, trading wakeup latency
-    /// against idle CPU (`NetConfig::fallback_poller_sleep_ms`).
-    pub fn with_fallback_sleep(sleep_cap_ms: u64) -> io::Result<Poller> {
         #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
         {
             let forced = std::env::var("DART_NET_POLLER").is_ok_and(|v| v == "fallback");
@@ -68,9 +70,19 @@ impl Poller {
             }
         }
         Ok(Poller {
-            backend: Backend::Fallback(fallback::Probe::new(sleep_cap_ms)),
+            backend: Backend::Fallback(fallback::Probe::default()),
             writable: std::collections::HashSet::new(),
         })
+    }
+
+    /// A handle any thread can use to cut this poller's [`Self::wait`]
+    /// short. It keeps working — harmlessly — after the poller is gone.
+    pub fn waker(&self) -> Waker {
+        match &self.backend {
+            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            Backend::Epoll(e) => Waker(WakerKind::Epoll(e.wake_fd())),
+            Backend::Fallback(p) => Waker(WakerKind::Fallback(p.signal())),
+        }
     }
 
     /// Which backend is live (`"epoll"` or `"fallback"`).
@@ -137,7 +149,8 @@ impl Poller {
         self.writable.len()
     }
 
-    /// Wait up to `timeout_ms` for readiness; clears and refills `out`.
+    /// Wait up to `timeout_ms` for readiness or a [`Waker::wake`];
+    /// clears and refills `out` (a wake alone leaves it empty).
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: u64) -> io::Result<()> {
         out.clear();
         match &mut self.backend {
@@ -148,14 +161,54 @@ impl Poller {
     }
 }
 
+/// Interrupts one [`Poller`]'s `wait` from any thread ([`Poller::waker`]).
+///
+/// Wakes are level-style, not edge-style: one issued while the poller
+/// is not waiting is remembered until its next `wait`, which then
+/// returns at once, and any number issued before that collapse into
+/// one. The primitive itself holds the pending state (an `eventfd`
+/// counter under epoll, a flag under a mutex on the fallback), so there
+/// is no separate "already woken" latch that could fall out of step
+/// with it.
+#[derive(Clone)]
+pub struct Waker(WakerKind);
+
+#[derive(Clone)]
+enum WakerKind {
+    /// The handle co-owns the eventfd, so the descriptor stays open (and
+    /// its number un-recycled) for as long as any waker can write to it.
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    Epoll(Arc<std::fs::File>),
+    Fallback(Arc<fallback::Signal>),
+}
+
+impl Waker {
+    /// Make the poller's current (or next) `wait` return promptly.
+    pub fn wake(&self) {
+        match &self.0 {
+            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            WakerKind::Epoll(fd) => {
+                use std::io::Write;
+                // Adds 1 to the eventfd counter. The only failure is
+                // `WouldBlock` at counter saturation, i.e. with a wake
+                // already pending — nothing to report either way.
+                let _ = (&**fd).write(&1u64.to_ne_bytes());
+            }
+            WakerKind::Fallback(signal) => signal.raise(),
+        }
+    }
+}
+
 /// Real epoll via raw syscalls (no libc).
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod epoll {
     use super::Event;
-    use std::io;
+    use std::io::{self, Read};
+    use std::sync::Arc;
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
+        pub const EVENTFD2: usize = 290;
         pub const EPOLL_CREATE1: usize = 291;
         pub const EPOLL_CTL: usize = 233;
         /// Plain `epoll_wait` exists on x86_64; aarch64 only has the
@@ -166,6 +219,7 @@ mod epoll {
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
+        pub const EVENTFD2: usize = 19;
         pub const EPOLL_CREATE1: usize = 20;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
@@ -181,7 +235,13 @@ mod epoll {
     const EPOLL_CTL_DEL: usize = 2;
     const EPOLL_CTL_MOD: usize = 3;
     const EPOLL_CLOEXEC: usize = 0x80000;
+    const EFD_CLOEXEC: usize = 0x80000;
+    const EFD_NONBLOCK: usize = 0x800;
     const MAX_EVENTS: usize = 256;
+    /// Registration token of the wake eventfd; consumed inside
+    /// [`Epoll::wait`], never reported. Callers' tokens are connection
+    /// ids (`u32`) and small constants, so `u64::MAX` cannot collide.
+    const WAKE_DATA: u64 = u64::MAX;
 
     /// The kernel's `struct epoll_event`: packed on x86_64 (a 32-bit ABI
     /// fossil), naturally aligned everywhere else.
@@ -252,14 +312,32 @@ mod epoll {
     pub(super) struct Epoll {
         epfd: i32,
         events: Vec<EpollEvent>,
+        /// The wake eventfd, registered under [`WAKE_DATA`]. Shared with
+        /// every [`super::Waker`]; closed when the last owner drops.
+        wake: Arc<std::fs::File>,
     }
 
     impl Epoll {
         pub(super) fn new() -> io::Result<Epoll> {
+            use std::os::fd::{AsRawFd, FromRawFd};
+            // SAFETY: eventfd2 takes a counter value and a flags word, no
+            // pointers.
+            let rc = unsafe { syscall6(nr::EVENTFD2, [0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0]) };
+            let fd = check(rc)? as i32;
+            // SAFETY: `fd` is a descriptor the kernel just returned to us
+            // and nothing else knows, so the `File` is its sole owner.
+            let wake = Arc::new(unsafe { std::fs::File::from_raw_fd(fd) });
             // SAFETY: epoll_create1 takes a flags word, no pointers.
             let rc = unsafe { syscall6(nr::EPOLL_CREATE1, [EPOLL_CLOEXEC, 0, 0, 0, 0, 0]) };
             let epfd = check(rc)? as i32;
-            Ok(Epoll { epfd, events: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS] })
+            let mut epoll =
+                Epoll { epfd, events: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS], wake };
+            epoll.register(epoll.wake.as_raw_fd(), WAKE_DATA)?;
+            Ok(epoll)
+        }
+
+        pub(super) fn wake_fd(&self) -> Arc<std::fs::File> {
+            Arc::clone(&self.wake)
         }
 
         pub(super) fn register(&mut self, fd: i32, token: u64) -> io::Result<()> {
@@ -352,6 +430,13 @@ mod epoll {
             for ev in &self.events[..n] {
                 // Copy out of the (possibly packed) struct before use.
                 let (bits, token) = (ev.events, ev.data);
+                if token == WAKE_DATA {
+                    // Reading an eventfd returns its counter and zeroes
+                    // it: every wake so far is consumed, and one landing
+                    // after this read makes the fd readable again.
+                    let _ = (&*self.wake).read(&mut [0u8; 8]);
+                    continue;
+                }
                 out.push(Event {
                     token,
                     readable: bits & EPOLLIN != 0,
@@ -371,32 +456,48 @@ mod epoll {
     }
 }
 
-/// Portable fallback: sleep out the timeout, then report every
-/// registered token as (possibly spuriously) readable.
+/// Portable fallback: sleep out the timeout (or until woken), then
+/// report every registered token as (possibly spuriously) readable.
 mod fallback {
     use super::Event;
     use std::io;
+    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::time::Duration;
 
-    /// A registered token and whether it has writable interest.
-    pub(super) struct Probe {
-        tokens: Vec<(u64, bool)>,
-        /// Upper bound on one probe sleep, milliseconds (>= 1). The
-        /// hardcoded 5 ms this replaces was wrong for real non-Linux
-        /// deployments: too coarse for latency-sensitive serving, too
-        /// fine (pure wasted wakeups) for near-idle links.
-        sleep_cap_ms: u64,
+    /// The fallback's wake state: a flag the sleeper waits on.
+    #[derive(Default)]
+    pub(super) struct Signal {
+        raised: Mutex<bool>,
+        cv: Condvar,
     }
 
-    impl Default for Probe {
-        /// The historical 5 ms cap (what [`super::Poller::new`] uses).
-        fn default() -> Probe {
-            Probe::new(5)
+    impl Signal {
+        pub(super) fn raise(&self) {
+            *self.raised.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            self.cv.notify_one();
+        }
+
+        /// Sleep until raised or `timeout`, then lower the flag.
+        fn sleep(&self, timeout: Duration) {
+            let raised = self.raised.lock().unwrap_or_else(PoisonError::into_inner);
+            let (mut raised, _timed_out) = self
+                .cv
+                .wait_timeout_while(raised, timeout, |raised| !*raised)
+                .unwrap_or_else(PoisonError::into_inner);
+            *raised = false;
         }
     }
 
+    /// Registered tokens, each with whether it has writable interest.
+    #[derive(Default)]
+    pub(super) struct Probe {
+        tokens: Vec<(u64, bool)>,
+        signal: Arc<Signal>,
+    }
+
     impl Probe {
-        pub(super) fn new(sleep_cap_ms: u64) -> Probe {
-            Probe { tokens: Vec::new(), sleep_cap_ms: sleep_cap_ms.max(1) }
+        pub(super) fn signal(&self) -> Arc<Signal> {
+            Arc::clone(&self.signal)
         }
 
         pub(super) fn register(&mut self, token: u64) -> io::Result<()> {
@@ -430,7 +531,7 @@ mod fallback {
         pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: u64) -> io::Result<()> {
             // Cap the probe interval so a caller's long timeout does not
             // turn into long stretches of readiness blindness.
-            std::thread::sleep(std::time::Duration::from_millis(timeout_ms.min(self.sleep_cap_ms)));
+            self.signal.sleep(Duration::from_millis(timeout_ms.min(super::FALLBACK_PROBE_MS)));
             // Spurious readiness on both axes, but writability only for
             // tokens that asked (same only-while-pending discipline the
             // epoll backend enforces in the kernel).
@@ -552,6 +653,57 @@ mod tests {
 
         poller.deregister(raw_fd(&served), 7).unwrap();
         assert_eq!(poller.writable_count(), 0);
+    }
+
+    /// The wake contract, both backends: a wake issued while nobody waits
+    /// is held for the next `wait` (however many were issued, it is one
+    /// wake), surfaces no event, and is consumed by that `wait`; a wake
+    /// from another thread ends a long wait; and a waker outliving its
+    /// poller stays harmless.
+    fn exercise_waker(mut poller: Poller) {
+        use std::time::{Duration, Instant};
+        let long = 20_000;
+        let prompt = Duration::from_secs(10);
+        let waker = poller.waker();
+        let mut events = Vec::new();
+
+        waker.wake();
+        waker.wake();
+        let t = Instant::now();
+        poller.wait(&mut events, long).unwrap();
+        assert!(events.is_empty(), "a wake is not an event: {events:?}");
+        assert!(t.elapsed() < prompt, "a wake issued before the wait was lost");
+
+        // Consumed: with nothing pending the next wait sleeps again
+        // instead of spinning on a stuck-readable wake source.
+        let t = Instant::now();
+        poller.wait(&mut events, 3).unwrap();
+        assert!(events.is_empty());
+        assert!(t.elapsed() >= Duration::from_millis(2), "wake was not consumed");
+
+        // Whether this lands before or during the wait, it must end it.
+        let remote = waker.clone();
+        let t = Instant::now();
+        let thread = std::thread::spawn(move || remote.wake());
+        poller.wait(&mut events, long).unwrap();
+        assert!(t.elapsed() < prompt, "a cross-thread wake did not end the wait");
+        thread.join().unwrap();
+
+        drop(poller);
+        waker.wake();
+    }
+
+    #[test]
+    fn native_backend_waker_contract() {
+        exercise_waker(Poller::new().unwrap());
+    }
+
+    #[test]
+    fn fallback_backend_waker_contract() {
+        exercise_waker(Poller {
+            backend: Backend::Fallback(fallback::Probe::default()),
+            writable: std::collections::HashSet::new(),
+        });
     }
 
     #[cfg(unix)]

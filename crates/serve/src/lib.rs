@@ -52,7 +52,10 @@
 //!   warm stream in the drain, amortizing table-lookup locality.
 //! * **Complete accounting** — every submitted request produces exactly one
 //!   [`PrefetchResponse`] (cold-history requests return an empty prefetch
-//!   list), so dropped or misrouted work is detectable.
+//!   list), so dropped or misrouted work is detectable. Responses land in
+//!   the [`CompletionLane`] the request was submitted on — the runtime's
+//!   built-in default lane, or one a front-end opened for itself — so
+//!   each consumer takes only its own, with one lock per served batch.
 //!
 //! See `examples/serve_quickstart.rs` for an end-to-end tour and
 //! `cargo run --release -p dart-bench --bin serve_bench` for the
@@ -85,5 +88,6 @@ pub use shadow::{
     gate_candidate, ReplaySample, ReplaySampler, ShadowConfig, ShadowHandle, ShadowOutcome,
     ShadowTrainer,
 };
+pub use shard::CompletionLane;
 pub use slot::ModelSlot;
 pub use stream::StreamState;

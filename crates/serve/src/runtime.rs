@@ -17,14 +17,14 @@ use crate::request::{PrefetchRequest, PrefetchResponse};
 use crate::router::StreamRouter;
 use crate::shadow::ReplaySampler;
 use crate::shard::{
-    CompletionSink, EmitPolicy, Envelope, RetireCell, ShardQueue, ShardReport, ShardTelemetry,
-    ShardWorker, TryPushError,
+    CompletionLane, CompletionSink, EmitPolicy, Envelope, RetireCell, ShardQueue, ShardReport,
+    ShardTelemetry, ShardWorker, TryPushError,
 };
 use crate::slot::ModelSlot;
 
 /// Why [`ServeRuntime::try_submit`] did **not** accept a request. This is
-/// the only rejection that produces no response through the completion
-/// sink — the caller still holds the request and must answer for it
+/// the only rejection that produces no response on the submitting lane —
+/// the caller still holds the request and must answer for it
 /// (the network front-end answers with a protocol NACK carrying `depth`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitRejected {
@@ -253,6 +253,9 @@ pub struct ServeRuntime {
     router: StreamRouter,
     queues: Vec<Arc<ShardQueue>>,
     sink: Arc<CompletionSink>,
+    /// The built-in lane behind `submit`/`try_submit`/`submit_all` and
+    /// the `drain_completed`/`take_completed_timeout` family.
+    default_lane: Arc<CompletionLane>,
     /// The versioned model slot every shard worker serves through, and
     /// its registry front (version metadata, publish/rollback, swap and
     /// rejection counters). The runtime's hot-swap surface.
@@ -483,11 +486,7 @@ impl ServeRuntime {
                             // handler — a waiter woken by that alone may
                             // observe the panic record slightly later.)
                             s.record_worker_panic(shard_id, msg);
-                            let items = leaked
-                                .into_iter()
-                                .map(|env| (env.req.stream_id, env.enqueued))
-                                .collect();
-                            s.fail_requests(shard_id, items, &reason);
+                            s.fail_requests(shard_id, &leaked, &reason);
                         }
                     })
                     .expect("spawn shard worker"),
@@ -498,6 +497,7 @@ impl ServeRuntime {
             router: StreamRouter::new(cfg.shards),
             queues,
             sink,
+            default_lane: CompletionLane::new(|| {}),
             registry,
             replay,
             pre,
@@ -621,43 +621,52 @@ impl ServeRuntime {
     pub fn submit(&self, req: PrefetchRequest) {
         self.sink.lock().in_flight += 1;
         let shard = self.router.shard_of(req.stream_id);
+        let lane = Arc::clone(&self.default_lane);
         if let Err((rejected, reason)) =
-            self.queues[shard].push(Envelope { req, enqueued: Instant::now() })
+            self.queues[shard].push(Envelope { req, enqueued: Instant::now(), lane })
         {
-            self.fail_rejected(shard, rejected, &reason);
+            self.sink.fail_requests(shard, &rejected, &reason);
         }
     }
 
-    /// Submit one access **without ever blocking**: a full bounded shard
-    /// queue comes back as [`SubmitRejected::QueueFull`] with the queue
-    /// depth, and the request is *not* accounted — no response will be
-    /// delivered for it, the caller still owns it (the network front-end
-    /// answers the client with a NACK frame carrying the depth).
+    /// [`Self::try_submit_on`] the runtime's default lane: the response
+    /// arrives via [`Self::drain_completed`].
+    pub fn try_submit(&self, req: PrefetchRequest) -> Result<(), SubmitRejected> {
+        self.try_submit_on(&self.default_lane, req)
+    }
+
+    /// Submit one access **without ever blocking**, to be answered on
+    /// `lane` (see [`CompletionLane`]): a full bounded shard queue comes
+    /// back as [`SubmitRejected::QueueFull`] with the queue depth, and
+    /// the request is *not* accounted — no response will be delivered for
+    /// it, the caller still owns it (the network front-end answers the
+    /// client with a NACK frame carrying the depth).
     ///
     /// Every other path behaves like [`Self::submit`]: an accepted
-    /// request gets exactly one response via [`Self::drain_completed`],
-    /// and a submit to a dead/shut-down shard is answered immediately
-    /// with a failure response (also `Ok` here — a response IS coming).
-    pub fn try_submit(&self, req: PrefetchRequest) -> Result<(), SubmitRejected> {
+    /// request gets exactly one response on `lane`, and a submit to a
+    /// dead/shut-down shard is answered immediately with a failure
+    /// response (also `Ok` here — a response IS coming).
+    pub fn try_submit_on(
+        &self,
+        lane: &Arc<CompletionLane>,
+        req: PrefetchRequest,
+    ) -> Result<(), SubmitRejected> {
         self.sink.lock().in_flight += 1;
         let shard = self.router.shard_of(req.stream_id);
-        match self.queues[shard].try_push(Envelope { req, enqueued: Instant::now() }) {
+        let env = Envelope { req, enqueued: Instant::now(), lane: Arc::clone(lane) };
+        match self.queues[shard].try_push(env) {
             Ok(()) => Ok(()),
             Err((_env, TryPushError::Full { depth })) => {
                 // The request never entered the system: release the
                 // in-flight slot it was pre-charged (and wake waiters —
                 // this may have been the last outstanding slot).
-                let mut state = self.sink.lock();
-                debug_assert!(state.in_flight >= 1, "in-flight accounting underflow");
-                state.in_flight -= 1;
-                drop(state);
-                self.sink.cv.notify_all();
+                self.sink.release(1, false);
                 Err(SubmitRejected::QueueFull { shard, depth })
             }
             Err((env, TryPushError::Closed(reason))) => {
                 // Dead/shut-down shard: same contract as `submit` — the
                 // request is answered right now with a failure response.
-                self.fail_rejected(shard, vec![env], &reason);
+                self.sink.fail_requests(shard, &[env], &reason);
                 Ok(())
             }
         }
@@ -676,7 +685,12 @@ impl ServeRuntime {
             (0..self.queues.len()).map(|_| Vec::new()).collect();
         let mut total = 0u64;
         for req in reqs {
-            per_shard[self.router.shard_of(req.stream_id)].push(Envelope { req, enqueued: now });
+            let lane = Arc::clone(&self.default_lane);
+            per_shard[self.router.shard_of(req.stream_id)].push(Envelope {
+                req,
+                enqueued: now,
+                lane,
+            });
             total += 1;
         }
         if total == 0 {
@@ -686,17 +700,10 @@ impl ServeRuntime {
         for (shard, (queue, batch)) in self.queues.iter().zip(per_shard).enumerate() {
             if !batch.is_empty() {
                 if let Err((rejected, reason)) = queue.push_all(batch) {
-                    self.fail_rejected(shard, rejected, &reason);
+                    self.sink.fail_requests(shard, &rejected, &reason);
                 }
             }
         }
-    }
-
-    /// Turn envelopes a dead/shut-down queue bounced back into immediate
-    /// failure responses (releasing their in-flight slots).
-    fn fail_rejected(&self, shard: usize, rejected: Vec<Envelope>, reason: &str) {
-        let items = rejected.into_iter().map(|env| (env.req.stream_id, env.enqueued)).collect();
-        self.sink.fail_requests(shard, items, reason);
     }
 
     /// Requests submitted but not yet answered.
@@ -722,17 +729,19 @@ impl ServeRuntime {
         }
     }
 
-    /// Take every response completed so far (normal and failure responses;
-    /// see [`PrefetchResponse::error`]).
+    /// Take every response completed so far on the default lane (normal
+    /// and failure responses; see [`PrefetchResponse::error`]).
     pub fn drain_completed(&self) -> Vec<PrefetchResponse> {
-        std::mem::take(&mut self.sink.lock().completed)
+        let mut out = Vec::new();
+        self.default_lane.take_into(&mut out);
+        out
     }
 
-    /// Block until at least one response is available (or `timeout`
-    /// elapses), then take everything completed so far. Returns an empty
-    /// vector on timeout. This is the response-dispatcher primitive the
-    /// network front-end pumps — it wakes on every completed batch and on
-    /// failure deliveries, without spinning on [`Self::drain_completed`].
+    /// Block until at least one response is available on the default lane
+    /// (or `timeout` elapses), then take everything completed so far.
+    /// Returns an empty vector on timeout — it wakes on every completed
+    /// batch and on failure deliveries, without spinning on
+    /// [`Self::drain_completed`].
     pub fn take_completed_timeout(&self, timeout: std::time::Duration) -> Vec<PrefetchResponse> {
         let mut out = Vec::new();
         self.take_completed_timeout_into(timeout, &mut out);
@@ -740,33 +749,15 @@ impl ServeRuntime {
     }
 
     /// [`Self::take_completed_timeout`], but draining into a
-    /// caller-owned buffer (cleared first) so a dispatcher pumping this
-    /// in a loop reuses one allocation instead of taking a fresh `Vec`
-    /// per tick. On timeout `out` is left empty.
+    /// caller-owned buffer (cleared first) so a consumer pumping this in
+    /// a loop reuses one allocation instead of taking a fresh `Vec` per
+    /// tick. On timeout `out` is left empty.
     pub fn take_completed_timeout_into(
         &self,
         timeout: std::time::Duration,
         out: &mut Vec<PrefetchResponse>,
     ) {
-        out.clear();
-        let deadline = Instant::now() + timeout;
-        let mut state = self.sink.lock();
-        while state.completed.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (guard, _timed_out) = self
-                .sink
-                .cv
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-        }
-        // Swap the sink's filled buffer for the caller's (empty) one:
-        // the sink keeps an allocation to refill, the caller gets the
-        // responses, and neither side allocates in steady state.
-        std::mem::swap(&mut state.completed, out);
+        self.default_lane.take_timeout_into(timeout, out);
     }
 
     /// Retire every resident stream namespaced under `prefix` (upper 32

@@ -17,10 +17,12 @@ use crate::slot::ModelHandle;
 #[cfg(feature = "telemetry")]
 use dart_telemetry::SpanRecord;
 
-/// A request plus its enqueue timestamp (for latency accounting).
+/// A request plus its enqueue timestamp (for latency accounting) and the
+/// lane its response — served or failed — goes back to.
 pub(crate) struct Envelope {
     pub req: crate::request::PrefetchRequest,
     pub enqueued: Instant,
+    pub lane: Arc<CompletionLane>,
 }
 
 /// The mutex+condvar request queue feeding one shard worker.
@@ -289,15 +291,116 @@ impl RetireCell {
     }
 }
 
-/// Where finished responses land (shared by all shards), plus the in-flight
-/// counter that [`crate::ServeRuntime::wait_idle`] blocks on.
+/// A mailbox of finished responses with exactly one consumer: whoever
+/// opened the lane submits through it
+/// ([`crate::ServeRuntime::try_submit_on`]) and is the only one who takes
+/// from it. Shard workers deliver each served batch with one lock per
+/// lane, and every failure path (worker panic, poisoned queue, dead-shard
+/// submit) answers on the lane the request came in on. The runtime's own
+/// `submit`/`drain_completed` family is simply its built-in default lane.
+pub struct CompletionLane {
+    mailbox: Mutex<Vec<PrefetchResponse>>,
+    /// Wakes blocked [`Self::take_timeout_into`] callers.
+    nonempty: Condvar,
+    /// Fired after the mailbox goes empty → non-empty, outside the lock:
+    /// the consumer's wake-up (the network front-end pokes its poller).
+    /// The edge is read under the mailbox lock — the `was_empty` idiom of
+    /// [`ShardQueue::push`] — so there is no dedupe flag to go stale.
+    on_ready: Box<dyn Fn() + Send + Sync>,
+}
+
+impl CompletionLane {
+    /// Open a lane whose consumer is notified through `on_ready` each
+    /// time the mailbox becomes non-empty (pass `|| {}` to poll or block
+    /// on [`Self::take_timeout_into`] instead).
+    pub fn new(on_ready: impl Fn() + Send + Sync + 'static) -> Arc<CompletionLane> {
+        Arc::new(CompletionLane {
+            mailbox: named_mutex("serve.lane", Vec::new()),
+            nonempty: Condvar::new(),
+            on_ready: Box::new(on_ready),
+        })
+    }
+
+    /// Lock the mailbox, recovering from poisoning (a plain response
+    /// list stays consistent whatever panicked while holding it).
+    fn lock(&self) -> MutexGuard<'_, Vec<PrefetchResponse>> {
+        self.mailbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `responses` under one lock.
+    fn deliver(&self, mut responses: Vec<PrefetchResponse>) {
+        let mut mailbox = self.lock();
+        let was_empty = mailbox.is_empty();
+        mailbox.append(&mut responses);
+        drop(mailbox);
+        if was_empty {
+            self.nonempty.notify_all();
+            (self.on_ready)();
+        }
+    }
+
+    /// Take everything delivered so far into `out` (cleared first) by
+    /// swapping buffers: the lane keeps an allocation to refill, and a
+    /// consumer pumping this in a loop reuses one too.
+    pub fn take_into(&self, out: &mut Vec<PrefetchResponse>) {
+        out.clear();
+        std::mem::swap(&mut *self.lock(), out);
+    }
+
+    /// [`Self::take_into`], but first blocking until at least one
+    /// response is available or `timeout` elapses (`out` left empty).
+    pub fn take_timeout_into(&self, timeout: std::time::Duration, out: &mut Vec<PrefetchResponse>) {
+        out.clear();
+        let deadline = Instant::now() + timeout;
+        let mut mailbox = self.lock();
+        while mailbox.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            let (guard, _timed_out) = self
+                .nonempty
+                .wait_timeout(mailbox, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            mailbox = guard;
+        }
+        std::mem::swap(&mut *mailbox, out);
+    }
+}
+
+/// Hand `responses` (one per envelope of `batch`, same order) to the
+/// lanes that submitted them: one lock per (batch, lane), each lane's
+/// responses in batch order.
+fn deliver(batch: &[Envelope], responses: Vec<PrefetchResponse>) {
+    debug_assert_eq!(batch.len(), responses.len());
+    let mut groups: Vec<(&Arc<CompletionLane>, Vec<PrefetchResponse>)> = Vec::new();
+    for (env, resp) in batch.iter().zip(responses) {
+        match groups.iter_mut().find(|(lane, _)| Arc::ptr_eq(lane, &env.lane)) {
+            Some((_, group)) => group.push(resp),
+            None => {
+                // Sized for the common case: the whole batch is one lane's.
+                let mut group = Vec::with_capacity(batch.len());
+                group.push(resp);
+                groups.push((&env.lane, group));
+            }
+        }
+    }
+    for (lane, group) in groups {
+        lane.deliver(group);
+    }
+}
+
+/// The runtime-wide completion accounting: the in-flight counter that
+/// [`crate::ServeRuntime::wait_idle`] blocks on, and the failure record.
+/// Responses themselves land in the submitter's [`CompletionLane`],
+/// always **before** their in-flight slots are released here — so a
+/// `wait_idle` that returns has every response already takeable.
 pub(crate) struct CompletionSink {
     pub state: Mutex<SinkState>,
     pub cv: Condvar,
 }
 
 pub(crate) struct SinkState {
-    pub completed: Vec<PrefetchResponse>,
     pub in_flight: u64,
     /// Failure responses delivered so far (worker panics, dead-shard
     /// submissions).
@@ -311,12 +414,7 @@ impl CompletionSink {
         CompletionSink {
             state: named_mutex(
                 "serve.sink",
-                SinkState {
-                    completed: Vec::new(),
-                    in_flight: 0,
-                    failed: 0,
-                    worker_panics: Vec::new(),
-                },
+                SinkState { in_flight: 0, failed: 0, worker_panics: Vec::new() },
             ),
             cv: Condvar::new(),
         }
@@ -325,36 +423,47 @@ impl CompletionSink {
     /// Lock the sink state, recovering from mutex poisoning. A shard
     /// worker that panics while holding this lock must not cascade into
     /// `PoisonError` panics at every later lock site — the state is plain
-    /// counters plus a response list and stays consistent.
+    /// counters and stays consistent.
     pub fn lock(&self) -> MutexGuard<'_, SinkState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Deliver a **failure** response for each `(stream_id, enqueued)`
-    /// request and release its in-flight slot, so `wait_idle`/`wait_below`
-    /// callers can never hang on a request no worker will ever serve.
-    pub fn fail_requests(&self, shard: usize, items: Vec<(u64, Instant)>, reason: &str) {
-        if items.is_empty() {
+    /// Release the in-flight slots of `n` requests whose responses are
+    /// already in their lanes (`failed`: they were failure responses),
+    /// and wake `wait_idle`/`wait_below` callers.
+    pub fn release(&self, n: u64, failed: bool) {
+        let mut state = self.lock();
+        debug_assert!(state.in_flight >= n, "in-flight accounting underflow");
+        state.in_flight -= n;
+        if failed {
+            state.failed += n;
+        }
+        drop(state);
+        self.cv.notify_all();
+    }
+
+    /// Deliver a **failure** response for each envelope to the lane that
+    /// submitted it and release its in-flight slot, so
+    /// `wait_idle`/`wait_below` callers can never hang on a request no
+    /// worker will ever serve.
+    pub fn fail_requests(&self, shard: usize, envs: &[Envelope], reason: &str) {
+        if envs.is_empty() {
             return;
         }
         let now = Instant::now();
-        let n = items.len() as u64;
-        let mut state = self.lock();
-        for (stream_id, enqueued) in items {
-            state.completed.push(PrefetchResponse {
-                stream_id,
+        let responses = envs
+            .iter()
+            .map(|env| PrefetchResponse {
+                stream_id: env.req.stream_id,
                 seq: u64::MAX,
                 shard,
                 prefetch_blocks: Vec::new(),
-                latency_ns: now.duration_since(enqueued).as_nanos() as u64,
+                latency_ns: now.duration_since(env.enqueued).as_nanos() as u64,
                 error: Some(reason.to_string()),
-            });
-        }
-        debug_assert!(state.in_flight >= n, "in-flight accounting underflow");
-        state.in_flight -= n;
-        state.failed += n;
-        drop(state);
-        self.cv.notify_all();
+            })
+            .collect();
+        deliver(envs, responses);
+        self.release(envs.len() as u64, true);
     }
 
     /// Record a dead worker's panic message (surfaced by
@@ -372,19 +481,8 @@ impl CompletionSink {
 struct BatchGuard<'a> {
     sink: &'a CompletionSink,
     shard: usize,
-    items: Vec<(u64, Instant)>,
+    batch: &'a [Envelope],
     armed: bool,
-}
-
-impl<'a> BatchGuard<'a> {
-    fn arm(sink: &'a CompletionSink, shard: usize, batch: &[Envelope]) -> BatchGuard<'a> {
-        BatchGuard {
-            sink,
-            shard,
-            items: batch.iter().map(|e| (e.req.stream_id, e.enqueued)).collect(),
-            armed: true,
-        }
-    }
 }
 
 impl Drop for BatchGuard<'_> {
@@ -392,7 +490,7 @@ impl Drop for BatchGuard<'_> {
         if self.armed {
             self.sink.fail_requests(
                 self.shard,
-                std::mem::take(&mut self.items),
+                self.batch,
                 "shard worker panicked while serving this batch",
             );
         }
@@ -553,7 +651,8 @@ impl ShardWorker {
             }
             // If anything below unwinds, the guard converts this batch
             // into failure responses so its in-flight slots are released.
-            let mut batch_guard = BatchGuard::arm(&sink, self.shard_id, &batch);
+            let mut batch_guard =
+                BatchGuard { sink: &sink, shard: self.shard_id, batch: &batch, armed: true };
             // Batch-boundary model adoption, deliberately AFTER arming the
             // guard: if adopting a hot-swapped version panics (a node
             // replica's deep clone OOMs, say), the batch fails cleanly —
@@ -647,11 +746,8 @@ impl ShardWorker {
             #[cfg(feature = "telemetry")]
             let span_ids: Option<Vec<(u64, u64)>> = (self.spans.capacity() > 0)
                 .then(|| responses.iter().map(|r| (r.stream_id, r.seq)).collect());
-            let mut sink_state = sink.lock();
-            sink_state.completed.append(&mut responses);
-            sink_state.in_flight -= batch.len() as u64;
-            drop(sink_state);
-            sink.cv.notify_all();
+            deliver(&batch, responses);
+            sink.release(batch.len() as u64, false);
 
             // Feed the shadow retrainer's replay window (one bulk push per
             // batch, after the responses are already delivered — sampling
@@ -720,11 +816,16 @@ pub(crate) fn decode_bitmap(
 mod tests {
     use super::*;
 
-    fn env_for(stream_id: u64) -> Envelope {
+    fn env_on(lane: &Arc<CompletionLane>, stream_id: u64) -> Envelope {
         Envelope {
             req: crate::request::PrefetchRequest { stream_id, pc: 0, addr: stream_id << 6 },
             enqueued: Instant::now(),
+            lane: Arc::clone(lane),
         }
+    }
+
+    fn env_for(stream_id: u64) -> Envelope {
+        env_on(&CompletionLane::new(|| {}), stream_id)
     }
 
     #[test]
@@ -791,21 +892,58 @@ mod tests {
     }
 
     #[test]
-    fn fail_requests_releases_in_flight_and_delivers_errors() {
+    fn fail_requests_releases_in_flight_and_answers_on_the_submitting_lane() {
         let sink = CompletionSink::new();
-        sink.lock().in_flight = 3;
-        let now = Instant::now();
-        sink.fail_requests(1, vec![(7, now), (8, now)], "worker died");
+        sink.lock().in_flight = 4;
+        let (a, b) = (CompletionLane::new(|| {}), CompletionLane::new(|| {}));
+        // Interleaved lanes: each gets its own failures, in batch order.
+        let envs = [env_on(&a, 7), env_on(&b, 8), env_on(&a, 9)];
+        sink.fail_requests(1, &envs, "worker died");
         let state = sink.lock();
         assert_eq!(state.in_flight, 1);
-        assert_eq!(state.failed, 2);
-        assert_eq!(state.completed.len(), 2);
-        for resp in &state.completed {
+        assert_eq!(state.failed, 3);
+        drop(state);
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        a.take_into(&mut got_a);
+        b.take_into(&mut got_b);
+        assert_eq!(got_a.iter().map(|r| r.stream_id).collect::<Vec<_>>(), [7, 9]);
+        assert_eq!(got_b.iter().map(|r| r.stream_id).collect::<Vec<_>>(), [8]);
+        for resp in got_a.iter().chain(&got_b) {
             assert_eq!(resp.shard, 1);
             assert_eq!(resp.seq, u64::MAX);
             assert!(resp.prefetch_blocks.is_empty());
             assert_eq!(resp.error.as_deref(), Some("worker died"));
         }
+    }
+
+    #[test]
+    fn ready_callback_fires_per_empty_to_nonempty_edge_not_per_batch() {
+        let fired = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let count = Arc::clone(&fired);
+        let lane = CompletionLane::new(move || {
+            count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        let fired = || fired.load(std::sync::atomic::Ordering::SeqCst);
+        let sink = CompletionSink::new();
+        sink.lock().in_flight = 6;
+        let batch = |ids: [u64; 2]| ids.map(|id| env_on(&lane, id));
+
+        // Three batches onto an untaken mailbox: one edge, one callback.
+        sink.fail_requests(0, &batch([1, 2]), "x");
+        sink.fail_requests(0, &batch([3, 4]), "x");
+        assert_eq!(fired(), 1, "a second batch onto a non-empty mailbox must not re-fire");
+        let mut out = Vec::new();
+        lane.take_into(&mut out);
+        assert_eq!(out.len(), 4);
+        assert_eq!(fired(), 1, "taking fires nothing");
+        // Emptied by the take: the next delivery is a fresh edge.
+        sink.fail_requests(0, &batch([5, 6]), "x");
+        assert_eq!(fired(), 2);
+        // A blocking take sees it without waiting out the timeout.
+        lane.take_timeout_into(std::time::Duration::from_secs(30), &mut out);
+        assert_eq!(out.iter().map(|r| r.stream_id).collect::<Vec<_>>(), [5, 6]);
+        lane.take_timeout_into(std::time::Duration::from_millis(1), &mut out);
+        assert!(out.is_empty(), "timeout leaves the buffer empty");
     }
 
     #[test]

@@ -733,3 +733,97 @@ fn try_submit_rejects_on_a_full_queue_without_blocking() {
     assert!(responses.iter().all(|r| r.error.is_none()));
     runtime.shutdown();
 }
+
+/// Everything a lane has received so far.
+fn take(lane: &dart_serve::CompletionLane) -> Vec<dart_serve::PrefetchResponse> {
+    let mut out = Vec::new();
+    lane.take_into(&mut out);
+    out
+}
+
+/// Two lanes submit interleaved, disjoint streams that share shards (and
+/// therefore batches): each lane must receive exactly its own responses
+/// with each stream's `seq` contiguous and in order, and the default lane
+/// nothing.
+#[test]
+fn lanes_receive_exactly_their_own_responses_in_stream_order() {
+    let (model, pre) = tiny_setup();
+    let runtime = ServeRuntime::start(model, pre, serve_cfg(2));
+    let lanes = [dart_serve::CompletionLane::new(|| {}), dart_serve::CompletionLane::new(|| {})];
+    let (streams, accesses) = (6u64, 25u64);
+    for k in 0..accesses {
+        for s in 0..streams {
+            // Even streams on lane 0, odd on lane 1.
+            let req = PrefetchRequest { stream_id: s, pc: 0x40, addr: (s * 1000 + k) << 6 };
+            runtime.try_submit_on(&lanes[(s % 2) as usize], req).unwrap();
+        }
+    }
+    runtime.wait_idle();
+
+    for (parity, lane) in lanes.iter().enumerate() {
+        let mut seqs: HashMap<u64, Vec<u64>> = HashMap::new();
+        for resp in take(lane) {
+            assert!(resp.error.is_none());
+            assert_eq!(resp.stream_id % 2, parity as u64, "response on the wrong lane");
+            seqs.entry(resp.stream_id).or_default().push(resp.seq);
+        }
+        assert_eq!(seqs.len() as u64, streams / 2);
+        for (stream, seqs) in seqs {
+            let expect: Vec<u64> = (0..accesses).collect();
+            assert_eq!(seqs, expect, "stream {stream}: seq must arrive contiguous and in order");
+        }
+    }
+    assert!(runtime.drain_completed().is_empty(), "nothing was submitted on the default lane");
+    runtime.shutdown();
+}
+
+/// Failure responses go back to the lane that submitted the request —
+/// the batch the worker died on, the backlog queued behind it, and a
+/// later submit to the now-dead shard — and each releases its in-flight
+/// slot, so `wait_idle` returns.
+#[test]
+fn failures_return_to_the_submitting_lane_and_release_in_flight() {
+    let (model, pre) = tiny_setup();
+    let mut cfg = serve_cfg(1);
+    cfg.panic_on_stream = Some(3);
+    cfg.stall_on_stream = Some(0);
+    cfg.stall_ms = 200;
+    let runtime = ServeRuntime::start(model, pre, cfg);
+    let lane = dart_serve::CompletionLane::new(|| {});
+
+    // Stream 0 stalls the worker on its first batch so everything else
+    // queues behind it; stream 3 then kills the worker mid-backlog.
+    // Streams 0..4 alternate between the opened lane and the default one.
+    let mut per_lane = [0usize; 2];
+    for k in 0..10u64 {
+        for s in 0..5u64 {
+            let req = PrefetchRequest { stream_id: s, pc: 0x40, addr: (s * 1000 + k) << 6 };
+            if s % 2 == 0 {
+                runtime.try_submit_on(&lane, req).unwrap();
+            } else {
+                runtime.try_submit(req).unwrap();
+            }
+            per_lane[(s % 2) as usize] += 1;
+        }
+    }
+    runtime.wait_idle();
+    assert_eq!(runtime.worker_panics().len(), 1);
+
+    let (mine, default) = (take(&lane), runtime.drain_completed());
+    assert_eq!(mine.len(), per_lane[0], "every submit on the lane is answered on the lane");
+    assert_eq!(default.len(), per_lane[1], "and every default-lane submit on the default lane");
+    assert!(mine.iter().all(|r| r.stream_id % 2 == 0));
+    assert!(default.iter().all(|r| r.stream_id % 2 == 1));
+    assert!(mine.iter().chain(&default).any(|r| r.error.is_some()), "the backlog was failed");
+
+    // The shard is dead now: a submit is answered at once, on its lane.
+    runtime.try_submit_on(&lane, PrefetchRequest { stream_id: 8, pc: 0x44, addr: 9 << 6 }).unwrap();
+    runtime.wait_idle();
+    let late = take(&lane);
+    assert_eq!(late.len(), 1);
+    let err = late[0].error.as_deref().expect("dead-shard submit must fail, not hang");
+    assert!(err.contains("fault injection"), "panic reason lost on late submit: {err}");
+    assert!(runtime.drain_completed().is_empty());
+    assert_eq!(runtime.outstanding(), 0);
+    runtime.shutdown();
+}
