@@ -9,11 +9,12 @@
 //! identical outputs (asserted at setup), so the benchmark isolates pure
 //! memory-layout and tiling effects at the serving batch size (64).
 //!
-//! Each group also carries a simd-vs-scalar pair: `flat_tiled` runs the
-//! dispatched kernels (AVX2/NEON under `--features simd`, scalar
-//! otherwise — the printed banner says which) and `flat_tiled_scalar`
-//! pins the same tiled kernels to the scalar primitives. Bit-equality of
-//! the two is asserted at setup, so the delta is pure vectorization.
+//! The encode group also carries a simd-vs-scalar pair: `flat_tiled` runs
+//! the dispatched argmin scan (AVX2 where the CPU has it, scalar otherwise
+//! or under `DART_SIMD=off` — the printed banner says which) and
+//! `flat_tiled_scalar` pins the same tiled encode to the scalar scan.
+//! Bit-equality of the two is asserted at setup, so the delta is pure
+//! vectorization. The aggregation loops have one implementation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dart_nn::init::InitRng;
@@ -89,31 +90,16 @@ fn bench_layout_linear(c: &mut Criterion) {
         let seed_shape = SeedShapeTable::from_flat(&table);
         for rows in [64usize, 512] {
             let x = rand_matrix(rows, di, 3 + rows as u64);
-            // The two layouts — and the simd-vs-scalar pair — must agree
-            // bit for bit before being timed.
+            // The two layouts must agree bit for bit before being timed.
             assert_eq!(
                 table.query(&x).as_slice(),
                 seed_shape.query(&x).as_slice(),
                 "layouts diverged"
             );
-            let mut scalar_out = Matrix::zeros(rows, dout);
-            table.query_batch_scalar_into(&x, &mut scalar_out);
-            assert_eq!(
-                table.query(&x).as_slice(),
-                scalar_out.as_slice(),
-                "simd and scalar tiles diverged"
-            );
             let mut group = c.benchmark_group(format!("layout_linear_{enc_name}_b{rows}"));
             group.sample_size(40);
             group.bench_function("flat_tiled", |bench| {
                 bench.iter(|| black_box(table.query(black_box(&x))))
-            });
-            group.bench_function("flat_tiled_scalar", |bench| {
-                let mut out = Matrix::zeros(rows, dout);
-                bench.iter(|| {
-                    table.query_batch_scalar_into(black_box(&x), &mut out);
-                    black_box(out.as_slice().last().copied())
-                })
             });
             group.bench_function("seed_nested", |bench| {
                 bench.iter(|| black_box(seed_shape.query(black_box(&x))))

@@ -13,10 +13,10 @@
 //! time-slice one core and report parity; the bench still runs and prints
 //! every row so CI exercises the full path.
 //!
-//! Every pooled row has a `_scalar` twin pinned to the scalar kernel
-//! tiles; the default rows run the dispatched kernels (AVX2/NEON under
-//! `--features simd`). Bit-equality of the pair is asserted at setup, so
-//! the row delta isolates vectorization at each thread count.
+//! Every pooled encode row has a `_scalar` twin pinned to the scalar
+//! argmin scan; the default rows run the dispatched scan (AVX2 where the
+//! CPU has it). Bit-equality of the pair is asserted at setup, so the row
+//! delta isolates vectorization at each thread count.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dart_nn::init::InitRng;
@@ -61,13 +61,6 @@ fn bench_parallel_linear(c: &mut Criterion) {
             sequential.as_slice(),
             "{threads}-thread query diverged from scalar"
         );
-        let mut scalar_tiles = Matrix::zeros(x.rows(), dout);
-        pool.install(|| table.query_batch_scalar_into(&x, &mut scalar_tiles));
-        assert_eq!(
-            scalar_tiles.as_slice(),
-            sequential.as_slice(),
-            "{threads}-thread scalar tiles diverged"
-        );
     }
 
     let mut group = c.benchmark_group("parallel_linear_query_b512");
@@ -85,14 +78,6 @@ fn bench_parallel_linear(c: &mut Criterion) {
         let pool = ThreadPool::new(threads);
         group.bench_function(format!("pool_{threads}_threads"), |bench| {
             bench.iter(|| pool.install(|| black_box(table.query(black_box(&x)))))
-        });
-        let pool = ThreadPool::new(threads);
-        group.bench_function(format!("pool_{threads}_threads_scalar"), |bench| {
-            let mut out = Matrix::zeros(x.rows(), dout);
-            bench.iter(|| {
-                pool.install(|| table.query_batch_scalar_into(black_box(&x), &mut out));
-                black_box(out.as_slice().last().copied())
-            })
         });
     }
     group.finish();

@@ -219,11 +219,7 @@ fn main() {
     println!("topology: {}", topology.summary());
     println!(
         "affinity syscalls: {}",
-        if dart_numa::affinity_supported() {
-            "enabled (numa feature)"
-        } else {
-            "no-op (build without --features numa, or unsupported OS/arch)"
-        }
+        if dart_numa::affinity_supported() { "available" } else { "no-op (unsupported OS/arch)" }
     );
     for node in topology.nodes() {
         println!("  node{}: cpus {}", node.id, format_cpu_list(&node.cpus));
@@ -305,8 +301,8 @@ fn main() {
 
     // One short instrumented run whose metrics exposition is printed in
     // full — CI archives this block, and it is the quickest way to see
-    // the live observability surface (stage histograms populate under
-    // `--features telemetry`; without it they read 0 by design).
+    // the live observability surface (stage histograms, kernel counters,
+    // the dispatched SIMD level).
     {
         let cfg = ServeConfig { shards: 2, max_batch, threshold: 0.5, ..ServeConfig::default() };
         let runtime = ServeRuntime::start(Arc::clone(&model), pre, cfg);

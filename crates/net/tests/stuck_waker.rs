@@ -80,10 +80,11 @@ fn idle_round_trip_stays_event_driven_after_a_pipelined_burst() {
     )
     .unwrap();
     let addr = server.local_addr();
+    let before = idle_round_trips(addr);
+    // Checked after the round trips, not right after `start`: a thread
+    // only shows its name in /proc once it has begun running.
     #[cfg(target_os = "linux")]
     assert_eq!(net_thread_names(), ["dart-net-io-0"], "one IO thread and nothing else");
-
-    let before = idle_round_trips(addr);
 
     // 2 connections x 100 streams x 1024 accesses = 204,800 frames, 512
     // in flight per connection: two shard workers completing batches

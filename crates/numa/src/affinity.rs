@@ -1,11 +1,11 @@
 //! Thread affinity via raw `sched_setaffinity`/`sched_getaffinity`
 //! syscalls — no libc dependency.
 //!
-//! The syscall shims are inline-asm on `x86_64` and `aarch64` Linux,
-//! compiled in only under the `numa` cargo feature; every other
-//! combination (feature off, macOS, other architectures) gets no-op stubs
-//! that *report* being no-ops, so callers can degrade gracefully instead
-//! of silently believing a pin happened.
+//! The syscall shims are inline-asm on `x86_64` and `aarch64` Linux; every
+//! other target (macOS, other architectures) gets no-op stubs that
+//! *report* being no-ops, so callers can degrade gracefully instead of
+//! silently believing a pin happened. Nothing here runs unless a caller
+//! asks for a pin (`ShardPlacement::NumaRoundRobin` in `dart-serve`).
 
 /// Whether this build can actually change affinity (see
 /// [`crate::affinity_supported`]).
@@ -108,8 +108,8 @@ impl std::error::Error for AffinityError {}
 ///
 /// * `Ok(true)` — the kernel accepted the mask; the thread now runs only
 ///   on those CPUs (and first-touch allocations land on their node).
-/// * `Ok(false)` — this build cannot pin (feature off or unsupported
-///   OS/arch); nothing happened. Callers treat this as "placement is a
+/// * `Ok(false)` — this build cannot pin (unsupported OS/arch); nothing
+///   happened. Callers treat this as "placement is a
 ///   hint" and proceed unpinned.
 /// * `Err(_)` — a real failure (empty set, CPU out of range, or the
 ///   syscall was rejected, e.g. a cgroup cpuset excludes every requested
@@ -126,8 +126,8 @@ pub fn pin_current_thread_to(cpus: &[usize]) -> Result<bool, AffinityError> {
 }
 
 /// The calling thread's current affinity mask as sorted CPU ids, or
-/// `None` when this build cannot query it (feature off / unsupported
-/// OS/arch) or the syscall failed.
+/// `None` when this build cannot query it (unsupported OS/arch) or the
+/// syscall failed.
 pub fn current_affinity() -> Option<Vec<usize>> {
     sys::get_affinity().map(|set| set.to_vec())
 }
@@ -170,12 +170,8 @@ pub fn pin_current_thread_within(cpus: &[usize]) -> Result<bool, AffinityError> 
     pin_current_thread_to(&target)
 }
 
-/// Real syscall shims: Linux x86_64/aarch64 with the `numa` feature on.
-#[cfg(all(
-    feature = "numa",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+/// Real syscall shims: Linux x86_64/aarch64.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod sys {
     use super::{AffinityError, CpuSet};
 
@@ -257,13 +253,9 @@ mod sys {
     }
 }
 
-/// No-op stubs: feature off, or an OS/arch without the raw shims. Pinning
-/// reports `Ok(false)` so callers know nothing happened.
-#[cfg(not(all(
-    feature = "numa",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
+/// No-op stubs: an OS/arch without the raw shims. Pinning reports
+/// `Ok(false)` so callers know nothing happened.
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 mod sys {
     use super::{AffinityError, CpuSet};
 
@@ -315,13 +307,9 @@ mod tests {
         );
     }
 
-    /// Feature off / unsupported target: pinning must be a *reported*
-    /// no-op, never a silent pretend-success.
-    #[cfg(not(all(
-        feature = "numa",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
+    /// Unsupported target: pinning must be a *reported* no-op, never a
+    /// silent pretend-success.
+    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
     #[test]
     fn unsupported_build_reports_noop() {
         assert!(!crate::affinity_supported());
@@ -333,11 +321,7 @@ mod tests {
     /// Real syscalls: pin this thread to one CPU of its current mask,
     /// verify via `sched_getaffinity`, then restore the original mask so
     /// the test harness thread is left untouched.
-    #[cfg(all(
-        feature = "numa",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     #[test]
     fn pin_narrows_and_restores_real_affinity() {
         assert!(crate::affinity_supported());
@@ -356,11 +340,7 @@ mod tests {
     /// The intersection-aware pin never widens the current mask: CPUs
     /// outside it are filtered out, a fully-disjoint request is a
     /// reported no-pin (not an EINVAL), and allowed CPUs still pin.
-    #[cfg(all(
-        feature = "numa",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     #[test]
     fn pin_within_never_escapes_the_current_mask() {
         let original = current_affinity().expect("getaffinity must work on linux");

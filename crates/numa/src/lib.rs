@@ -13,14 +13,13 @@
 //! * [`pin_current_thread_to`] / [`current_affinity`] — thread affinity
 //!   via **raw** `sched_setaffinity`/`sched_getaffinity` syscalls (no libc
 //!   dependency; inline-syscall shims for `x86_64` and `aarch64` Linux),
-//!   compiled in only under the `numa` cargo feature and reported as a
-//!   no-op everywhere else.
+//!   reported as a no-op on every other target.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Behavior-neutral by default.** Everything here is observational or
-//!    a scheduling hint; predictions are bit-for-bit identical with the
-//!    feature on or off, pinned or not. The single-node fallback makes a
+//!    a scheduling hint; predictions are bit-for-bit identical pinned or
+//!    not. The single-node fallback makes a
 //!    1-CPU container take exactly the same code path shape as a 2-socket
 //!    server, so CI proves the equivalence.
 //! 2. **No new dependencies.** Topology parsing is plain `std::fs`; the
@@ -37,8 +36,8 @@ pub use affinity::{
 };
 pub use topology::{format_cpu_list, parse_cpu_list, NumaNode, NumaTopology, TopologySource};
 
-/// True when this build can actually change thread affinity: the `numa`
-/// cargo feature is on **and** the target is Linux on x86_64/aarch64.
+/// True when this build can actually change thread affinity: the target
+/// is Linux on x86_64/aarch64.
 /// When false, [`pin_current_thread_to`] reports `Ok(false)` (no-op) and
 /// [`current_affinity`] reports `None`.
 pub const fn affinity_supported() -> bool {

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::TableArena;
 use crate::quantizer::{EncoderKind, ProductQuantizer};
-use crate::simd::{self, SimdOps};
+use crate::simd::scalar::{gather_add, gather_init};
 
 /// Samples per tile of the batched attention query: each tile reuses one
 /// set of encode/scratch buffers across its samples and tiles run
@@ -187,28 +187,17 @@ impl AttentionTable {
     /// set of encode/scratch buffers across its samples and tiles run
     /// rayon-parallel over disjoint output rows — the multi-sample
     /// counterpart of [`Self::query`], bit-for-bit equal to querying each
-    /// sample individually. The per-tile QK/QKV accumulations run through
-    /// the process-wide SIMD dispatch ([`simd::ops`]).
-    pub fn query_batch(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        self.query_batch_with(q, k, v, simd::ops())
-    }
-
-    /// [`Self::query_batch`] pinned to the scalar kernel tiles — the
-    /// reference path of the simd differential suites and benches.
-    pub fn query_batch_scalar(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        self.query_batch_with(q, k, v, simd::scalar_ops())
-    }
-
-    /// Tile kernel shared by the dispatched and scalar entry points.
+    /// sample individually. The per-row encodes run through the
+    /// process-wide argmin dispatch (`simd::nearest_flat`).
     ///
     /// K-row and V-column codes are staged **subspace-major** as `i32`
     /// (`codes_t[ci * lanes + lane]`), so each `(t1, ci)` / `(t1, c)` pass
     /// is one gather-accumulate over contiguous indices: lane `t2` (QK) or
     /// lane `o` (QKV) reads `table_row[idx[lane]]` and accumulates in
-    /// subspace order — exactly the scalar `acc += table.get(..)` loop,
-    /// one output lane per vector lane, so results are bit-identical at
-    /// every dispatch level.
-    fn query_batch_with(&self, q: &Matrix, k: &Matrix, v: &Matrix, ops: &SimdOps) -> Matrix {
+    /// subspace order — exactly the `acc += table.get(..)` loop of a
+    /// per-sample query.
+    pub fn query_batch(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        let nearest = crate::simd::nearest_flat();
         let t = self.seq_len;
         assert_eq!(q.cols(), self.dk, "Q shape mismatch");
         assert_eq!(q.rows() % t, 0, "rows not divisible by seq_len");
@@ -247,9 +236,13 @@ impl AttentionTable {
                         self.q_pq.encode_row_into_with(
                             q.row(base + r),
                             &mut q_codes[r * ck..(r + 1) * ck],
-                            ops,
+                            nearest,
                         );
-                        self.k_pq.encode_row_into_with(k.row(base + r), &mut code_tmp[..ck], ops);
+                        self.k_pq.encode_row_into_with(
+                            k.row(base + r),
+                            &mut code_tmp[..ck],
+                            nearest,
+                        );
                         for ci in 0..ck {
                             k_codes_t[ci * t + r] = code_tmp[ci] as i32;
                         }
@@ -262,9 +255,9 @@ impl AttentionTable {
                                 &self.qk.subtable(ci)[qcode * qk_width..(qcode + 1) * qk_width];
                             let idx = &k_codes_t[ci * t..(ci + 1) * t];
                             if ci == 0 {
-                                ops.gather_init(orow, trow, idx);
+                                gather_init(orow, trow, idx);
                             } else {
-                                ops.gather_add(orow, trow, idx);
+                                gather_add(orow, trow, idx);
                             }
                         }
                     }
@@ -275,13 +268,13 @@ impl AttentionTable {
                         for (tt, slot) in vcol.iter_mut().enumerate() {
                             *slot = v.get(base + tt, o);
                         }
-                        self.v_pq.encode_row_into_with(&vcol, &mut code_tmp[..ct], ops);
+                        self.v_pq.encode_row_into_with(&vcol, &mut code_tmp[..ct], nearest);
                         for c in 0..ct {
                             col_codes_t[c * dk + o] = code_tmp[c] as i32;
                         }
                     }
                     for t1 in 0..t {
-                        self.qkt_pq.encode_row_into_with(qkt.row(t1), &mut row_codes, ops);
+                        self.qkt_pq.encode_row_into_with(qkt.row(t1), &mut row_codes, nearest);
                         let orow = &mut ochunk[s * sample_span + t1 * dk..][..dk];
                         for c in 0..ct {
                             let rcode = row_codes[c];
@@ -289,9 +282,9 @@ impl AttentionTable {
                                 &self.qkv.subtable(c)[rcode * qkv_width..(rcode + 1) * qkv_width];
                             let idx = &col_codes_t[c * dk..(c + 1) * dk];
                             if c == 0 {
-                                ops.gather_init(orow, trow, idx);
+                                gather_init(orow, trow, idx);
                             } else {
-                                ops.gather_add(orow, trow, idx);
+                                gather_add(orow, trow, idx);
                             }
                         }
                     }

@@ -107,19 +107,9 @@ impl FusedFfnTable {
     /// as `LinearTable::query_batch_into`; bit-for-bit equal to
     /// row-at-a-time [`Self::query_row_into`]).
     pub fn query_batch_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.query_batch_into_with(x, out, crate::simd::ops());
-    }
-
-    /// [`Self::query_batch_into`] pinned to the scalar kernel tiles — the
-    /// reference path of the simd differential suites and benches.
-    pub fn query_batch_scalar_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.query_batch_into_with(x, out, crate::simd::scalar_ops());
-    }
-
-    fn query_batch_into_with(&self, x: &Matrix, out: &mut Matrix, ops: &crate::simd::SimdOps) {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
         assert_eq!(out.shape(), (x.rows(), self.out_dim), "output shape mismatch");
-        crate::linear_table::aggregate_codes_batch(&self.pq, &self.table, x, out, ops);
+        crate::linear_table::aggregate_codes_batch(&self.pq, &self.table, x, out);
     }
 
     /// Single-row query.

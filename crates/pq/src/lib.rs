@@ -17,9 +17,9 @@
 //! * [`sigmoid_lut`] — fixed lookup-table sigmoid (paper ref. \[46\]),
 //! * [`complexity`] — the latency / storage / arithmetic-operation formulas
 //!   of Eq. 16–21 used by DART's table configurator,
-//! * [`simd`] — runtime-dispatched AVX2/NEON kernels for the tiled arena
-//!   loops (behind the `simd` feature), bit-for-bit identical to the
-//!   scalar tiles that remain the mandatory fallback.
+//! * [`simd`] — the run-time-dispatched AVX2 argmin scan (chosen per
+//!   process from the CPU it observes), bit-for-bit identical to the
+//!   scalar scan that remains the mandatory fallback.
 
 pub mod arena;
 pub mod attention_table;
@@ -43,4 +43,4 @@ pub use profile::profile_kernel;
 pub use quantized::QuantizedLinearTable;
 pub use quantizer::{EncoderKind, ProductQuantizer, Quantizer, ENCODE_TILE_ROWS};
 pub use sigmoid_lut::SigmoidLut;
-pub use simd::{SimdLevel, SimdOps};
+pub use simd::SimdLevel;

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::TableArena;
 use crate::quantizer::{EncoderKind, ProductQuantizer};
-use crate::simd::{self, SimdOps};
+use crate::simd::scalar::{add_assign, init_row};
 
 /// Rows per tile of the tiled batch aggregation: the loop runs
 /// subspace-outer over a tile of output rows, so one sub-table block of the
@@ -172,19 +172,9 @@ impl LinearTable {
     /// to [`Self::query_row_into`] — subspace 0, 1, … — so results are
     /// bit-for-bit equal to row-at-a-time queries.
     pub fn query_batch_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.query_batch_into_with(x, out, simd::ops());
-    }
-
-    /// [`Self::query_batch_into`] pinned to the scalar kernel tiles — the
-    /// reference path of the simd differential suites and benches.
-    pub fn query_batch_scalar_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.query_batch_into_with(x, out, simd::scalar_ops());
-    }
-
-    fn query_batch_into_with(&self, x: &Matrix, out: &mut Matrix, ops: &SimdOps) {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
         assert_eq!(out.shape(), (x.rows(), self.out_dim), "output shape mismatch");
-        aggregate_codes_batch(&self.pq, &self.table, x, out, ops);
+        aggregate_codes_batch(&self.pq, &self.table, x, out);
     }
 
     /// Single-row query into a caller buffer (the prefetcher's hot path).
@@ -220,23 +210,21 @@ impl LinearTable {
 /// in subspace order 0, 1, …, so results match the single-row query paths
 /// bit for bit; tiles write disjoint output rows and run rayon-parallel.
 ///
-/// The row-accumulate inner loops run through `ops` — the SIMD kernels
-/// vectorize across the `D_O` output-column lanes only, so every output
-/// keeps the scalar accumulation sequence (first pass `0.0 + t`, then
-/// `+= t` in subspace order) and results are bit-identical at every
-/// dispatch level.
+/// Only the encode is dispatched ([`ProductQuantizer::encode_batch_into`]);
+/// the row-accumulate inner loops are the plain [`init_row`] /
+/// [`add_assign`] bodies, which the compiler vectorizes across the `D_O`
+/// output-column lanes.
 pub(crate) fn aggregate_codes_batch(
     pq: &ProductQuantizer,
     table: &TableArena,
     x: &Matrix,
     out: &mut Matrix,
-    ops: &SimdOps,
 ) {
     let c = pq.num_subspaces();
     let out_dim = out.cols();
     crate::profile::profile_kernel("aggregate_codes", x.rows() as u64);
     let mut codes = vec![0usize; x.rows() * c];
-    pq.encode_batch_into_with(x, &mut codes, ops);
+    pq.encode_batch_into(x, &mut codes);
     let codes = &codes;
     out.as_mut_slice().par_chunks_mut(AGG_TILE_ROWS * out_dim).enumerate().for_each(
         |(tile, orows)| {
@@ -250,9 +238,9 @@ pub(crate) fn aggregate_codes_batch(
                         // First pass initializes the tile: `0.0 + t` (not a
                         // copy) keeps the accumulation bit-identical to the
                         // fill-then-add scalar path, including -0.0 entries.
-                        ops.init_row(orow, trow);
+                        init_row(orow, trow);
                     } else {
-                        ops.add_assign(orow, trow);
+                        add_assign(orow, trow);
                     }
                 }
             }

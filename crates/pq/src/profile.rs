@@ -1,16 +1,12 @@
-//! Per-kernel invocation/row counters (`telemetry` feature).
+//! Per-kernel invocation/row counters.
 //!
 //! Each hot kernel calls [`profile_kernel`] once per batch with its name
-//! and the number of rows it processed. With the `telemetry` feature the
-//! counts land in the process-wide [`dart_telemetry::global()`] registry
-//! as two counter families:
+//! and the number of rows it processed. The counts land in the
+//! process-wide [`dart_telemetry::global()`] registry as two counter
+//! families (two relaxed atomic adds per batch call):
 //!
 //! * `dart_pq_kernel_invocations_total{kernel="..."}` — batch calls,
 //! * `dart_pq_kernel_rows_total{kernel="..."}` — rows processed.
-//!
-//! Without the feature [`profile_kernel`] is an empty `#[inline(always)]`
-//! function, so the hook costs nothing on the default build — callers
-//! never need a `cfg` at the call site.
 //!
 //! Kernel names are a closed set so the cells can live in a fixed-size
 //! array resolved without hashing on the hot path: `encode_batch`
@@ -18,68 +14,54 @@
 //! `attention_query` (attention QKV lookups), `int8_query` (quantized
 //! int8 linear-table queries).
 
+use std::sync::{Arc, OnceLock};
+
+use dart_telemetry::Counter;
+
 /// Record one kernel invocation that processed `rows` rows.
 ///
 /// `name` must be one of the catalog names above; unknown names are
 /// ignored rather than panicking so the hook can never take down a
-/// kernel. No-op without the `telemetry` feature.
-#[cfg(feature = "telemetry")]
+/// kernel.
 pub fn profile_kernel(name: &'static str, rows: u64) {
-    imp::record(name, rows);
+    let Some(i) = KERNELS.iter().position(|k| *k == name) else { return };
+    let c = cells();
+    c.invocations[i].inc();
+    c.rows[i].add(rows);
 }
 
-/// Record one kernel invocation (no-op: `telemetry` feature is off).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub fn profile_kernel(_name: &'static str, _rows: u64) {}
+/// The closed kernel-name catalog, in exposition order.
+const KERNELS: [&str; 4] = ["encode_batch", "aggregate_codes", "attention_query", "int8_query"];
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use std::sync::{Arc, OnceLock};
-
-    use dart_telemetry::Counter;
-
-    /// The closed kernel-name catalog, in exposition order.
-    pub(super) const KERNELS: [&str; 4] =
-        ["encode_batch", "aggregate_codes", "attention_query", "int8_query"];
-
-    struct Cells {
-        invocations: [Arc<Counter>; 4],
-        rows: [Arc<Counter>; 4],
-    }
-
-    fn cells() -> &'static Cells {
-        static CELLS: OnceLock<Cells> = OnceLock::new();
-        CELLS.get_or_init(|| {
-            let reg = dart_telemetry::global();
-            Cells {
-                invocations: KERNELS.map(|k| {
-                    reg.counter(
-                        "dart_pq_kernel_invocations_total",
-                        "Batched tabularization-kernel calls.",
-                        &[("kernel", k)],
-                    )
-                }),
-                rows: KERNELS.map(|k| {
-                    reg.counter(
-                        "dart_pq_kernel_rows_total",
-                        "Rows processed by tabularization kernels.",
-                        &[("kernel", k)],
-                    )
-                }),
-            }
-        })
-    }
-
-    pub(super) fn record(name: &'static str, rows: u64) {
-        let Some(i) = KERNELS.iter().position(|k| *k == name) else { return };
-        let c = cells();
-        c.invocations[i].inc();
-        c.rows[i].add(rows);
-    }
+struct Cells {
+    invocations: [Arc<Counter>; 4],
+    rows: [Arc<Counter>; 4],
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+fn cells() -> &'static Cells {
+    static CELLS: OnceLock<Cells> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let reg = dart_telemetry::global();
+        Cells {
+            invocations: KERNELS.map(|k| {
+                reg.counter(
+                    "dart_pq_kernel_invocations_total",
+                    "Batched tabularization-kernel calls.",
+                    &[("kernel", k)],
+                )
+            }),
+            rows: KERNELS.map(|k| {
+                reg.counter(
+                    "dart_pq_kernel_rows_total",
+                    "Rows processed by tabularization kernels.",
+                    &[("kernel", k)],
+                )
+            }),
+        }
+    })
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

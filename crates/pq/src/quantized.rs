@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::arena::TableArena;
 use crate::linear_table::LinearTable;
 use crate::quantizer::ProductQuantizer;
-use crate::simd::{self, SimdOps};
+use crate::simd::scalar::i8_scale_add;
 
 /// An int8 copy of a linear kernel's tables.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -51,47 +51,29 @@ impl QuantizedLinearTable {
         self.out_dim
     }
 
-    /// Approximate query over stacked rows (int8 tables, f32 result). The
-    /// dequantize-accumulate inner loop runs through the process-wide SIMD
-    /// dispatch ([`simd::ops`]); results are bit-identical to the scalar
-    /// [`Self::query_row_into`] at every dispatch level (int8-to-f32
-    /// conversion is exact, and each output lane keeps the scalar
-    /// multiply-then-add sequence).
+    /// Approximate query over stacked rows (int8 tables, f32 result):
+    /// [`Self::query_row_into`] per row, rows in parallel.
     pub fn query(&self, x: &Matrix) -> Matrix {
-        self.query_with(x, simd::ops())
-    }
-
-    /// [`Self::query`] pinned to the scalar kernel tiles — the reference
-    /// path of the simd differential suites and benches.
-    pub fn query_scalar(&self, x: &Matrix) -> Matrix {
-        self.query_with(x, simd::scalar_ops())
-    }
-
-    fn query_with(&self, x: &Matrix, ops: &SimdOps) -> Matrix {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
         crate::profile::profile_kernel("int8_query", x.rows() as u64);
         let mut out = Matrix::zeros(x.rows(), self.out_dim);
         out.as_mut_slice()
             .par_chunks_mut(self.out_dim)
             .enumerate()
-            .for_each(|(r, orow)| self.query_row_with(x.row(r), orow, ops));
+            .for_each(|(r, orow)| self.query_row_into(x.row(r), orow));
         out
     }
 
-    /// Single-row query (the scalar reference path).
+    /// Single-row query.
     pub fn query_row_into(&self, row: &[f32], out: &mut [f32]) {
-        self.query_row_with(row, out, simd::scalar_ops());
-    }
-
-    fn query_row_with(&self, row: &[f32], out: &mut [f32], ops: &SimdOps) {
         debug_assert_eq!(out.len(), self.out_dim);
         out.fill(0.0);
         let k = self.pq.num_protos();
         for (ci, &(lo, hi)) in self.pq.bounds().iter().enumerate() {
-            let code = self.pq.encode_sub_with(ci, &row[lo..hi], ops);
+            let code = self.pq.encode_sub(ci, &row[lo..hi]);
             let scale = self.scales[ci];
             let trow = &self.data[(ci * k + code) * self.out_dim..][..self.out_dim];
-            ops.i8_scale_add(out, trow, scale);
+            i8_scale_add(out, trow, scale);
         }
     }
 

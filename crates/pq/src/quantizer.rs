@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::CodebookArena;
 use crate::kmeans::{kmeans, nearest_centroid, nearest_centroid_flat, KMeansConfig};
-use crate::simd::{self, SimdOps};
+use crate::simd::{self, NearestFlatFn};
 
 /// Rows per tile of the tiled batch encoder: a tile of input rows stays
 /// L1-resident while the per-subspace codebooks (or hash trees) are swept
@@ -322,22 +322,19 @@ impl ProductQuantizer {
     /// always match this bit for bit).
     #[inline]
     pub fn encode_sub(&self, ci: usize, sub: &[f32]) -> usize {
-        match &self.encoders[ci] {
-            Encoder::Argmin => nearest_centroid_flat(sub, self.codebook.subspace(ci), sub.len()).0,
-            Encoder::HashTree(tree) => tree.encode(sub),
-        }
+        self.encode_sub_with(ci, sub, nearest_centroid_flat)
     }
 
-    /// [`Self::encode_sub`] through a kernel table: the argmin distance
-    /// scan over the codebook arena runs vectorized when `ops` carries
-    /// SIMD kernels (the hash tree's `log2 K` comparisons have no width
-    /// dimension to vectorize and always run scalar). Codes are identical
-    /// to the scalar path for every table — SIMD distances are bit-exact,
-    /// so the strict-`<` argmin picks the same prototype.
+    /// [`Self::encode_sub`] with the argmin distance scan over the
+    /// codebook arena running through `nearest` (the hash tree's `log2 K`
+    /// comparisons have no width dimension to vectorize and always run
+    /// scalar). Codes are identical whichever scan is passed — the AVX2
+    /// distances are bit-exact, so the strict-`<` argmin picks the same
+    /// prototype.
     #[inline]
-    pub(crate) fn encode_sub_with(&self, ci: usize, sub: &[f32], ops: &SimdOps) -> usize {
+    fn encode_sub_with(&self, ci: usize, sub: &[f32], nearest: NearestFlatFn) -> usize {
         match &self.encoders[ci] {
-            Encoder::Argmin => ops.nearest_flat(sub, self.codebook.subspace(ci), sub.len()).0,
+            Encoder::Argmin => nearest(sub, self.codebook.subspace(ci), sub.len()).0,
             Encoder::HashTree(tree) => tree.encode(sub),
         }
     }
@@ -355,17 +352,22 @@ impl ProductQuantizer {
     /// Encode into a caller-provided buffer (hot path, avoids allocation).
     #[inline]
     pub fn encode_row_into(&self, row: &[f32], out: &mut [usize]) {
-        self.encode_row_into_with(row, out, simd::scalar_ops());
+        self.encode_row_into_with(row, out, nearest_centroid_flat);
     }
 
-    /// [`Self::encode_row_into`] through a kernel table (the attention
-    /// batch kernel's per-row encodes; codes are identical at every
-    /// dispatch level, see [`Self::encode_sub_with`]).
+    /// [`Self::encode_row_into`] through the argmin scan `nearest` (the
+    /// attention batch kernel's per-row encodes; codes are identical
+    /// whichever scan is passed, see [`Self::encode_sub_with`]).
     #[inline]
-    pub(crate) fn encode_row_into_with(&self, row: &[f32], out: &mut [usize], ops: &SimdOps) {
+    pub(crate) fn encode_row_into_with(
+        &self,
+        row: &[f32],
+        out: &mut [usize],
+        nearest: NearestFlatFn,
+    ) {
         debug_assert_eq!(out.len(), self.bounds.len());
         for (ci, (slot, &(lo, hi))) in out.iter_mut().zip(&self.bounds).enumerate() {
-            *slot = self.encode_sub_with(ci, &row[lo..hi], ops);
+            *slot = self.encode_sub_with(ci, &row[lo..hi], nearest);
         }
     }
 
@@ -377,19 +379,19 @@ impl ProductQuantizer {
     /// block (or hash tree) is swept across cache-resident input rows.
     /// Tiles are independent, so they run rayon-parallel; codes are
     /// identical to calling [`Self::encode_row_into`] per row. The argmin
-    /// distance scans run through the process-wide SIMD dispatch
-    /// ([`simd::ops`]) without changing any code.
+    /// distance scans run through the process-wide dispatch
+    /// (`simd::nearest_flat`) without changing any code.
     pub fn encode_batch_into(&self, x: &Matrix, out: &mut [usize]) {
-        self.encode_batch_into_with(x, out, simd::ops());
+        self.encode_batch_into_with(x, out, simd::nearest_flat());
     }
 
-    /// [`Self::encode_batch_into`] pinned to the scalar kernel tiles — the
+    /// [`Self::encode_batch_into`] pinned to the scalar argmin scan — the
     /// reference path of the simd differential suites and benches.
     pub fn encode_batch_scalar_into(&self, x: &Matrix, out: &mut [usize]) {
-        self.encode_batch_into_with(x, out, simd::scalar_ops());
+        self.encode_batch_into_with(x, out, nearest_centroid_flat);
     }
 
-    pub(crate) fn encode_batch_into_with(&self, x: &Matrix, out: &mut [usize], ops: &SimdOps) {
+    fn encode_batch_into_with(&self, x: &Matrix, out: &mut [usize], nearest: NearestFlatFn) {
         let c = self.bounds.len();
         assert_eq!(x.cols(), self.dim, "encode dim mismatch");
         assert_eq!(out.len(), x.rows() * c, "code buffer size mismatch");
@@ -399,7 +401,7 @@ impl ProductQuantizer {
             let rows = chunk.len() / c;
             for (ci, &(lo, hi)) in self.bounds.iter().enumerate() {
                 for rr in 0..rows {
-                    chunk[rr * c + ci] = self.encode_sub_with(ci, &x.row(r0 + rr)[lo..hi], ops);
+                    chunk[rr * c + ci] = self.encode_sub_with(ci, &x.row(r0 + rr)[lo..hi], nearest);
                 }
             }
         });

@@ -1,143 +1,37 @@
-//! AVX2 (8-lane f32) implementations of the kernel primitives.
+//! AVX2 (8-lane f32) argmin scan.
 //!
-//! Every function mirrors its scalar twin in `super::scalar` lane by lane:
-//! vector lanes map 1:1 onto output columns, each lane executes the exact
-//! scalar operation sequence (separate `sub`/`mul`/`add`, never FMA), and
-//! ragged tails fall back to the scalar body. That makes the outputs
+//! Mirrors [`crate::kmeans::nearest_centroid_flat`] lane by lane: vector
+//! lanes map 1:1 onto centroids, each lane executes the exact scalar
+//! operation sequence (separate `sub`/`mul`/`add`, never FMA), and the
+//! ragged tail falls back to the scalar body. That makes the result
 //! bit-for-bit identical to scalar — the property the differential suites
-//! assert — while the contiguous width-dimension loops of the flat arenas
-//! run 8 lanes per instruction.
+//! assert — while 8 centroids are scanned per instruction.
 //!
-//! Safety: the public wrappers are only reachable through the dispatch
-//! table, which installs them after `is_x86_feature_detected!("avx2")`
-//! succeeded (`super::detect`), and through tests that perform the same
-//! check.
+//! Safety: [`nearest_flat`] is only reachable through `super::detect`,
+//! which hands it out after `is_x86_feature_detected!("avx2")` succeeded,
+//! and through tests that perform the same check.
 
 // The whole point of this module is intrinsics. (Safety story above.)
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m128i, __m256i, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_i32gather_ps,
-    _mm256_loadu_ps, _mm256_loadu_si256, _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_epi32,
-    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_loadl_epi64,
+    _mm256_add_ps, _mm256_i32gather_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_epi32,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
 };
 
 const LANES: usize = 8;
 
-pub fn init_row(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    // SAFETY: AVX2 is present (dispatch-table gate, module docs); the tail
-    // loop bounds every vector load/store by `dst.len() == src.len()`.
-    unsafe { init_row_avx2(dst, src) }
-}
-
-pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    // SAFETY: AVX2 is present (dispatch-table gate); loads/stores stay
-    // within `dst.len() == src.len()` by the `j + LANES <= n` loop bound.
-    unsafe { add_assign_avx2(dst, src) }
-}
-
-pub fn gather_init(dst: &mut [f32], row: &[f32], idx: &[i32]) {
-    check_gather(dst, row, idx);
-    // SAFETY: AVX2 is present (dispatch-table gate); `check_gather` just
-    // proved every index is in-bounds for `row` and `dst.len() == idx.len()`,
-    // the contract the unchecked hardware gather relies on.
-    unsafe { gather_avx2::<true>(dst, row, idx) }
-}
-
-pub fn gather_add(dst: &mut [f32], row: &[f32], idx: &[i32]) {
-    check_gather(dst, row, idx);
-    // SAFETY: as in `gather_init` — AVX2 present, indices bounds-checked by
-    // `check_gather`, `dst.len() == idx.len()`.
-    unsafe { gather_avx2::<false>(dst, row, idx) }
-}
-
 pub fn nearest_flat(point: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
+    // Release-mode asserts, not debug_asserts: this is the safe boundary
+    // in front of unchecked vector gathers, so a mismatched shape must
+    // panic — never read out of bounds — in every build profile. Three
+    // compares per scan are noise next to the `K x dim` work behind them.
     assert!(dim > 0, "nearest_flat over zero-dim subspace");
-    debug_assert_eq!(point.len(), dim);
-    debug_assert_eq!(centroids.len() % dim, 0);
-    // SAFETY: AVX2 is present (dispatch-table gate); the stride gather only
-    // runs while `c0 + LANES <= k` with per-gather offsets bounded by
-    // `dim * (LANES - 1)`, so every lane reads inside `centroids`.
+    assert_eq!(point.len(), dim, "nearest_flat point length mismatch");
+    assert_eq!(centroids.len() % dim, 0, "nearest_flat ragged centroid block");
+    // SAFETY: AVX2 is present (dispatch gate, module docs); the shape
+    // contracts `nearest_flat_avx2` relies on were asserted just above.
     unsafe { nearest_flat_avx2(point, centroids, dim) }
-}
-
-pub fn i8_scale_add(dst: &mut [f32], src: &[i8], scale: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    // SAFETY: AVX2 is present (dispatch-table gate); the 8-byte int8 load
-    // and the f32 load/store stay within `dst.len() == src.len()` by the
-    // `j + LANES <= n` loop bound.
-    unsafe { i8_scale_add_avx2(dst, src, scale) }
-}
-
-/// The hardware gather has no bounds checks; enforce the scalar twin's
-/// panic-on-out-of-range contract up front (codes are bounded by `K` at
-/// every call site, so this never fires in kernel use).
-#[inline]
-fn check_gather(dst: &[f32], row: &[f32], idx: &[i32]) {
-    assert_eq!(dst.len(), idx.len());
-    for &i in idx {
-        assert!((i as usize) < row.len(), "gather index {i} out of range {}", row.len());
-    }
-}
-
-/// # Safety
-/// Caller must guarantee AVX2 is available and `dst.len() == src.len()`
-/// (all vector memory ops are bounded by `dst.len()`).
-#[target_feature(enable = "avx2")]
-unsafe fn init_row_avx2(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len();
-    let zero = _mm256_setzero_ps();
-    let mut j = 0;
-    while j + LANES <= n {
-        let s = _mm256_loadu_ps(src.as_ptr().add(j));
-        // 0.0 + s, not a copy: normalizes -0.0 like the scalar reference.
-        _mm256_storeu_ps(dst.as_mut_ptr().add(j), _mm256_add_ps(zero, s));
-        j += LANES;
-    }
-    super::scalar::init_row(&mut dst[j..], &src[j..]);
-}
-
-/// # Safety
-/// Caller must guarantee AVX2 is available and `dst.len() == src.len()`.
-#[target_feature(enable = "avx2")]
-unsafe fn add_assign_avx2(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        let d = _mm256_loadu_ps(dst.as_ptr().add(j));
-        let s = _mm256_loadu_ps(src.as_ptr().add(j));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(j), _mm256_add_ps(d, s));
-        j += LANES;
-    }
-    super::scalar::add_assign(&mut dst[j..], &src[j..]);
-}
-
-/// # Safety
-/// Caller must guarantee AVX2 is available, `dst.len() == idx.len()`, and
-/// every `idx` entry indexes inside `row` — `_mm256_i32gather_ps` performs
-/// no bounds checks (`check_gather` is the enforcing front door).
-#[target_feature(enable = "avx2")]
-unsafe fn gather_avx2<const INIT: bool>(dst: &mut [f32], row: &[f32], idx: &[i32]) {
-    let n = dst.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        let iv = _mm256_loadu_si256(idx.as_ptr().add(j) as *const __m256i);
-        let g = _mm256_i32gather_ps::<4>(row.as_ptr(), iv);
-        let acc = if INIT {
-            _mm256_add_ps(_mm256_setzero_ps(), g)
-        } else {
-            _mm256_add_ps(_mm256_loadu_ps(dst.as_ptr().add(j)), g)
-        };
-        _mm256_storeu_ps(dst.as_mut_ptr().add(j), acc);
-        j += LANES;
-    }
-    if INIT {
-        super::scalar::gather_init(&mut dst[j..], row, &idx[j..]);
-    } else {
-        super::scalar::gather_add(&mut dst[j..], row, &idx[j..]);
-    }
 }
 
 /// # Safety
@@ -195,25 +89,4 @@ unsafe fn nearest_flat_avx2(point: &[f32], centroids: &[f32], dim: usize) -> (us
         }
     }
     (best, best_d)
-}
-
-/// # Safety
-/// Caller must guarantee AVX2 is available and `dst.len() == src.len()`
-/// (the 8-byte `_mm_loadl_epi64` reads `src[j..j + 8]`, bounded by the
-/// `j + LANES <= n` loop condition).
-#[target_feature(enable = "avx2")]
-unsafe fn i8_scale_add_avx2(dst: &mut [f32], src: &[i8], scale: f32) {
-    let n = dst.len();
-    let sv = _mm256_set1_ps(scale);
-    let mut j = 0;
-    while j + LANES <= n {
-        // Sign-extend 8 int8 entries to int32, convert to f32 (exact for
-        // all int8 values), then `t * scale` and accumulate per lane.
-        let bytes = _mm_loadl_epi64(src.as_ptr().add(j) as *const __m128i);
-        let vals = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes));
-        let d = _mm256_loadu_ps(dst.as_ptr().add(j));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(j), _mm256_add_ps(d, _mm256_mul_ps(vals, sv)));
-        j += LANES;
-    }
-    super::scalar::i8_scale_add(&mut dst[j..], &src[j..], scale);
 }

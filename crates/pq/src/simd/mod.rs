@@ -1,55 +1,52 @@
-//! SIMD dispatch for the tiled arena kernels (ROADMAP: "SIMD intrinsics
-//! for the tiled arena kernels behind a feature flag").
+//! Kernel dispatch: the one primitive with two implementations.
 //!
-//! The flat code-major arenas (PR 2) put every hot inner loop over one
-//! contiguous slice; this module vectorizes those loops **across the
-//! width / output-lane dimension only**. Each output lane keeps the exact
-//! per-lane operation sequence of the scalar tiles — same subspace
-//! accumulation order, separate multiply and add (no FMA contraction), the
-//! same `0.0 + t` first-pass initialization — so every SIMD kernel is
-//! **bit-for-bit identical** to its scalar fallback. The differential
-//! suites (`tests/integration_kernels_diff.rs`, the primitive proptests
-//! below) hold with the `simd` feature on or off.
+//! The argmin distance scan over a flat `K x dim` centroid block
+//! (`nearest_flat`) is the only inner loop where a hand-written vector
+//! kernel measurably beats the compiler: the AVX2 scan roughly doubles
+//! end-to-end prediction throughput, while hand-written AVX2 for the
+//! row-accumulate / gather / int8 loops in [`scalar`] is at parity with
+//! the auto-vectorised bodies on every benchmark workload. So those loops
+//! are plain functions called directly, and only the argmin scan is
+//! dispatched.
+//!
+//! The AVX2 scan keeps the scalar per-centroid operation sequence
+//! (separate subtract / multiply / add in dimension order, strict `<`
+//! first-minimum-wins), so codes are **bit-for-bit identical** at either
+//! level — the differential suites (`tests/integration_kernels_diff.rs`,
+//! the proptests below) compare it against
+//! [`crate::kmeans::nearest_centroid_flat`].
 //!
 //! ## Dispatch rules
 //!
-//! [`ops`] resolves one [`SimdOps`] table for the whole process and caches
-//! it (`OnceLock`, first use — e.g. serve-runtime startup or the first
-//! batched kernel call):
+//! The level is resolved once per process from what the process observes
+//! and cached (`OnceLock`): `ServeRuntime::start` resolves it on the
+//! caller's thread before spawning workers; otherwise the first kernel
+//! call does.
 //!
-//! * `simd` feature **off** (the default): the scalar table, always.
-//! * `x86_64` + `simd`: AVX2 kernels when `is_x86_feature_detected!("avx2")`
-//!   reports support at runtime, scalar otherwise — binaries built with the
-//!   feature still run on pre-AVX2 hardware.
-//! * `aarch64` + `simd`: NEON kernels (baseline on AArch64, re-checked via
-//!   `is_aarch64_feature_detected!`).
-//! * `DART_SIMD=off` (or `scalar`/`0`) forces the scalar table even when the
-//!   feature is enabled — the debugging escape hatch. Any other value except
+//! * `x86_64` with `is_x86_feature_detected!("avx2")`: [`SimdLevel::Avx2`].
+//! * Anything else (older x86, every other architecture):
+//!   [`SimdLevel::Scalar`].
+//! * `DART_SIMD=off` (or `scalar`/`0`) forces the scalar scan — the
+//!   debugging escape hatch, and how CI keeps the process-wide scalar
+//!   dispatch exercised on AVX2 runners. Any other value except
 //!   `auto`/empty panics, matching the strict `DART_NUM_THREADS` parsing.
-//!
-//! [`scalar_ops`] always returns the scalar table: the row-at-a-time
-//! reference paths (`query_row_into`, `encode_row`) and the
-//! `*_scalar` batch twins are written against it so the differential
-//! suites keep a true scalar reference even with the feature enabled.
 
 pub mod scalar;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-mod neon;
 
 use std::sync::OnceLock;
 
-/// Which kernel family [`ops`] resolved to.
+use crate::kmeans::nearest_centroid_flat;
+
+/// Which argmin kernel the process dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable scalar tiles (the mandatory fallback and reference).
+    /// The portable scalar scan (the mandatory fallback and reference).
     Scalar,
-    /// 8-lane f32 AVX2 kernels (`std::arch::x86_64`).
+    /// The 8-lane f32 AVX2 scan (`std::arch::x86_64`).
     Avx2,
-    /// 4-lane f32 NEON kernels (`std::arch::aarch64`).
-    Neon,
 }
 
 impl std::fmt::Display for SimdLevel {
@@ -57,188 +54,67 @@ impl std::fmt::Display for SimdLevel {
         f.write_str(match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Neon => "neon",
         })
     }
 }
 
-/// Signature of an argmin scan over a flat `K x dim` centroid block.
-type NearestFlatFn = fn(&[f32], &[f32], usize) -> (usize, f32);
+/// An argmin scan over a flat `K x dim` centroid block: index + squared
+/// distance of the nearest row, scanning rows in order with strict `<`
+/// (first minimum wins) and per-row accumulation order `d = 0, 1, …` —
+/// [`nearest_centroid_flat`] exactly, whichever implementation runs.
+pub(crate) type NearestFlatFn = fn(&[f32], &[f32], usize) -> (usize, f32);
 
-/// A resolved table of kernel primitives. The batch kernels fetch one table
-/// per call ([`ops`] or [`scalar_ops`]) and run every inner loop through it,
-/// so dispatch costs one indirect call per *slice*, not per element.
-///
-/// Contracts shared by all implementations (scalar semantics are
-/// definitive; SIMD implementations must match them bit for bit):
-///
-/// * `init_row(dst, src)` — `dst[j] = 0.0 + src[j]` (NOT a copy: `0.0 + x`
-///   normalizes `-0.0` to `+0.0` exactly like the scalar accumulators).
-/// * `add_assign(dst, src)` — `dst[j] += src[j]`.
-/// * `gather_init(dst, row, idx)` — `dst[j] = 0.0 + row[idx[j]]`.
-/// * `gather_add(dst, row, idx)` — `dst[j] += row[idx[j]]`.
-/// * `nearest_flat(point, centroids, dim)` — index + squared distance of
-///   the nearest row of a flat `K x dim` block, scanning rows in order
-///   with strict `<` (first minimum wins) and per-row accumulation order
-///   `d = 0, 1, …` — [`crate::kmeans::nearest_centroid_flat`] exactly.
-/// * `i8_scale_add(dst, src, scale)` — `dst[j] += src[j] as f32 * scale`.
-pub struct SimdOps {
-    level: SimdLevel,
-    init_row: fn(&mut [f32], &[f32]),
-    add_assign: fn(&mut [f32], &[f32]),
-    gather_init: fn(&mut [f32], &[f32], &[i32]),
-    gather_add: fn(&mut [f32], &[f32], &[i32]),
-    nearest_flat: NearestFlatFn,
-    i8_scale_add: fn(&mut [f32], &[i8], f32),
+fn dispatch() -> (SimdLevel, NearestFlatFn) {
+    static DISPATCH: OnceLock<(SimdLevel, NearestFlatFn)> = OnceLock::new();
+    *DISPATCH.get_or_init(|| {
+        let value = std::env::var("DART_SIMD").ok();
+        let forced_scalar = forced_scalar(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"));
+        let resolved = detect(forced_scalar);
+        dart_telemetry::global()
+            .gauge(
+                "dart_pq_simd_level",
+                "Argmin kernel this process dispatches to (info series, always 1).",
+                &[("level", &resolved.0.to_string())],
+            )
+            .set(1);
+        resolved
+    })
 }
 
-impl SimdOps {
-    /// The kernel family this table dispatches to.
-    #[inline]
-    pub fn level(&self) -> SimdLevel {
-        self.level
-    }
-
-    // The length checks below are release-mode asserts, not debug_asserts:
-    // these methods are the public safe boundary in front of kernels that
-    // use unchecked vector loads, so a mismatched pair must panic — never
-    // read out of bounds — in every build profile. One compare per *slice*
-    // call is noise next to the per-element work behind it.
-
-    /// `dst[j] = 0.0 + src[j]` over equal-length slices.
-    #[inline]
-    pub fn init_row(&self, dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "init_row slice length mismatch");
-        (self.init_row)(dst, src)
-    }
-
-    /// `dst[j] += src[j]` over equal-length slices.
-    #[inline]
-    pub fn add_assign(&self, dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "add_assign slice length mismatch");
-        (self.add_assign)(dst, src)
-    }
-
-    /// `dst[j] = 0.0 + row[idx[j]]`; every index must be within `row`
-    /// (enforced by the implementations — the AVX2 hardware gather
-    /// validates up front, the scalar/NEON lane loads are bounds-checked).
-    #[inline]
-    pub fn gather_init(&self, dst: &mut [f32], row: &[f32], idx: &[i32]) {
-        assert_eq!(dst.len(), idx.len(), "gather_init index length mismatch");
-        (self.gather_init)(dst, row, idx)
-    }
-
-    /// `dst[j] += row[idx[j]]`; same index contract as [`Self::gather_init`].
-    #[inline]
-    pub fn gather_add(&self, dst: &mut [f32], row: &[f32], idx: &[i32]) {
-        assert_eq!(dst.len(), idx.len(), "gather_add index length mismatch");
-        (self.gather_add)(dst, row, idx)
-    }
-
-    /// Nearest row of a flat `K x dim` centroid block (see struct docs).
-    #[inline]
-    pub fn nearest_flat(&self, point: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
-        assert!(dim > 0, "nearest_flat over zero-dim subspace");
-        assert_eq!(point.len(), dim, "nearest_flat point length mismatch");
-        assert_eq!(centroids.len() % dim, 0, "nearest_flat ragged centroid block");
-        (self.nearest_flat)(point, centroids, dim)
-    }
-
-    /// `dst[j] += src[j] as f32 * scale` over equal-length slices.
-    #[inline]
-    pub fn i8_scale_add(&self, dst: &mut [f32], src: &[i8], scale: f32) {
-        assert_eq!(dst.len(), src.len(), "i8_scale_add slice length mismatch");
-        (self.i8_scale_add)(dst, src, scale)
-    }
-}
-
-static SCALAR_OPS: SimdOps = SimdOps {
-    level: SimdLevel::Scalar,
-    init_row: scalar::init_row,
-    add_assign: scalar::add_assign,
-    gather_init: scalar::gather_init,
-    gather_add: scalar::gather_add,
-    nearest_flat: scalar::nearest_flat,
-    i8_scale_add: scalar::i8_scale_add,
-};
-
-/// The scalar kernel table — the mandatory fallback and the reference the
-/// differential suites compare against. Always available, feature or not.
-#[inline]
-pub fn scalar_ops() -> &'static SimdOps {
-    &SCALAR_OPS
-}
-
-/// The process-wide dispatched kernel table: detected once on first use
-/// (see module docs for the rules) and cached for every later call.
-#[inline]
-pub fn ops() -> &'static SimdOps {
-    static OPS: OnceLock<&'static SimdOps> = OnceLock::new();
-    OPS.get_or_init(detect)
-}
-
-/// The kernel family the process-wide dispatch resolved to (for benchmark
-/// and startup banners).
+/// The kernel level this process resolved to (see the module docs for
+/// the rules). Forces the resolution, so calling it at start-up surfaces
+/// a malformed `DART_SIMD` on the caller's thread.
 pub fn active_level() -> SimdLevel {
-    ops().level()
+    dispatch().0
 }
 
-/// `DART_SIMD` override: `true` = forced scalar. Empty/`auto` = autodetect;
-/// anything else is a hard error (same strictness as `DART_NUM_THREADS`).
-fn forced_scalar() -> bool {
-    match std::env::var("DART_SIMD") {
-        Err(_) => false,
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" | "auto" => false,
-            "off" | "scalar" | "0" => true,
-            other => panic!("DART_SIMD must be `auto`, `off`, `scalar`, or `0`, got `{other}`"),
-        },
+/// The dispatched argmin scan. Batch kernels fetch it once per call and
+/// run every subvector through it, so dispatch costs one `OnceLock` load
+/// per batch, not per element.
+pub(crate) fn nearest_flat() -> NearestFlatFn {
+    dispatch().1
+}
+
+/// Interpret a `DART_SIMD` value: `Ok(true)` = forced scalar, `Ok(false)`
+/// = autodetect (unset, empty or `auto`); anything else is an error (same
+/// strictness as `DART_NUM_THREADS`).
+fn forced_scalar(value: Option<&str>) -> Result<bool, String> {
+    match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+        None | Some("" | "auto") => Ok(false),
+        Some("off" | "scalar" | "0") => Ok(true),
+        Some(other) => {
+            Err(format!("DART_SIMD must be `auto`, `off`, `scalar`, or `0`, got `{other}`"))
+        }
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn detect() -> &'static SimdOps {
-    static AVX2_OPS: SimdOps = SimdOps {
-        level: SimdLevel::Avx2,
-        init_row: avx2::init_row,
-        add_assign: avx2::add_assign,
-        gather_init: avx2::gather_init,
-        gather_add: avx2::gather_add,
-        nearest_flat: avx2::nearest_flat,
-        i8_scale_add: avx2::i8_scale_add,
-    };
-    if !forced_scalar() && std::arch::is_x86_feature_detected!("avx2") {
-        &AVX2_OPS
-    } else {
-        &SCALAR_OPS
+fn detect(forced_scalar: bool) -> (SimdLevel, NearestFlatFn) {
+    #[cfg(target_arch = "x86_64")]
+    if !forced_scalar && std::arch::is_x86_feature_detected!("avx2") {
+        return (SimdLevel::Avx2, avx2::nearest_flat);
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-fn detect() -> &'static SimdOps {
-    static NEON_OPS: SimdOps = SimdOps {
-        level: SimdLevel::Neon,
-        init_row: neon::init_row,
-        add_assign: neon::add_assign,
-        gather_init: neon::gather_init,
-        gather_add: neon::gather_add,
-        // No gather instruction pays for a vectorized argmin scan on NEON;
-        // the distance loop stays on the scalar reference there.
-        nearest_flat: scalar::nearest_flat,
-        i8_scale_add: neon::i8_scale_add,
-    };
-    if !forced_scalar() && std::arch::is_aarch64_feature_detected!("neon") {
-        &NEON_OPS
-    } else {
-        &SCALAR_OPS
-    }
-}
-
-#[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-fn detect() -> &'static SimdOps {
-    // Still honor (and validate) the env override so behavior is uniform.
-    let _ = forced_scalar();
-    &SCALAR_OPS
+    let _ = forced_scalar; // only read on x86_64
+    (SimdLevel::Scalar, nearest_centroid_flat)
 }
 
 #[cfg(test)]
@@ -264,53 +140,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every dispatched primitive is bit-identical to the scalar table
-        /// at every slice length (covering sub-lane, exact-lane, and
-        /// non-multiple-of-lane widths for both 8-lane AVX2 and 4-lane
-        /// NEON).
-        #[test]
-        fn dispatched_primitives_match_scalar(seed in 0u64..10_000, n in 0usize..41) {
-            let d = ops();
-            let s = scalar_ops();
-            let src: Vec<f32> = (0..n).map(|i| val(seed, i)).collect();
-            let acc: Vec<f32> = (0..n).map(|i| val(seed ^ 0xACC, i)).collect();
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            d.init_row(&mut a, &src);
-            s.init_row(&mut b, &src);
-            prop_assert_eq!(bits(&a), bits(&b), "init_row");
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            d.add_assign(&mut a, &src);
-            s.add_assign(&mut b, &src);
-            prop_assert_eq!(bits(&a), bits(&b), "add_assign");
-
-            // Gather from a 64-entry table with wrapped indices.
-            let row: Vec<f32> = (0..64).map(|i| val(seed ^ 0x70, i)).collect();
-            let idx: Vec<i32> = (0..n).map(|i| ((seed as usize + i * 7) % 64) as i32).collect();
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            d.gather_init(&mut a, &row, &idx);
-            s.gather_init(&mut b, &row, &idx);
-            prop_assert_eq!(bits(&a), bits(&b), "gather_init");
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            d.gather_add(&mut a, &row, &idx);
-            s.gather_add(&mut b, &row, &idx);
-            prop_assert_eq!(bits(&a), bits(&b), "gather_add");
-
-            let mut a = acc.clone();
-            let mut b = acc;
-            let i8s: Vec<i8> = (0..n).map(|i| (val(seed ^ 0x18, i) as i64 % 128) as i8).collect();
-            let scale = val(seed ^ 0x5C, 0).abs().max(1e-6);
-            d.i8_scale_add(&mut a, &i8s, scale);
-            s.i8_scale_add(&mut b, &i8s, scale);
-            prop_assert_eq!(bits(&a), bits(&b), "i8_scale_add");
-        }
-
         /// Dispatched argmin matches the scalar scan exactly — same index
         /// (first-minimum tie-break included) and same distance bits — for
         /// centroid counts straddling the 8-lane AVX2 block.
@@ -329,85 +158,58 @@ mod tests {
                 tail[(k - 2) * dim..].copy_from_slice(head);
             }
             let point: Vec<f32> = (0..dim).map(|i| val(seed ^ 0xF0, i)).collect();
-            let (di, dd) = ops().nearest_flat(&point, &cents, dim);
-            let (si, sd) = scalar_ops().nearest_flat(&point, &cents, dim);
+            let (di, dd) = nearest_flat()(&point, &cents, dim);
+            let (si, sd) = nearest_centroid_flat(&point, &cents, dim);
             prop_assert_eq!(di, si, "argmin index");
             prop_assert_eq!(dd.to_bits(), sd.to_bits(), "argmin distance bits");
         }
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|f| f.to_bits()).collect()
+    #[test]
+    fn dart_simd_values_parse_strictly() {
+        for auto in [None, Some(""), Some("auto"), Some(" AUTO ")] {
+            assert_eq!(forced_scalar(auto), Ok(false), "{auto:?}");
+        }
+        for off in ["off", "scalar", "0", " Off\n"] {
+            assert_eq!(forced_scalar(Some(off)), Ok(true), "{off:?}");
+        }
+        for bad in ["bogus", "avx2", "1", "on"] {
+            let err = forced_scalar(Some(bad)).expect_err(bad);
+            assert!(err.contains("DART_SIMD") && err.contains(bad), "{err}");
+        }
+    }
+
+    /// `DART_SIMD=off` resolves to the scalar scan on every host.
+    #[test]
+    fn forced_scalar_dispatches_scalar() {
+        assert_eq!(detect(true).0, SimdLevel::Scalar);
     }
 
     #[test]
-    fn scalar_table_reports_scalar_level() {
-        assert_eq!(scalar_ops().level(), SimdLevel::Scalar);
+    fn resolved_level_is_exported_as_an_info_series() {
+        let level = active_level();
+        let doc = dart_telemetry::global().render();
+        assert!(doc.contains(&format!("dart_pq_simd_level{{level=\"{level}\"}} 1")), "{doc}");
     }
 
-    #[cfg(not(feature = "simd"))]
-    #[test]
-    fn feature_off_dispatches_scalar() {
-        assert_eq!(ops().level(), SimdLevel::Scalar);
-        assert!(std::ptr::eq(ops(), scalar_ops()));
-    }
-
-    /// With the feature on, the AVX2 kernels are exercised directly
-    /// (bypassing the cached dispatch, which `DART_SIMD=off` may have
-    /// pinned to scalar) whenever the host supports them.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    /// The AVX2 scan is exercised directly (bypassing the cached dispatch,
+    /// which `DART_SIMD=off` may have pinned to scalar) whenever the host
+    /// supports it.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_kernels_match_scalar_directly() {
         if !std::arch::is_x86_feature_detected!("avx2") {
             eprintln!("skipping: host has no AVX2");
             return;
         }
-        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
-            let src: Vec<f32> = (0..n).map(|i| val(0xA5, i)).collect();
-            let acc: Vec<f32> = (0..n).map(|i| val(0x5A, i)).collect();
-            let row: Vec<f32> = (0..40).map(|i| val(0x70, i)).collect();
-            let idx: Vec<i32> = (0..n).map(|i| ((i * 11) % 40) as i32).collect();
-            let i8s: Vec<i8> = (0..n).map(|i| (i as i8).wrapping_mul(37)).collect();
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            avx2::init_row(&mut a, &src);
-            scalar::init_row(&mut b, &src);
-            assert_eq!(bits(&a), bits(&b), "init_row n={n}");
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            avx2::add_assign(&mut a, &src);
-            scalar::add_assign(&mut b, &src);
-            assert_eq!(bits(&a), bits(&b), "add_assign n={n}");
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            avx2::gather_init(&mut a, &row, &idx);
-            scalar::gather_init(&mut b, &row, &idx);
-            assert_eq!(bits(&a), bits(&b), "gather_init n={n}");
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            avx2::gather_add(&mut a, &row, &idx);
-            scalar::gather_add(&mut b, &row, &idx);
-            assert_eq!(bits(&a), bits(&b), "gather_add n={n}");
-
-            let mut a = acc.clone();
-            let mut b = acc.clone();
-            avx2::i8_scale_add(&mut a, &i8s, 0.0173);
-            scalar::i8_scale_add(&mut b, &i8s, 0.0173);
-            assert_eq!(bits(&a), bits(&b), "i8_scale_add n={n}");
-
-            if n > 0 {
-                let dim = 5usize;
-                let cents: Vec<f32> = (0..n * dim).map(|i| val(0xCE, i)).collect();
-                let point: Vec<f32> = (0..dim).map(|i| val(0xBD, i)).collect();
-                let got = avx2::nearest_flat(&point, &cents, dim);
-                let want = scalar::nearest_flat(&point, &cents, dim);
-                assert_eq!(got.0, want.0, "argmin index k={n}");
-                assert_eq!(got.1.to_bits(), want.1.to_bits(), "argmin bits k={n}");
-            }
+        for k in [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
+            let dim = 5usize;
+            let cents: Vec<f32> = (0..k * dim).map(|i| val(0xCE, i)).collect();
+            let point: Vec<f32> = (0..dim).map(|i| val(0xBD, i)).collect();
+            let got = avx2::nearest_flat(&point, &cents, dim);
+            let want = nearest_centroid_flat(&point, &cents, dim);
+            assert_eq!(got.0, want.0, "argmin index k={k}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "argmin bits k={k}");
         }
     }
 }

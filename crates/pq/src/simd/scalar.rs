@@ -1,10 +1,7 @@
-//! The scalar kernel primitives — the mandatory fallback on targets
-//! without SIMD support and the bit-exactness **reference** every SIMD
-//! implementation is tested against. These bodies define the semantics
-//! (operation order, `0.0 + x` initialization, strict-`<` first-wins
-//! argmin); see [`super::SimdOps`] for the contracts.
-
-use crate::kmeans::nearest_centroid_flat;
+//! The row primitives of the tiled batch kernels: plain loops over one
+//! contiguous slice each, which the compiler auto-vectorises. The batch
+//! kernels and the row-at-a-time references share these bodies, so they
+//! define the semantics (operation order, `0.0 + x` initialization).
 
 /// `dst[j] = 0.0 + src[j]`. The explicit `0.0 +` is load-bearing: it
 /// normalizes `-0.0` to `+0.0` exactly as the accumulating loops do, so a
@@ -34,12 +31,6 @@ pub fn gather_add(dst: &mut [f32], row: &[f32], idx: &[i32]) {
     for (d, &i) in dst.iter_mut().zip(idx) {
         *d += row[i as usize];
     }
-}
-
-/// Nearest row of a flat `K x dim` centroid block: delegates to the
-/// canonical [`nearest_centroid_flat`] scan.
-pub fn nearest_flat(point: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
-    nearest_centroid_flat(point, centroids, dim)
 }
 
 /// `dst[j] += src[j] as f32 * scale` (the int8 table dequantize-accumulate).

@@ -37,7 +37,7 @@
 //!   are assigned round-robin across NUMA nodes, pinned to their node's
 //!   cpuset, and serve from a node-local model replica deep-copied by a
 //!   pinned thread (first-touch pages). Degrades to exactly the unplaced
-//!   behavior on single-node hosts or without the `numa` feature.
+//!   behavior on single-node hosts and where pinning is unsupported.
 //! * **Versioned model state** — the model is held in a [`ModelSlot`]
 //!   (epoch-counted `Arc` swap) fronted by a [`ModelRegistry`]. Workers
 //!   re-check the epoch once per batch with a single atomic load and

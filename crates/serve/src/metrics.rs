@@ -227,8 +227,7 @@ pub fn render_exposition(stats: &ServeStats) -> String {
         "dart_serve_stage_duration_nanoseconds",
         MetricKind::Histogram,
         "Request-lifecycle stage durations (queue_wait per request; \
-         coalesce/kernel/sink per batch). Empty without the telemetry \
-         feature.",
+         coalesce/kernel/sink per batch).",
     );
     for (stage, hist) in [
         ("queue_wait", &stats.stage_queue_wait),

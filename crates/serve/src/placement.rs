@@ -9,13 +9,13 @@
 //!
 //! 1. pins itself to its node's cpuset, intersected with the thread's
 //!    allowed CPUs (`dart-numa` raw `sched_setaffinity`; a reported no-op
-//!    without the `numa` feature, and never a widening of a
-//!    taskset/cgroup restriction),
+//!    off Linux x86_64/aarch64, and never a widening of a taskset/cgroup
+//!    restriction),
 //! 2. obtains its node's model replica — the first *successfully pinned*
 //!    worker on each node `deep_clone`s the model *while pinned*, so
 //!    Linux's first-touch policy places the replica's arena pages
 //!    node-locally; later workers on the same node share that replica via
-//!    `Arc`. A worker whose pin did not take (feature off, cgroup cpuset
+//!    `Arc`. A worker whose pin did not take (unsupported OS, cgroup cpuset
 //!    rejection) serves from the shared base model instead — an unpinned
 //!    replica would spend memory without any locality guarantee — and
 //!    reports it via `ServeStats::per_shard_pinned`,

@@ -104,10 +104,8 @@ pub struct ServeConfig {
     pub panic_in_recovery: bool,
     /// Capacity of the recent-request span ring
     /// ([`ServeRuntime::recent_spans`]): the last N served requests keep
-    /// their per-stage lifecycle breakdown for debugging. `0` disables
-    /// the ring entirely; spans are only recorded when the crate is built
-    /// with the `telemetry` feature (the stage timestamps otherwise
-    /// compile to no-ops).
+    /// their per-stage lifecycle breakdown for debugging (one ring lock
+    /// per served batch). `0` disables the ring entirely.
     pub span_capacity: usize,
     /// Capacity of the live-traffic replay buffer feeding the shadow
     /// retrainer ([`ServeRuntime::replay`]): shard workers append each
@@ -173,9 +171,10 @@ pub struct ServeStats {
     /// is disabled.
     pub per_shard_node: Vec<Option<usize>>,
     /// Whether each shard's worker actually pinned itself to its assigned
-    /// node's cpuset. `false` when unplaced, when the `numa` feature is
-    /// off (pinning is a reported no-op), or when the kernel rejected the
-    /// mask (e.g. a cgroup cpuset) — in those cases the shard also serves
+    /// node's cpuset. `false` when unplaced, on an OS/arch without the
+    /// affinity shims (pinning is a reported no-op), or when the kernel
+    /// rejected the mask (e.g. a cgroup cpuset) — in those cases the shard
+    /// also serves
     /// from the shared model, never from a node replica, since without
     /// the pin there is no first-touch locality to gain.
     pub per_shard_pinned: Vec<bool>,
@@ -222,17 +221,15 @@ pub struct ServeStats {
     pub latency: Histogram,
     /// Coalesced batch-size distribution (one sample per served batch).
     pub batch_sizes: Histogram,
-    /// Lifecycle stage: enqueue → drained by the worker, per request.
-    /// Populated only in `telemetry` builds (otherwise empty).
+    /// Lifecycle stage: enqueue → drained by the worker, per request
+    /// (`count() == requests`).
     pub stage_queue_wait: Histogram,
-    /// Lifecycle stage: drain → feature matrix formed, per batch.
-    /// Populated only in `telemetry` builds.
+    /// Lifecycle stage: drain → feature matrix formed, per batch
+    /// (`count() == batches`, like the two stages below).
     pub stage_coalesce: Histogram,
     /// Lifecycle stage: features → predictions decoded, per batch.
-    /// Populated only in `telemetry` builds.
     pub stage_kernel: Histogram,
-    /// Lifecycle stage: predictions → responses in the sink, per batch.
-    /// Populated only in `telemetry` builds.
+    /// Lifecycle stage: predictions → responses in their lanes, per batch.
     pub stage_sink: Histogram,
 }
 
@@ -304,7 +301,9 @@ impl ServeRuntime {
     /// disable all serving-path prefetching while the sim path emitted 1.
     ///
     /// Panics if the model and preprocessing dimensions disagree (same
-    /// contract as `DartPrefetcher`).
+    /// contract as `DartPrefetcher`), or — here, on the caller's thread,
+    /// before any worker exists — if `DART_SIMD` or `DART_NUM_THREADS` is
+    /// malformed.
     pub fn start(
         model: Arc<TabularModel>,
         pre: PreprocessConfig,
@@ -337,6 +336,12 @@ impl ServeRuntime {
         let registry = Arc::new(ModelRegistry::new(Arc::clone(&slot)));
         let replay =
             (cfg.replay_capacity > 0).then(|| Arc::new(ReplaySampler::new(cfg.replay_capacity)));
+
+        // Resolve the kernel dispatch NOW, on the caller thread, for the
+        // same reason the global pool is forced below: a malformed
+        // `DART_SIMD` must fail start-up where the operator sees it, not
+        // panic each shard worker on its first batch.
+        let _ = dart_pq::simd::active_level();
 
         let sink = Arc::new(CompletionSink::new());
         // One kernel pool for the whole runtime: every shard's batched
@@ -389,8 +394,8 @@ impl ServeRuntime {
                         // replica (first-touch pages) and everything the
                         // worker allocates afterwards — stream-state map,
                         // feature scratch — land on the assigned node.
-                        // Pinning is best-effort: a reported no-op (feature
-                        // off, non-Linux) or a cpuset-restricted failure
+                        // Pinning is best-effort: a reported no-op
+                        // (non-Linux) or a cpuset-restricted failure
                         // degrades to unpinned, never to a dead shard —
                         // and an unpinned worker does NOT serve from a
                         // node replica: without the pin there is no
@@ -805,8 +810,7 @@ impl ServeRuntime {
     }
 
     /// The most recently served requests' per-stage lifecycle spans,
-    /// oldest first (bounded by [`ServeConfig::span_capacity`]). Empty
-    /// unless the crate is built with the `telemetry` feature.
+    /// oldest first (bounded by [`ServeConfig::span_capacity`]).
     pub fn recent_spans(&self) -> Vec<SpanRecord> {
         self.spans.recent()
     }
@@ -814,7 +818,7 @@ impl ServeRuntime {
     /// Render the live Prometheus-style plaintext exposition: the
     /// runtime's own metrics ([`crate::metrics::render_exposition`] over
     /// [`Self::stats_snapshot`]) followed by the process-global registry
-    /// (e.g. `dart-pq` kernel profiling counters in `telemetry` builds).
+    /// (the `dart-pq` kernel counters and `dart_pq_simd_level`).
     pub fn render_metrics(&self) -> String {
         let mut out = crate::metrics::render_exposition(&self.stats_snapshot());
         out.push_str(&dart_telemetry::global().render());

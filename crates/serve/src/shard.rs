@@ -6,16 +6,13 @@ use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use dart_nn::matrix::Matrix;
-use dart_telemetry::{AtomicHistogram, Gauge, Histogram, SpanRing};
+use dart_telemetry::{AtomicHistogram, Gauge, Histogram, SpanRecord, SpanRing};
 use dart_trace::PreprocessConfig;
 
 use crate::lru::StreamLru;
 use crate::request::PrefetchResponse;
 use crate::shadow::{ReplaySample, ReplaySampler};
 use crate::slot::ModelHandle;
-
-#[cfg(feature = "telemetry")]
-use dart_telemetry::SpanRecord;
 
 /// A request plus its enqueue timestamp (for latency accounting) and the
 /// lane its response — served or failed — goes back to.
@@ -517,8 +514,8 @@ pub(crate) struct ShardReport {
     /// [`RetireCell`]) so far.
     pub stream_retirements: u64,
     /// Whether this shard's worker successfully pinned itself to its
-    /// assigned node's cpuset (always `false` when unplaced, when the
-    /// `numa` feature is off, or when the kernel rejected the mask).
+    /// assigned node's cpuset (always `false` when unplaced, on an OS/arch
+    /// without the affinity shims, or when the kernel rejected the mask).
     pub pinned: bool,
     /// Request latency (queue + inference), log2-bucketed
     /// ([`dart_telemetry::Histogram`], promoted out of this module).
@@ -528,9 +525,8 @@ pub(crate) struct ShardReport {
 /// Lock-free per-shard lifecycle metric cells, recorded by the worker
 /// without taking any lock and snapshot by `stats_snapshot` at any time.
 ///
-/// The four stage histograms are only *recorded* under the `telemetry`
-/// feature (the timestamps they need compile to no-ops otherwise); the
-/// batch-size distribution is always on — one relaxed atomic add per
+/// Four `Instant` stamps per batch feed the stage histograms; `queue_wait`
+/// takes one relaxed atomic add per request, every other cell one per
 /// coalesced batch.
 #[derive(Debug, Default)]
 pub(crate) struct ShardTelemetry {
@@ -542,7 +538,7 @@ pub(crate) struct ShardTelemetry {
     /// Feature matrix → predictions decoded (`predict_batch` + emission),
     /// per batch, nanoseconds.
     pub kernel: AtomicHistogram,
-    /// Predictions → responses delivered to the completion sink, per
+    /// Predictions → responses delivered to their completion lanes, per
     /// batch, nanoseconds.
     pub sink: AtomicHistogram,
     /// Coalesced batch-size distribution (per batch, in requests).
@@ -585,9 +581,8 @@ pub(crate) struct ShardWorker {
     /// This shard's lock-free lifecycle metric cells (the runtime holds
     /// the other reference and snapshots them live).
     pub telemetry: Arc<ShardTelemetry>,
-    /// Shared ring of recent request spans (capacity 0 = disabled; only
-    /// written under the `telemetry` feature).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    /// Shared ring of recent request spans (capacity 0 = disabled), pushed
+    /// to once per served batch.
     pub spans: Arc<SpanRing>,
     /// Live-traffic replay sampler feeding the shadow retrainer
     /// (`ServeConfig::replay_capacity > 0`); one bulk push per served
@@ -637,9 +632,8 @@ impl ShardWorker {
             // Dead-connection cleanup first, so this batch's new streams
             // see the freed residency instead of evicting live ones.
             self.retire.drain_into(&mut streams);
-            // Lifecycle tracing stamps (telemetry feature only — without
-            // it no clock is read beyond the existing latency stamp).
-            #[cfg(feature = "telemetry")]
+            // Lifecycle tracing stamp 1 of 4 (drained, formed, predicted,
+            // delivered).
             let t_drained = Instant::now();
             // Fault injection: stall before touching the batch, so the
             // queue can fill (and NACK) behind a deterministically slow
@@ -699,7 +693,6 @@ impl ShardWorker {
                 }
             }
 
-            #[cfg(feature = "telemetry")]
             let t_formed = Instant::now();
 
             // Phase 2: one batched prediction for every warm request.
@@ -715,7 +708,6 @@ impl ShardWorker {
                 }
             }
             feat_buf = feats.into_vec();
-            #[cfg(feature = "telemetry")]
             let t_predicted = Instant::now();
 
             // Phase 3: stamp latencies, then deliver. All fallible work is
@@ -723,9 +715,8 @@ impl ShardWorker {
             // never re-lock the sink from this thread. Commit this batch's
             // statistics only now that its responses are final: a panic
             // earlier in the batch loses at most the dying batch's numbers.
-            let now = Instant::now();
             for (env, resp) in batch.iter().zip(&mut responses) {
-                resp.latency_ns = now.duration_since(env.enqueued).as_nanos() as u64;
+                resp.latency_ns = t_predicted.duration_since(env.enqueued).as_nanos() as u64;
             }
             batch_guard.armed = false;
             {
@@ -743,10 +734,43 @@ impl ShardWorker {
             }
             // Span identities must be captured before the responses move
             // into the sink (only needed when the ring records anything).
-            #[cfg(feature = "telemetry")]
             let span_ids: Option<Vec<(u64, u64)>> = (self.spans.capacity() > 0)
                 .then(|| responses.iter().map(|r| (r.stream_id, r.seq)).collect());
             deliver(&batch, responses);
+
+            // Lifecycle telemetry — lock-free cells, then one span-ring
+            // lock for the whole batch — recorded between delivery and
+            // the in-flight release: the responses are already with their
+            // consumers, so this adds nothing to request latency, and a
+            // `wait_idle` that returns sees every served batch's samples
+            // (as it does the report cell's counters).
+            let t_delivered = Instant::now();
+            let queue_wait_ns =
+                |env: &Envelope| t_drained.duration_since(env.enqueued).as_nanos() as u64;
+            let coalesce_ns = t_formed.duration_since(t_drained).as_nanos() as u64;
+            let kernel_ns = t_predicted.duration_since(t_formed).as_nanos() as u64;
+            let sink_ns = t_delivered.duration_since(t_predicted).as_nanos() as u64;
+            self.telemetry.batch_size.record(batch.len() as u64);
+            self.telemetry.coalesce.record(coalesce_ns);
+            self.telemetry.kernel.record(kernel_ns);
+            self.telemetry.sink.record(sink_ns);
+            for env in &batch {
+                self.telemetry.queue_wait.record(queue_wait_ns(env));
+            }
+            if let Some(ids) = span_ids {
+                self.spans.push_batch(batch.iter().zip(ids).map(|(env, (stream_id, seq))| {
+                    SpanRecord {
+                        stream_id,
+                        seq,
+                        shard: self.shard_id,
+                        batch_size: batch.len(),
+                        queue_wait_ns: queue_wait_ns(env),
+                        coalesce_ns,
+                        kernel_ns,
+                        sink_ns,
+                    }
+                }));
+            }
             sink.release(batch.len() as u64, false);
 
             // Feed the shadow retrainer's replay window (one bulk push per
@@ -760,40 +784,6 @@ impl ShardWorker {
                     pc: env.req.pc,
                     addr: env.req.addr,
                 }));
-            }
-
-            // Lifecycle telemetry, all lock-free cells: batch-size always
-            // (one relaxed add per batch), stage durations and span
-            // records only when the tracing timestamps exist.
-            self.telemetry.batch_size.record(batch.len() as u64);
-            #[cfg(feature = "telemetry")]
-            {
-                let t_delivered = Instant::now();
-                let coalesce_ns = t_formed.duration_since(t_drained).as_nanos() as u64;
-                let kernel_ns = t_predicted.duration_since(t_formed).as_nanos() as u64;
-                let sink_ns = t_delivered.duration_since(t_predicted).as_nanos() as u64;
-                self.telemetry.coalesce.record(coalesce_ns);
-                self.telemetry.kernel.record(kernel_ns);
-                self.telemetry.sink.record(sink_ns);
-                for env in &batch {
-                    self.telemetry
-                        .queue_wait
-                        .record(t_drained.duration_since(env.enqueued).as_nanos() as u64);
-                }
-                if let Some(ids) = span_ids {
-                    for (env, (stream_id, seq)) in batch.iter().zip(ids) {
-                        self.spans.push(SpanRecord {
-                            stream_id,
-                            seq,
-                            shard: self.shard_id,
-                            batch_size: batch.len(),
-                            queue_wait_ns: t_drained.duration_since(env.enqueued).as_nanos() as u64,
-                            coalesce_ns,
-                            kernel_ns,
-                            sink_ns,
-                        });
-                    }
-                }
             }
         }
     }

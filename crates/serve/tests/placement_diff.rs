@@ -160,10 +160,10 @@ fn placement_plan_is_observable() {
     let stats = placed.shutdown();
     assert_eq!(stats.per_shard_node.len(), 3);
     assert!(stats.per_shard_node.iter().all(|n| n.is_some()));
-    // Pin outcomes are reported honestly: without the `numa` feature (or
-    // off-Linux) pinning is a no-op and must read `false` — placement
-    // must not pretend locality it cannot deliver. With the feature on,
-    // a shard pins exactly when its node's cpuset intersects the CPUs
+    // Pin outcomes are reported honestly: off Linux x86_64/aarch64
+    // pinning is a no-op and must read `false` — placement must not
+    // pretend locality it cannot deliver. Where it is supported, a shard
+    // pins exactly when its node's cpuset intersects the CPUs
     // this process is allowed to use (pinning never widens a
     // taskset/cgroup restriction, and a disjoint cpuset — e.g. the
     // fallback topology's synthesized ids inside a shifted container

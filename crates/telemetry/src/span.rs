@@ -6,7 +6,9 @@
 //! fixed capacity so a long-running server never grows it.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
+use std::sync::PoisonError;
+
+use crate::lockcheck::{named_mutex, Mutex};
 
 /// One request's lifecycle timing, all durations in nanoseconds. Stage
 /// durations that are shared by the whole coalesced batch (coalesce /
@@ -27,7 +29,7 @@ pub struct SpanRecord {
     pub coalesce_ns: u64,
     /// Feature matrix → predictions decoded (`predict_batch` + emission).
     pub kernel_ns: u64,
-    /// Predictions → responses delivered to the completion sink.
+    /// Predictions → responses delivered to their completion lanes.
     pub sink_ns: u64,
 }
 
@@ -42,7 +44,9 @@ impl SpanRecord {
 }
 
 /// Fixed-capacity ring of the most recent spans. Capacity 0 disables
-/// recording entirely ([`Self::push`] returns without taking the lock).
+/// recording entirely ([`Self::push_batch`] returns without taking the
+/// lock). One ring is shared by every shard of a runtime, so writers take
+/// its lock once per served batch, never per request.
 #[derive(Debug)]
 pub struct SpanRing {
     inner: Mutex<VecDeque<SpanRecord>>,
@@ -51,23 +55,27 @@ pub struct SpanRing {
 
 impl SpanRing {
     pub fn new(capacity: usize) -> SpanRing {
-        SpanRing { inner: Mutex::new(VecDeque::with_capacity(capacity.min(4096))), capacity }
+        SpanRing {
+            inner: named_mutex("serve.spans", VecDeque::with_capacity(capacity.min(4096))),
+            capacity,
+        }
     }
 
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Append a span, evicting the oldest if full. No-op at capacity 0.
-    pub fn push(&self, rec: SpanRecord) {
+    /// Append one served batch's spans under one lock (arrival order
+    /// preserved), evicting the oldest beyond capacity. No-op at
+    /// capacity 0.
+    pub fn push_batch(&self, spans: impl IntoIterator<Item = SpanRecord>) {
         if self.capacity == 0 {
             return;
         }
         let mut ring = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(rec);
+        ring.extend(spans);
+        let excess = ring.len().saturating_sub(self.capacity);
+        ring.drain(..excess);
     }
 
     /// The retained spans, oldest first.
@@ -96,18 +104,22 @@ mod tests {
     #[test]
     fn ring_keeps_most_recent_up_to_capacity() {
         let ring = SpanRing::new(3);
-        for seq in 0..5 {
-            ring.push(span(seq));
-        }
+        ring.push_batch((0..2).map(span));
+        assert_eq!(ring.len(), 2);
+        ring.push_batch((2..5).map(span));
         let seqs: Vec<u64> = ring.recent().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest spans must be evicted first");
+        // A single batch larger than the ring keeps its newest tail.
+        ring.push_batch((5..12).map(span));
+        let seqs: Vec<u64> = ring.recent().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![9, 10, 11]);
         assert_eq!(ring.len(), 3);
     }
 
     #[test]
     fn zero_capacity_disables_recording() {
         let ring = SpanRing::new(0);
-        ring.push(span(0));
+        ring.push_batch([span(0)]);
         assert!(ring.is_empty());
     }
 

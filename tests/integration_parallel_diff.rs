@@ -13,11 +13,11 @@
 //! Batch sizes straddle every tile boundary (empty, 1, tile ± 1,
 //! non-multiples), same discipline as the scalar diff suite.
 //!
-//! Under `--features simd` the same assertions also pin the SIMD kernels:
-//! the pooled batch queries dispatch to AVX2/NEON tiles while the
-//! `*_scalar` twins and row-at-a-time references stay scalar, so
-//! thread-count invariance and simd-vs-scalar equality are proven
-//! together (CI runs this suite in both feature modes).
+//! On a CPU with AVX2 the same assertions also pin the vector argmin scan:
+//! the pooled batch encodes dispatch to it while the row-at-a-time
+//! references stay scalar, so thread-count invariance and simd-vs-scalar
+//! equality are proven together (CI also runs this suite under
+//! `DART_SIMD=off`).
 
 use dart::core::config::TabularConfig;
 use dart::core::tabularize::tabularize;
@@ -147,19 +147,6 @@ proptest! {
             "aggregate_codes_batch",
         );
 
-        // The scalar-tile twin is thread-count invariant too, and equal to
-        // the dispatched kernel (the simd-vs-scalar differential when the
-        // `simd` feature is on).
-        let scalar_bits = invariant_across_pools(
-            || {
-                let mut out = Matrix::zeros(rows, dout);
-                linear.query_batch_scalar_into(&x, &mut out);
-                bits(&out)
-            },
-            "aggregate_codes_batch (scalar tiles)",
-        );
-        prop_assert_eq!(&scalar_bits, &lin_bits, "simd vs scalar aggregation diverged");
-
         let lin_batch = linear.query(&x);
         prop_assert_eq!(bits(&lin_batch), lin_bits);
         let mut single = vec![0.0f32; dout];
@@ -208,12 +195,6 @@ proptest! {
             || bits(&table.query_batch(&qs, &ks, &vs)),
             "attention query_batch",
         );
-        let scalar_bits = invariant_across_pools(
-            || bits(&table.query_batch_scalar(&qs, &ks, &vs)),
-            "attention query_batch (scalar tiles)",
-        );
-        prop_assert_eq!(&scalar_bits, &batch_bits, "attention simd vs scalar diverged");
-
         let batch = table.query_batch(&qs, &ks, &vs);
         prop_assert_eq!(bits(&batch), batch_bits);
         for n in 0..samples {
@@ -293,12 +274,11 @@ fn blocked_matmul_is_thread_count_invariant() {
     assert_eq!(transb_bits.len(), 96 * 96);
 }
 
-/// The int8 table's dispatched batch query is thread-count invariant and
-/// equal to its scalar twin and the scalar row path (the int8 simd
-/// differential under `--features simd`).
+/// The int8 table's batch query is thread-count invariant and equal to
+/// its row path.
 #[test]
-fn int8_query_is_thread_count_invariant_and_matches_scalar() {
-    let (din, dout) = (8usize, 13usize); // 13 lanes: one AVX2 vector + tail
+fn int8_query_is_thread_count_invariant_and_matches_rows() {
+    let (din, dout) = (8usize, 13usize); // 13 lanes: one 8-wide vector + tail
     let train = rand_matrix(300, din, 0xB1);
     let w = rand_matrix(dout, din, 0xB2);
     let b = vec![0.25f32; dout];
@@ -307,9 +287,8 @@ fn int8_query_is_thread_count_invariant_and_matches_scalar() {
     let x = rand_matrix(67, din, 0xB4);
 
     let batch_bits = invariant_across_pools(|| bits(&q8.query(&x)), "int8 query");
-    let scalar_bits = invariant_across_pools(|| bits(&q8.query_scalar(&x)), "int8 query scalar");
-    assert_eq!(batch_bits, scalar_bits, "int8 simd vs scalar diverged");
     let batch = q8.query(&x);
+    assert_eq!(bits(&batch), batch_bits);
     let mut single = vec![0.0f32; dout];
     for r in 0..x.rows() {
         q8.query_row_into(x.row(r), &mut single);
