@@ -1,8 +1,8 @@
 //! `loadgen` — drive the `dart-serve` runtime with synthetic multi-stream
 //! load and report a pass/fail verdict.
 //!
-//! Unlike `serve_bench` (a comparative scaling study), this binary is a
-//! smoke/soak driver: it runs one configuration, prints a `LoadReport`
+//! A smoke/soak drill, not a measuring instrument (throughput and latency
+//! are `perf/`'s job): it runs one configuration, prints a `LoadReport`
 //! (throughput, p50/p99 from the runtime's shared latency histogram,
 //! failure counts) plus the full metrics exposition, and **exits
 //! non-zero** if any response carried an error or any response was lost —
@@ -58,8 +58,8 @@ use dart_nn::model::{AccessPredictor, ModelConfig};
 use dart_serve::{generate_requests, run_load, LoadGenConfig, ServeConfig, ServeRuntime};
 use dart_trace::{build_dataset, workload_by_name, PreprocessConfig};
 
-/// Fit a small DART table model on a synthetic trace (same recipe as
-/// `serve_bench`: serving cost does not depend on predictive quality).
+/// Fit a small DART table model on a synthetic trace (no NN training:
+/// serving cost does not depend on predictive quality).
 fn build_model() -> (Arc<TabularModel>, PreprocessConfig) {
     let pre = PreprocessConfig {
         seq_len: 8,
@@ -216,6 +216,7 @@ fn run_tcp_mode(
     let doc = dart_net::fetch_metrics(addr).expect("scrape /metrics");
     println!("\n--- metrics exposition (scraped over HTTP) ---");
     print!("{doc}");
+    println!("--- end exposition ---");
     let frames_in = scraped_counter(&doc, "dart_net_frames_in_total").unwrap_or(0);
     let responses_out = scraped_counter(&doc, "dart_net_responses_out_total").unwrap_or(0);
     let batched = scraped_counter(&doc, "dart_net_batched_writes_total").unwrap_or(0);
@@ -312,6 +313,7 @@ fn main() {
     println!("{}", report.summary());
     println!("\n--- metrics exposition ---");
     print!("{}", runtime.render_metrics());
+    println!("--- end exposition ---");
     let swap_ok = swap_verdict(drill, runtime.stats_snapshot().model_swaps);
     // The drill thread has been joined above, so this Arc is unique again.
     if let Ok(runtime) = Arc::try_unwrap(runtime) {

@@ -5,6 +5,8 @@ use dart_nn::train::Dataset;
 use dart_sim::{NullPrefetcher, SimConfig, Simulator};
 use dart_trace::{build_dataset, spec_workloads, PreprocessConfig, TraceRecord, Workload};
 
+use crate::env::{or_exit, parse_workloads};
+
 /// Experiment scale (set via `DART_SCALE=quick|full`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -15,11 +17,14 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from the environment (default `Quick`).
-    pub fn from_env() -> Scale {
-        match std::env::var("DART_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+    /// Interpret a `DART_SCALE` value: unset → `Quick`; anything but
+    /// `quick` or `full` is an error (a typo must not quietly run the
+    /// reduced sizes).
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!("DART_SCALE must be `quick` or `full`, got `{other}`")),
         }
     }
 
@@ -87,17 +92,29 @@ pub struct ExperimentContext {
     pub sim: Simulator,
     /// Preprocessing configuration.
     pub pre: PreprocessConfig,
+    /// How many of the eight Table IV workloads the training-heavy
+    /// experiments cover (`DART_WORKLOADS`, default all 8).
+    pub workload_limit: usize,
 }
 
 impl ExperimentContext {
-    /// Build from the environment.
+    /// Build from `DART_SCALE` and `DART_WORKLOADS`; a malformed value of
+    /// either exits with status 2 and the accepted values.
     pub fn from_env() -> ExperimentContext {
-        let scale = Scale::from_env();
+        let scale = or_exit(Scale::parse(std::env::var("DART_SCALE").ok().as_deref()));
+        let workload_limit =
+            or_exit(parse_workloads(std::env::var("DART_WORKLOADS").ok().as_deref()));
         ExperimentContext {
             scale,
             sim: Simulator::new(SimConfig::table_iii()),
             pre: scale.preprocess(),
+            workload_limit,
         }
+    }
+
+    /// The first `workload_limit` Table IV workloads.
+    pub fn workloads(&self) -> Vec<Workload> {
+        spec_workloads().into_iter().take(self.workload_limit).collect()
     }
 
     /// Generate and prepare one workload (deterministic in `seed`).
@@ -142,9 +159,17 @@ mod tests {
     use dart_trace::workload_by_name;
 
     #[test]
-    fn scale_default_is_quick() {
-        // (Environment-dependent tests avoided; constructor path only.)
-        assert_eq!(Scale::Quick.trace_len(), 30_000);
+    fn dart_scale_values_parse_strictly() {
+        for quick in [None, Some("quick"), Some(" Quick\n")] {
+            assert_eq!(Scale::parse(quick), Ok(Scale::Quick), "{quick:?}");
+        }
+        for full in ["full", "FULL"] {
+            assert_eq!(Scale::parse(Some(full)), Ok(Scale::Full), "{full:?}");
+        }
+        for bad in ["", "ful", "paper", "1"] {
+            let err = Scale::parse(Some(bad)).expect_err(bad);
+            assert!(err.contains("DART_SCALE") && err.contains("`quick` or `full`"), "{err}");
+        }
         assert!(Scale::Full.trace_len() > Scale::Quick.trace_len());
     }
 
@@ -154,6 +179,7 @@ mod tests {
             scale: Scale::Quick,
             sim: Simulator::new(dart_sim::SimConfig::small()),
             pre: Scale::Quick.preprocess(),
+            workload_limit: 8,
         };
         let w = workload_by_name("libquantum").unwrap();
         let mut prepared = ctx.prepare(&w, 42);

@@ -1,32 +1,29 @@
-//! # dart-bench — experiment harness
+//! # dart-bench — the paper's experiments and the serving drill
 //!
-//! Regenerates every table and figure of the paper's evaluation (§VII).
-//! Each `src/bin/exp_*.rs` binary prints one table/figure in the paper's
-//! row/series format, alongside the paper's reported values, and appends a
-//! machine-readable record under `target/experiments/`.
+//! Two binaries, each the one instrument for its job (performance is
+//! measured by the separate `perf/` package, not here):
 //!
-//! Scale is controlled by the `DART_SCALE` environment variable:
-//! `quick` (default — minutes, reduced model/trace sizes) or
-//! `full` (paper-faithful sizes; expect an hour-plus on a laptop).
+//! * `exp <name>... | all | list` regenerates the tables and figures of the
+//!   paper's evaluation (§VII) — see [`exp`]. Each experiment prints its
+//!   table in the paper's row/series format next to the paper's reported
+//!   values and writes a machine-readable record under
+//!   `target/experiments/`; `exp list` is the per-experiment index.
+//! * `loadgen` drives the serving runtime, in process or over TCP, and
+//!   exits non-zero on any lost or failed response.
+//!
+//! `DART_SCALE` selects `quick` (default — minutes, reduced model/trace
+//! sizes) or `full` (paper-faithful sizes; expect an hour-plus on a
+//! laptop); `DART_WORKLOADS=1..8` limits how many of the eight workloads
+//! the experiments that train networks cover. Malformed values of either
+//! exit 2.
 
 pub mod context;
 pub mod env;
+pub mod exp;
 pub mod prefetch_eval;
 pub mod report;
 pub mod zoo;
 
 pub use context::{ExperimentContext, Scale};
-pub use env::{announce_threads, env_usize_strict, validate_threads_env};
+pub use env::{announce_threads, env_usize_strict};
 pub use report::{print_table, record_json, Table};
-
-/// Canonical short names of the eight workloads (Table IV order).
-pub const WORKLOAD_NAMES: [&str; 8] = [
-    "410.bwaves",
-    "433.milc",
-    "437.leslie3d",
-    "462.libquantum",
-    "602.gcc",
-    "605.mcf",
-    "619.lbm",
-    "621.wrf",
-];

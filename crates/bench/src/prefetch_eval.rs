@@ -10,8 +10,7 @@ use dart_nn::model::{AccessPredictor, SequenceModel};
 use dart_nn::train::train_bce;
 use dart_prefetch::{precompute_predictions, BestOffset, DartPrefetcher, Isb, NnBatchPrefetcher};
 use dart_sim::{NullPrefetcher, Prefetcher, SimResult};
-use dart_trace::spec_workloads;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::context::ExperimentContext;
 use crate::zoo::{
@@ -28,7 +27,7 @@ const TRANSFETCH_LATENCY: u64 = 4_500;
 const VOYAGER_LATENCY: u64 = 27_700;
 
 /// One (workload, prefetcher) cell of the Fig. 12–14 matrix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PrefetchCell {
     /// Workload name.
     pub workload: String,
@@ -47,7 +46,7 @@ pub struct PrefetchCell {
 }
 
 /// Full evaluation output.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct PrefetchMatrix {
     /// All cells, grouped by workload then prefetcher.
     pub cells: Vec<PrefetchCell>,
@@ -77,24 +76,17 @@ impl PrefetchMatrix {
     }
 }
 
-/// How many workloads to evaluate (env `DART_WORKLOADS`, default all 8).
-pub fn workload_limit() -> usize {
-    std::env::var("DART_WORKLOADS").ok().and_then(|v| v.parse().ok()).unwrap_or(8).clamp(1, 8)
-}
-
 /// Run the full prefetcher-evaluation matrix.
 ///
 /// Per workload: a no-prefetch baseline, BO, ISB, the three DART variants
 /// (fresh student + tables each), TransFetch(-I) replaying the teacher's
 /// predictions, and Voyager(-I) replaying a trained LSTM's predictions.
-pub fn run_matrix(ctx: &ExperimentContext, verbose: bool) -> PrefetchMatrix {
+pub fn run_matrix(ctx: &ExperimentContext) -> PrefetchMatrix {
     let mut matrix = PrefetchMatrix::default();
-    let workloads: Vec<_> = spec_workloads().into_iter().take(workload_limit()).collect();
+    let workloads = ctx.workloads();
 
     for (wi, workload) in workloads.iter().enumerate() {
-        if verbose {
-            eprintln!("[prefetch-eval] {} ({}/{})", workload.name, wi + 1, workloads.len());
-        }
+        eprintln!("[prefetch-eval] {} ({}/{})", workload.name, wi + 1, workloads.len());
         let prepared = ctx.prepare(workload, 0x5EC + wi as u64 * 101);
         let baseline = ctx.sim.run(&prepared.trace, &mut NullPrefetcher, false);
 
@@ -180,32 +172,6 @@ pub fn run_matrix(ctx: &ExperimentContext, verbose: bool) -> PrefetchMatrix {
     matrix
 }
 
-/// Path the evaluated matrix is cached at.
-pub fn matrix_cache_path() -> std::path::PathBuf {
-    std::path::PathBuf::from("target/experiments/prefetch_matrix.json")
-}
-
-/// Run the matrix, or reuse a previously saved one when `DART_REUSE=1`
-/// (the Fig. 12/13/14 binaries share one expensive evaluation that way).
-pub fn load_or_run(ctx: &ExperimentContext) -> PrefetchMatrix {
-    let path = matrix_cache_path();
-    if std::env::var("DART_REUSE").as_deref() == Ok("1") {
-        if let Ok(data) = std::fs::read_to_string(&path) {
-            if let Ok(matrix) = serde_json::from_str::<PrefetchMatrix>(&data) {
-                eprintln!("[prefetch-eval] reusing cached matrix at {}", path.display());
-                return matrix;
-            }
-        }
-        eprintln!("[prefetch-eval] no usable cache; running fresh");
-    }
-    let matrix = run_matrix(ctx, true);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let _ = std::fs::write(&path, serde_json::to_string_pretty(&matrix).unwrap_or_default());
-    matrix
-}
-
 /// Print one Fig. 12/13/14-style table from the matrix.
 pub fn print_metric_table(
     title: &str,
@@ -249,13 +215,7 @@ pub fn print_metric_table(
     let mut paper_row = vec!["Mean (paper)".to_string()];
     for p in &prefetchers {
         let v = paper_means.iter().find(|(name, _)| name == p).map(|&(_, v)| v);
-        paper_row.push(v.map_or("-".into(), |v| {
-            if as_pct_points {
-                format!("{v:.1}%")
-            } else {
-                format!("{:.1}%", v * 100.0)
-            }
-        }));
+        paper_row.push(v.map_or("-".into(), fmt));
     }
     t.row(paper_row);
     print_table(title, &t);

@@ -50,21 +50,18 @@ pub fn print_table(title: &str, table: &Table) {
     }
 }
 
-/// Append a JSON record for EXPERIMENTS.md tooling under
-/// `target/experiments/<name>.json`.
+/// Write a machine-readable record of an experiment to
+/// `target/experiments/<name>.json` (relative to the working directory).
+/// Best-effort output that nothing reads back: a failed write is reported
+/// on stderr and the run carries on.
 pub fn record_json(name: &str, value: &serde_json::Value) {
-    let dir = PathBuf::from("target/experiments");
-    if fs::create_dir_all(&dir).is_err() {
-        return; // best-effort: records are a convenience, not a requirement
+    let path = PathBuf::from("target/experiments").join(format!("{name}.json"));
+    let written = fs::create_dir_all("target/experiments")
+        .and_then(|()| fs::write(&path, serde_json::to_string_pretty(value).unwrap_or_default()));
+    match written {
+        Ok(()) => println!("[recorded {}]", path.display()),
+        Err(err) => eprintln!("warning: could not record {}: {err}", path.display()),
     }
-    let path = dir.join(format!("{name}.json"));
-    let _ = fs::write(&path, serde_json::to_string_pretty(value).unwrap_or_default());
-    println!("[recorded {}]", path.display());
-}
-
-/// Format a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 /// Format a byte count in human units.
@@ -109,7 +106,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(pct(0.376), "37.6%");
         assert_eq!(human_bytes(512), "512B");
         assert_eq!(human_bytes(30_000), "29.3KB");
         assert_eq!(human_bytes(4_000_000), "3.81MB");

@@ -57,9 +57,10 @@
 //!   built-in default lane, or one a front-end opened for itself — so
 //!   each consumer takes only its own, with one lock per served batch.
 //!
-//! See `examples/serve_quickstart.rs` for an end-to-end tour and
-//! `cargo run --release -p dart-bench --bin serve_bench` for the
-//! throughput/latency scaling study.
+//! See `examples/serve_quickstart.rs` for an end-to-end tour,
+//! `cargo run --release -p dart-bench --bin loadgen` for the pass/fail
+//! serving drill, and `perf/` (`serve_inproc` against `predict_b1`) for
+//! throughput and latency.
 
 pub mod loadgen;
 pub mod lru;

@@ -99,7 +99,7 @@ pub fn mixed_state(kind: &WorkloadKind, rng: &mut InitRng) -> MixedState {
 ///
 /// Region sizes and pattern mixes are tuned so the generated traces land in
 /// the same bands of unique pages / deltas the paper reports (regenerate the
-/// comparison with `cargo run -p dart-bench --bin exp_table4`).
+/// comparison with `cargo run -p dart-bench --bin exp -- table4`).
 pub fn spec_workloads() -> Vec<Workload> {
     vec![
         Workload {
