@@ -19,7 +19,7 @@
 //!   non-zero exit path and the failure accounting.
 //! * `DART_LOADGEN_SWAP_AT` (unset by default) — hot-swap drill: once
 //!   this many requests have been served, swap in a bit-identical
-//!   `deep_clone` of the active model mid-run. The verdict then also
+//!   `clone` of the active model mid-run. The verdict then also
 //!   requires the swap to have happened and — as always — zero lost or
 //!   failed responses: a swap that drops even one request fails the run.
 //!
@@ -96,7 +96,7 @@ fn scraped_counter(doc: &str, name: &str) -> Option<u64> {
 
 /// The mid-run hot-swap drill (`DART_LOADGEN_SWAP_AT`): a watcher thread
 /// that waits for the served-request counter to cross the trigger, then
-/// swaps in a bit-identical `deep_clone` of the active model. Because the
+/// swaps in a bit-identical `clone` of the active model. Because the
 /// clone is bit-identical, any lost, failed, or changed response after
 /// the swap is the swap machinery's fault — which is exactly what this
 /// smoke exists to catch.
@@ -113,7 +113,7 @@ impl SwapDrill {
             while !stop_flag.load(std::sync::atomic::Ordering::SeqCst) {
                 if runtime.stats_snapshot().requests >= trigger {
                     let (_, active) = runtime.registry().active();
-                    let clone = Arc::new(active.deep_clone());
+                    let clone = Arc::new(TabularModel::clone(&active));
                     let version = runtime
                         .swap_model(clone, "loadgen mid-run swap")
                         .expect("bit-identical clone must be dimension-compatible");

@@ -10,12 +10,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{DesignConstraints, PredictorConfig};
 
-/// LayerNorm latency constant `L_ln` (cycles). The paper never states it;
-/// 5 cycles keeps Eq. 22 within ~10% of Table V/VIII (see DESIGN.md §4).
-pub const LN_LATENCY: u64 = 5;
-
-/// Output-sigmoid latency constant `L_σ` (cycles).
-pub const SIGMOID_LATENCY: u64 = 4;
+/// Eq. 22's `L_ln` and `L_σ` (cycles): one definition, shared with the
+/// neural predictors' cost model.
+pub use dart_nn::cost::{LN_LATENCY, SIGMOID_LATENCY};
 
 /// Table-entry precision `d` in bits (f32 entries).
 pub const DATA_BITS: usize = 32;

@@ -233,27 +233,6 @@ impl TabularModel {
         self.forward_probs(x)
     }
 
-    /// A deep copy of the whole table hierarchy with **freshly allocated**
-    /// storage: every flat `TableArena` / `CodebookArena` / LayerNorm
-    /// vector is a new heap allocation written by the *calling* thread.
-    ///
-    /// That write-on-copy is the point: under Linux's default first-touch
-    /// NUMA policy, pages are placed on the node of the thread that first
-    /// writes them, so a thread pinned to node N calling `deep_clone`
-    /// produces a replica whose hot lookup arenas are node-N-local.
-    /// `dart-serve`'s `ShardPlacement` uses exactly this to give each NUMA
-    /// node its own model replica instead of hammering one socket's copy.
-    ///
-    /// The replica is bit-for-bit identical to `self` (plain `Clone` of
-    /// `Vec`-backed storage — nothing is shared, re-quantized, or
-    /// re-ordered), so predictions through a replica equal predictions
-    /// through the original exactly.
-    pub fn deep_clone(&self) -> TabularModel {
-        let copy = self.clone();
-        debug_assert_eq!(copy.storage_bytes(), self.storage_bytes());
-        copy
-    }
-
     /// Serialize the whole table hierarchy — flat `TableArena` /
     /// `CodebookArena` storage included — to JSON (the golden-fixture
     /// format under `tests/fixtures/`).
@@ -276,12 +255,11 @@ impl TabularModel {
     }
 
     /// Content fingerprint: FNV-1a over the canonical [`Self::to_json`]
-    /// serialization. Bit-identical models — e.g. a [`Self::deep_clone`]
-    /// replica — share a fingerprint; any table-entry or config change
-    /// alters it. Used by `dart-serve`'s model registry to distinguish a
-    /// no-op hot-swap from a real model change. This serializes the whole
-    /// model, so treat it as a registry/admin-path operation, not a
-    /// serving-path one.
+    /// serialization. Bit-identical models — e.g. a `clone` — share a
+    /// fingerprint; any table-entry or config change alters it. Used by
+    /// `dart-serve`'s model registry to distinguish a no-op hot-swap from
+    /// a real model change. This serializes the whole model, so treat it
+    /// as a registry/admin-path operation, not a serving-path one.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for b in self.to_json().into_bytes() {

@@ -1,7 +1,6 @@
 //! Socket readiness without libc: raw `epoll` syscalls on Linux
-//! x86_64/aarch64 (inline-asm shims in the style of `dart-numa`'s
-//! affinity module), and a portable sleep-then-probe fallback everywhere
-//! else.
+//! x86_64/aarch64 (inline-asm shims), and a portable sleep-then-probe
+//! fallback everywhere else.
 //!
 //! The fallback is a **portability / sanitizer shim, not a production
 //! backend**: it has no kernel readiness source, so it sleeps at most

@@ -9,8 +9,8 @@
 //! The constants reproduce the paper's Table V within ~10% for the teacher
 //! (16.5K cycles, 98.3M ops) and student (908 cycles) configurations with
 //! `T = 16`, `D_F = 4D`; the paper does not state its storage assumptions,
-//! so storage here is simply `4 bytes x parameter count` (see
-//! EXPERIMENTS.md for the comparison).
+//! so storage here is simply `4 bytes x parameter count` (`exp table5`
+//! prints the comparison; README "Benchmarks & experiments").
 
 use crate::model::{LstmConfig, ModelConfig};
 
@@ -45,10 +45,12 @@ impl CostReport {
 /// Bytes per stored scalar (f32).
 const DATA_BYTES: u64 = 4;
 
-/// Latency of a LayerNorm (reduction tree + normalize), cycles.
+/// LayerNorm latency constant `L_ln` of Eq. 22 (reduction tree +
+/// normalize), cycles. The paper never states it; 5 cycles keeps Eq. 22
+/// within ~10% of Table V/VIII.
 pub const LN_LATENCY: u64 = 5;
 
-/// Latency of the output Sigmoid, cycles.
+/// Output-sigmoid latency constant `L_σ` of Eq. 22, cycles.
 pub const SIGMOID_LATENCY: u64 = 4;
 
 /// Latency of a row softmax over `t` elements (max/sum reduction trees).

@@ -299,27 +299,6 @@ impl AttentionTable {
         lookup_qk(&self.q_pq, &self.k_pq, &self.qk, q, k)
     }
 
-    /// The QK table arena (`C_k` sub-tables of `K x K`).
-    pub fn qk_tables(&self) -> &TableArena {
-        &self.qk
-    }
-
-    /// The QKV table arena (`C_t` sub-tables of `K x K`).
-    pub fn qkv_tables(&self) -> &TableArena {
-        &self.qkv
-    }
-
-    /// Replace the table contents (used by the int8 re-encoder round trip).
-    /// Shapes must match the fitted tables.
-    pub fn with_tables(mut self, qk: TableArena, qkv: TableArena) -> AttentionTable {
-        let shape = |a: &TableArena| (a.num_subspaces(), a.num_protos(), a.width());
-        assert_eq!(shape(&qk), shape(&self.qk), "QK table shape mismatch");
-        assert_eq!(shape(&qkv), shape(&self.qkv), "QKV table shape mismatch");
-        self.qk = qk;
-        self.qkv = qkv;
-        self
-    }
-
     /// Table storage in bytes (QK + QKV tables, f32 entries).
     pub fn storage_bytes(&self) -> u64 {
         ((self.qk.len() + self.qkv.len()) * 4) as u64

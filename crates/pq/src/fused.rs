@@ -124,11 +124,6 @@ impl FusedFfnTable {
         }
     }
 
-    /// The flat code-major table arena.
-    pub fn table_arena(&self) -> &TableArena {
-        &self.table
-    }
-
     /// Table storage in bytes.
     pub fn storage_bytes(&self) -> u64 {
         (self.table.len() * 4) as u64

@@ -28,7 +28,6 @@ pub mod fused;
 pub mod kmeans;
 pub mod linear_table;
 pub mod profile;
-pub mod quantized;
 pub mod quantizer;
 pub mod sigmoid_lut;
 pub mod simd;
@@ -40,7 +39,6 @@ pub use attention_table::{
 pub use fused::FusedFfnTable;
 pub use linear_table::{LinearTable, ProtoTransform, AGG_TILE_ROWS};
 pub use profile::profile_kernel;
-pub use quantized::QuantizedLinearTable;
 pub use quantizer::{EncoderKind, ProductQuantizer, Quantizer, ENCODE_TILE_ROWS};
 pub use sigmoid_lut::SigmoidLut;
 pub use simd::SimdLevel;

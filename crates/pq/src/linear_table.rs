@@ -151,12 +151,6 @@ impl LinearTable {
         &self.pq
     }
 
-    /// The flat code-major table arena (used by the int8 re-encoder and the
-    /// layout benchmark).
-    pub fn table_arena(&self) -> &TableArena {
-        &self.table
-    }
-
     /// Approximate `x W^T + b` for stacked rows `x` (`R x D_I`) via lookups.
     pub fn query(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.out_dim);

@@ -11,8 +11,7 @@
 //! Kernel names are a closed set so the cells can live in a fixed-size
 //! array resolved without hashing on the hot path: `encode_batch`
 //! (quantizer encoding), `aggregate_codes` (linear-table aggregation),
-//! `attention_query` (attention QKV lookups), `int8_query` (quantized
-//! int8 linear-table queries).
+//! `attention_query` (attention QKV lookups).
 
 use std::sync::{Arc, OnceLock};
 
@@ -31,11 +30,11 @@ pub fn profile_kernel(name: &'static str, rows: u64) {
 }
 
 /// The closed kernel-name catalog, in exposition order.
-const KERNELS: [&str; 4] = ["encode_batch", "aggregate_codes", "attention_query", "int8_query"];
+const KERNELS: [&str; 3] = ["encode_batch", "aggregate_codes", "attention_query"];
 
 struct Cells {
-    invocations: [Arc<Counter>; 4],
-    rows: [Arc<Counter>; 4],
+    invocations: [Arc<Counter>; 3],
+    rows: [Arc<Counter>; 3],
 }
 
 fn cells() -> &'static Cells {

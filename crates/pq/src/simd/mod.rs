@@ -4,7 +4,7 @@
 //! (`nearest_flat`) is the only inner loop where a hand-written vector
 //! kernel measurably beats the compiler: the AVX2 scan roughly doubles
 //! end-to-end prediction throughput, while hand-written AVX2 for the
-//! row-accumulate / gather / int8 loops in [`scalar`] is at parity with
+//! row-accumulate / gather loops in [`scalar`] is at parity with
 //! the auto-vectorised bodies on every benchmark workload. So those loops
 //! are plain functions called directly, and only the argmin scan is
 //! dispatched.

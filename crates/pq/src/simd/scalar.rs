@@ -32,10 +32,3 @@ pub fn gather_add(dst: &mut [f32], row: &[f32], idx: &[i32]) {
         *d += row[i as usize];
     }
 }
-
-/// `dst[j] += src[j] as f32 * scale` (the int8 table dequantize-accumulate).
-pub fn i8_scale_add(dst: &mut [f32], src: &[i8], scale: f32) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s as f32 * scale;
-    }
-}

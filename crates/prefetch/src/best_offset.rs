@@ -7,10 +7,10 @@
 //! limit passes), the best-scoring offset becomes the active prefetch
 //! offset; scores below `BAD_SCORE` disable prefetching.
 //!
-//! Simplification vs. the HPCA'16 design (documented in DESIGN.md): the RR
-//! table records recent *demand* bases rather than completed-fill bases, so
-//! offset timeliness feedback is approximated by recency rather than fill
-//! time — adequate for trace-driven evaluation and standard practice.
+//! Simplification vs. the HPCA'16 design: the RR table records recent
+//! *demand* bases rather than completed-fill bases, so offset timeliness
+//! feedback is approximated by recency rather than fill time — adequate
+//! for trace-driven evaluation and standard practice.
 
 use dart_sim::{LlcAccess, Prefetcher};
 

@@ -112,10 +112,13 @@ impl Prefetcher for DartPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn_batch::{precompute_predictions, NnBatchPrefetcher};
     use dart_core::config::TabularConfig;
     use dart_core::tabularize::tabularize;
     use dart_nn::init::InitRng;
-    use dart_nn::model::{AccessPredictor, ModelConfig};
+    use dart_nn::layers::Param;
+    use dart_nn::model::{AccessPredictor, ModelConfig, SequenceModel};
+    use dart_trace::TraceRecord;
 
     fn tiny_setup() -> (TabularModel, PreprocessConfig) {
         let pre = PreprocessConfig {
@@ -188,6 +191,79 @@ mod tests {
         let mut pf = DartPrefetcher::with_latency("DART", model, pre, 97, 1.1, 4);
         for i in 0..10 {
             assert!(pf.on_access(&access(i, 100 + i as u64)).is_empty());
+        }
+    }
+
+    /// `precompute_predictions` only reads probabilities, so this lets it
+    /// decode the very rows `DartPrefetcher` sees.
+    struct TabularProbs(TabularModel);
+
+    impl SequenceModel for TabularProbs {
+        fn forward_logits(&mut self, _: &Matrix, _: bool) -> Matrix {
+            unreachable!("inference only")
+        }
+        fn backward_logits(&mut self, _: &Matrix) {
+            unreachable!("inference only")
+        }
+        fn visit_params(&mut self, _: &mut dyn FnMut(&mut Param)) {}
+        fn seq_len(&self) -> usize {
+            self.0.config.seq_len
+        }
+        fn input_dim(&self) -> usize {
+            self.0.config.input_dim
+        }
+        fn output_dim(&self) -> usize {
+            self.0.config.output_dim
+        }
+        fn forward_probs(&mut self, x: &Matrix) -> Matrix {
+            self.0.predict_batch(x)
+        }
+    }
+
+    /// One emission rule: the same probability rows give the same targets
+    /// through the NN-baseline replay, `DartPrefetcher` and
+    /// `decode_bitmap_into`, including the `max_degree = 0` floor of one.
+    #[test]
+    fn nn_batch_dart_and_decode_bitmap_emit_identical_targets() {
+        let (model, pre) = tiny_setup();
+        let trace: Vec<TraceRecord> = (0..12u64)
+            .map(|i| TraceRecord { instr_id: i * 4, pc: 0x400100, addr: (100 + i * 3) << 6 })
+            .collect();
+        let mut scratch = Vec::new();
+        for max_degree in [0, 1, 4] {
+            let preds = precompute_predictions(
+                &mut TabularProbs(model.clone()),
+                &trace,
+                &pre,
+                0.0,
+                max_degree,
+            );
+            let mut nn = NnBatchPrefetcher::new("NN", 0, 0, preds);
+            let mut dart =
+                DartPrefetcher::with_latency("DART", model.clone(), pre, 97, 0.0, max_degree);
+            for (i, rec) in trace.iter().enumerate() {
+                let acc = access(i, rec.block());
+                let from_dart = dart.on_access(&acc);
+                assert_eq!(nn.on_access(&acc), from_dart, "degree {max_degree}, access {i}");
+                if i + 1 < pre.seq_len {
+                    continue;
+                }
+                let mut x = Matrix::zeros(pre.seq_len, pre.input_dim());
+                for (t, r) in trace[i + 1 - pre.seq_len..=i].iter().enumerate() {
+                    pre.write_token_features(r.block(), r.pc, x.row_mut(t));
+                }
+                let probs = model.forward_probs(&x);
+                let direct = pre.decode_bitmap_into(
+                    probs.row(0),
+                    rec.block(),
+                    0.0,
+                    max_degree,
+                    &mut scratch,
+                );
+                assert_eq!(direct, from_dart, "degree {max_degree}, access {i}");
+                // Threshold 0: every bit qualifies, so the cap decides.
+                assert_eq!(from_dart.len(), max_degree.max(1));
+            }
         }
     }
 

@@ -68,9 +68,10 @@ impl Prefetcher for NnBatchPrefetcher {
 /// demand trace.
 ///
 /// For each access `i >= T-1`, the history window `[i-T+1, i]` is featurized
-/// and run through the model; bitmap bits with probability ≥ `threshold`
-/// (strongest `max_degree`) become block prefetch targets relative to the
-/// current block. Batches are evaluated in chunks.
+/// and run through the model, and the probabilities are decoded by the
+/// emission rule `DartPrefetcher` uses
+/// ([`PreprocessConfig::decode_bitmap_into`]). Batches are evaluated in
+/// chunks.
 pub fn precompute_predictions<M: SequenceModel>(
     model: &mut M,
     llc_trace: &[TraceRecord],
@@ -97,6 +98,7 @@ pub fn precompute_predictions<M: SequenceModel>(
     });
 
     const CHUNK: usize = 512;
+    let mut candidates = Vec::new();
     let mut w = 0;
     while w < num_windows {
         let end = (w + CHUNK).min(num_windows);
@@ -104,23 +106,13 @@ pub fn precompute_predictions<M: SequenceModel>(
         let probs = model.forward_probs(&x);
         for (row_idx, window) in (w..end).enumerate() {
             let access_idx = window + t - 1;
-            let current = llc_trace[access_idx].block() as i64;
-            let mut candidates: Vec<(f32, usize)> = probs
-                .row(row_idx)
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p >= threshold)
-                .map(|(bit, &p)| (p, bit))
-                .collect();
-            candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            predictions[access_idx] = candidates
-                .into_iter()
-                .take(max_degree)
-                .filter_map(|(_, bit)| {
-                    let target = current + pre.bit_to_delta(bit);
-                    (target > 0).then_some(target as u64)
-                })
-                .collect();
+            predictions[access_idx] = pre.decode_bitmap_into(
+                probs.row(row_idx),
+                llc_trace[access_idx].block(),
+                threshold,
+                max_degree,
+                &mut candidates,
+            );
         }
         w = end;
     }

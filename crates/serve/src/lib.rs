@@ -33,11 +33,6 @@
 //!   path and per-stream request order is preserved. Each shard's map is
 //!   **bounded** (`ServeConfig::max_streams_per_shard`, LRU eviction), so
 //!   stream-id churn cannot grow shard memory without limit.
-//! * **NUMA-aware placement** (`ServeConfig::placement`) — shard workers
-//!   are assigned round-robin across NUMA nodes, pinned to their node's
-//!   cpuset, and serve from a node-local model replica deep-copied by a
-//!   pinned thread (first-touch pages). Degrades to exactly the unplaced
-//!   behavior on single-node hosts and where pinning is unsupported.
 //! * **Versioned model state** — the model is held in a [`ModelSlot`]
 //!   (epoch-counted `Arc` swap) fronted by a [`ModelRegistry`]. Workers
 //!   re-check the epoch once per batch with a single atomic load and
@@ -65,7 +60,6 @@
 pub mod loadgen;
 pub mod lru;
 pub mod metrics;
-pub mod placement;
 pub mod registry;
 pub mod request;
 pub mod router;
@@ -78,7 +72,6 @@ pub mod stream;
 pub use loadgen::{generate_requests, run_load, LoadGenConfig, LoadReport};
 pub use lru::StreamLru;
 pub use metrics::render_exposition;
-pub use placement::ShardPlacement;
 pub use registry::{
     ModelRegistry, ModelVersion, RegistryCounters, RejectedCandidate, VersionState,
 };

@@ -24,8 +24,6 @@
 //! | `dart_serve_queue_depth` | gauge | queued, undrained |
 //! | `dart_serve_resident_streams{shard}` | gauge | streams in LRU |
 //! | `dart_serve_max_batch` | gauge | largest coalesced batch |
-//! | `dart_serve_shard_node{shard}` | gauge | NUMA node (-1 unplaced) |
-//! | `dart_serve_shard_pinned{shard}` | gauge | 1 if worker pinned |
 //! | `dart_serve_model_version` | gauge | active model version (slot epoch) |
 //! | `dart_serve_model_swaps_total` | counter | model hot-swaps since start |
 //! | `dart_serve_model_rollbacks_total` | counter | model rollbacks since start |
@@ -153,28 +151,6 @@ pub fn render_exposition(stats: &ServeStats) -> String {
     e.sample("dart_serve_max_batch", &[], stats.max_batch);
 
     e.header(
-        "dart_serve_shard_node",
-        MetricKind::Gauge,
-        "NUMA node each shard worker was assigned to (-1 = unplaced).",
-    );
-    for (id, node) in shard_ids.iter().zip(&stats.per_shard_node) {
-        e.sample(
-            "dart_serve_shard_node",
-            &[("shard", id.as_str())],
-            node.map(|n| n as i64).unwrap_or(-1),
-        );
-    }
-
-    e.header(
-        "dart_serve_shard_pinned",
-        MetricKind::Gauge,
-        "Whether each shard worker pinned itself to its node's cpuset.",
-    );
-    for (id, &pinned) in shard_ids.iter().zip(&stats.per_shard_pinned) {
-        e.sample("dart_serve_shard_pinned", &[("shard", id.as_str())], pinned as u8);
-    }
-
-    e.header(
         "dart_serve_model_version",
         MetricKind::Gauge,
         "Active model version (ModelSlot epoch; starts at 1, bumps on \
@@ -251,8 +227,6 @@ mod tests {
             requests: 7,
             per_shard_requests: vec![4, 3],
             per_shard_streams: vec![2, 1],
-            per_shard_node: vec![Some(0), None],
-            per_shard_pinned: vec![true, false],
             model_version: 3,
             model_swaps: 2,
             model_rollbacks: 1,
@@ -266,8 +240,6 @@ mod tests {
         for name in [
             "dart_serve_uptime_seconds",
             "dart_serve_requests_total{shard=\"1\"} 3",
-            "dart_serve_shard_node{shard=\"1\"} -1",
-            "dart_serve_shard_pinned{shard=\"0\"} 1",
             "dart_serve_model_version 3",
             "dart_serve_model_swaps_total 2",
             "dart_serve_model_rollbacks_total 1",

@@ -44,7 +44,7 @@ pub struct ModelVersion {
     /// Held-out evaluation score (F1) at promotion time, if evaluated.
     pub eval_f1: Option<f64>,
     /// Content fingerprint ([`TabularModel::fingerprint`]): bit-identical
-    /// models — e.g. a `deep_clone` — share a fingerprint, so operators
+    /// models — e.g. a `clone` — share a fingerprint, so operators
     /// can tell a no-op swap from a real model change.
     pub fingerprint: u64,
     /// Lifecycle state.

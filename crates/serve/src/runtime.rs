@@ -1,5 +1,4 @@
-//! The serving runtime: shard lifecycle, placement, submission, and
-//! statistics.
+//! The serving runtime: shard lifecycle, submission, and statistics.
 
 use dart_telemetry::lockcheck::{named_mutex, Mutex};
 use std::sync::{Arc, PoisonError};
@@ -7,11 +6,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dart_core::TabularModel;
-use dart_numa::NumaTopology;
 use dart_telemetry::{Histogram, SpanRecord, SpanRing};
 use dart_trace::PreprocessConfig;
 
-use crate::placement::{plan_placement, ShardPlacement};
 use crate::registry::ModelRegistry;
 use crate::request::{PrefetchRequest, PrefetchResponse};
 use crate::router::StreamRouter;
@@ -59,12 +56,6 @@ pub struct ServeConfig {
     /// scratch (cold responses for its first `seq_len - 1` accesses, seq
     /// restarting at 0) rather than predicting on a stale window.
     pub max_streams_per_shard: usize,
-    /// NUMA-aware shard placement policy (see [`ShardPlacement`]). The
-    /// default `Disabled` is today's exact behavior; `NumaRoundRobin`
-    /// pins workers round-robin across nodes and serves each node from
-    /// its own first-touch-local model replica. Behavior-neutral for
-    /// predictions either way (replicas are bit-identical copies).
-    pub placement: ShardPlacement,
     /// Kernel thread-pool size. `Some(n)` builds one `n`-thread
     /// work-stealing pool shared by **all** shard workers — the shards ×
     /// pool-threads knob: `n` bounds the *extra* kernel threads, instead
@@ -125,7 +116,6 @@ impl Default for ServeConfig {
             threshold: 0.5,
             max_degree: 4,
             max_streams_per_shard: 4096,
-            placement: ShardPlacement::default(),
             pool_threads: None,
             queue_capacity: usize::MAX,
             panic_on_stream: None,
@@ -166,18 +156,6 @@ pub struct ServeStats {
     pub max_batch: usize,
     /// Requests handled per shard (routing balance diagnostic).
     pub per_shard_requests: Vec<u64>,
-    /// NUMA node each shard was assigned to by [`ServeConfig::placement`]
-    /// (`None` = unplaced, scheduler's choice). All `None` when placement
-    /// is disabled.
-    pub per_shard_node: Vec<Option<usize>>,
-    /// Whether each shard's worker actually pinned itself to its assigned
-    /// node's cpuset. `false` when unplaced, on an OS/arch without the
-    /// affinity shims (pinning is a reported no-op), or when the kernel
-    /// rejected the mask (e.g. a cgroup cpuset) — in those cases the shard
-    /// also serves
-    /// from the shared model, never from a node replica, since without
-    /// the pin there is no first-touch locality to gain.
-    pub per_shard_pinned: Vec<bool>,
     /// Streams resident in each shard's bounded LRU map at shutdown
     /// (each entry `<= ServeConfig::max_streams_per_shard`).
     pub per_shard_streams: Vec<usize>,
@@ -282,18 +260,12 @@ pub struct ServeRuntime {
     /// the shard workers use the process-global pool. Kept here so the pool
     /// outlives every worker thread that installed it.
     pool: Option<Arc<rayon::ThreadPool>>,
-    /// The machine's NUMA layout as discovered at startup (single-node
-    /// fallback on hosts without sysfs topology).
-    topology: Arc<NumaTopology>,
-    /// Node id each shard was assigned to (`None` = unplaced).
-    plan: Vec<Option<usize>>,
     started: Instant,
 }
 
 impl ServeRuntime {
     /// Spawn `cfg.shards` worker threads, each holding a handle to the
-    /// model (or, under NUMA placement, to its node's replica) and its own
-    /// bounded per-stream state.
+    /// model and its own bounded per-stream state.
     ///
     /// Validates the emission rule here, once, for the whole runtime:
     /// `max_degree` is clamped to at least 1, the same rule
@@ -317,22 +289,11 @@ impl ServeRuntime {
         // cap of 0 means "the minimum useful degree", never "silently off".
         let emit = EmitPolicy { threshold: cfg.threshold, max_degree: cfg.max_degree.max(1) };
 
-        // NUMA placement: discover the topology (cheap sysfs read; exact
-        // single-node fallback elsewhere) and plan shard -> node
-        // assignments. Each node lazily gets one model replica per model
-        // *version*, deep-copied by the FIRST worker pinned there to adopt
-        // that version — first-touch puts the replica's arena pages on
-        // that node, and a hot-swap refreshes the cell the same way. On a
-        // single-node topology no replica is made: the original model
-        // already is node-local.
-        let topology = Arc::new(NumaTopology::detect());
-        let plan = plan_placement(&topology, cfg.shards, cfg.placement);
-
         // Versioned model state: the slot holds the authoritative
         // (epoch, model) pair every worker reads through a per-shard
         // handle; the registry fronts it with version metadata and the
         // publish/rollback API. Startup is version 1.
-        let slot = Arc::new(ModelSlot::new(model, topology.nodes().len(), cfg.shards));
+        let slot = Arc::new(ModelSlot::new(model, cfg.shards));
         let registry = Arc::new(ModelRegistry::new(Arc::clone(&slot)));
         let replay =
             (cfg.replay_capacity > 0).then(|| Arc::new(ReplaySampler::new(cfg.replay_capacity)));
@@ -362,7 +323,7 @@ impl ServeRuntime {
         let mut reports = Vec::with_capacity(cfg.shards);
         let mut telemetry = Vec::with_capacity(cfg.shards);
         let mut retire = Vec::with_capacity(cfg.shards);
-        for (shard_id, &node_id) in plan.iter().enumerate() {
+        for shard_id in 0..cfg.shards {
             let queue = Arc::new(ShardQueue::new(cfg.queue_capacity));
             let shard_telemetry = Arc::new(ShardTelemetry::default());
             telemetry.push(Arc::clone(&shard_telemetry));
@@ -375,7 +336,6 @@ impl ServeRuntime {
             reports.push(Arc::clone(&report_cell));
             let worker_slot = Arc::clone(&slot);
             let worker_replay = replay.clone();
-            let topo = Arc::clone(&topology);
             let max_batch = cfg.max_batch;
             let max_streams = cfg.max_streams_per_shard;
             let panic_on_stream = cfg.panic_on_stream;
@@ -390,55 +350,9 @@ impl ServeRuntime {
                 std::thread::Builder::new()
                     .name(format!("dart-serve-shard-{shard_id}"))
                     .spawn(move || {
-                        // Placement order matters: pin FIRST, so the model
-                        // replica (first-touch pages) and everything the
-                        // worker allocates afterwards — stream-state map,
-                        // feature scratch — land on the assigned node.
-                        // Pinning is best-effort: a reported no-op
-                        // (non-Linux) or a cpuset-restricted failure
-                        // degrades to unpinned, never to a dead shard —
-                        // and an unpinned worker does NOT serve from a
-                        // node replica: without the pin there is no
-                        // first-touch guarantee, so a copy would spend
-                        // memory for zero locality. The outcome is
-                        // recorded (`ServeStats::per_shard_pinned`) so
-                        // operators can see placement silently degrading.
-                        let replica_node = match node_id {
-                            Some(id) => {
-                                let node =
-                                    topo.node(id).expect("placement plan references unknown node");
-                                // `within`: intersect with the thread's
-                                // allowed CPUs, so placement can never
-                                // widen a taskset/cgroup restriction and
-                                // a disjoint (e.g. fallback-synthesized)
-                                // cpuset is a clean no-pin, not EINVAL.
-                                let pinned = dart_numa::pin_current_thread_within(&node.cpus)
-                                    .unwrap_or(false);
-                                report_cell.lock().unwrap_or_else(PoisonError::into_inner).pinned =
-                                    pinned;
-                                if pinned && topo.is_multi_node() {
-                                    // Serve from this node's refreshable
-                                    // replica cell — the slot deep-copies
-                                    // on this (pinned) thread when the
-                                    // cell is stale, at startup and after
-                                    // every hot-swap alike.
-                                    Some(
-                                        topo.node_index(id)
-                                            .expect("plan node must exist in topology"),
-                                    )
-                                } else {
-                                    // One node (the original already lives
-                                    // there — a copy would only waste
-                                    // memory), or the pin didn't take.
-                                    None
-                                }
-                            }
-                            None => None,
-                        };
-                        // Initial adoption happens HERE, on the pinned
-                        // worker thread (first-touch for any replica), and
-                        // publishes this shard's adopted epoch.
-                        let model = worker_slot.handle(shard_id, replica_node);
+                        // Initial adoption happens here, on the worker
+                        // thread, and publishes this shard's adopted epoch.
+                        let model = worker_slot.handle(shard_id);
                         let worker = ShardWorker {
                             shard_id,
                             model,
@@ -512,8 +426,6 @@ impl ServeRuntime {
             retire,
             spans,
             pool,
-            topology,
-            plan,
             started: Instant::now(),
         }
     }
@@ -549,10 +461,9 @@ impl ServeRuntime {
     /// candidate against the runtime's preprocessing dimensions, then
     /// publishes it as a new version. Every shard worker adopts it at its
     /// next batch boundary — in-flight batches finish on the version they
-    /// adopted, no request is dropped or answered by a torn model, and
-    /// under NUMA placement each node re-clones its first-touch replica
-    /// on first adoption. Returns the new version id, or an error (and no
-    /// state change at all) on a dimension mismatch.
+    /// adopted, and no request is dropped or answered by a torn model.
+    /// Returns the new version id, or an error (and no state change at
+    /// all) on a dimension mismatch.
     pub fn swap_model(&self, model: Arc<TabularModel>, provenance: &str) -> Result<u64, String> {
         // Same dimension contract `start` asserts — but a hot-swap comes
         // from a live retraining loop, so refuse instead of panicking.
@@ -598,19 +509,6 @@ impl ServeRuntime {
     /// shadow trainer must be built with).
     pub fn preprocess(&self) -> &PreprocessConfig {
         &self.pre
-    }
-
-    /// The NUMA topology discovered at startup (the single-node fallback
-    /// on hosts without sysfs topology) — observability for operators and
-    /// benches.
-    pub fn topology(&self) -> &NumaTopology {
-        &self.topology
-    }
-
-    /// Node id each shard worker was assigned to (`None` = unplaced).
-    /// All `None` when [`ServeConfig::placement`] is `Disabled`.
-    pub fn per_shard_node(&self) -> &[Option<usize>] {
-        &self.plan
     }
 
     /// Number of shard workers.
@@ -840,7 +738,6 @@ impl ServeRuntime {
             stats.batches += report.batches;
             stats.max_batch = stats.max_batch.max(report.max_batch);
             stats.per_shard_requests.push(report.requests);
-            stats.per_shard_pinned.push(report.pinned);
             stats.per_shard_streams.push(report.resident_streams);
             stats.stream_evictions += report.stream_evictions;
             stats.stream_retirements += report.stream_retirements;
@@ -859,7 +756,6 @@ impl ServeRuntime {
         stats.in_flight = sink_state.in_flight;
         stats.worker_panics = sink_state.worker_panics.clone();
         drop(sink_state);
-        stats.per_shard_node = self.plan.clone();
         // Versioned-model observability: the active version, the swap /
         // rollback counters, and how far each shard's worker has adopted.
         stats.model_version = self.registry.active_version();

@@ -239,9 +239,8 @@ impl ShardQueue {
 
 /// Cross-thread stream-retirement requests for one shard.
 ///
-/// A shard worker owns its [`StreamLru`] locally (allocated on the
-/// worker thread, after any NUMA pin, for first-touch locality), so
-/// other threads cannot evict dead streams directly. Instead they push
+/// A shard worker owns its [`StreamLru`] locally, so other threads
+/// cannot evict dead streams directly. Instead they push
 /// the doomed namespace here; the worker drains the cell at the top of
 /// each batch iteration, **before** serving, so a batch's new streams
 /// see the freed residency. Draining is lazy by design: retired streams
@@ -513,10 +512,6 @@ pub(crate) struct ShardReport {
     /// Streams explicitly retired (dead-connection cleanup via
     /// [`RetireCell`]) so far.
     pub stream_retirements: u64,
-    /// Whether this shard's worker successfully pinned itself to its
-    /// assigned node's cpuset (always `false` when unplaced, on an OS/arch
-    /// without the affinity shims, or when the kernel rejected the mask).
-    pub pinned: bool,
     /// Request latency (queue + inference), log2-bucketed
     /// ([`dart_telemetry::Histogram`], promoted out of this module).
     pub latency: Histogram,
@@ -614,8 +609,7 @@ impl ShardWorker {
         let di = self.pre.input_dim();
         // Bounded per-stream state: at most `max_streams` resident, LRU
         // eviction beyond that (see `crate::lru` for why an evicted stream
-        // re-warms from scratch). Allocated here, on the worker thread,
-        // *after* any NUMA pinning — first touch keeps it node-local.
+        // re-warms from scratch).
         let mut streams = StreamLru::new(self.max_streams);
         // (request index in batch, anchor block) of each warm request, in
         // feature-matrix order.
@@ -648,11 +642,11 @@ impl ShardWorker {
             let mut batch_guard =
                 BatchGuard { sink: &sink, shard: self.shard_id, batch: &batch, armed: true };
             // Batch-boundary model adoption, deliberately AFTER arming the
-            // guard: if adopting a hot-swapped version panics (a node
-            // replica's deep clone OOMs, say), the batch fails cleanly —
-            // its in-flight slots are released — instead of leaking. The
-            // adopted `Arc` serves this whole batch: a swap landing
-            // mid-batch is picked up at the next boundary, never torn.
+            // guard: if adopting a hot-swapped version panics, the batch
+            // fails cleanly — its in-flight slots are released — instead
+            // of leaking. The adopted `Arc` serves this whole batch: a
+            // swap landing mid-batch is picked up at the next boundary,
+            // never torn.
             let model = Arc::clone(self.model.current());
             warm.clear();
 

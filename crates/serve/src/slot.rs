@@ -14,27 +14,16 @@
 //!   the old version or entirely on the new one.
 //! * **Observers** read [`ModelSlot::adopted_epochs`] to learn how far
 //!   each shard has moved. An old version's memory is reclaimed by the
-//!   `Arc` refcount the moment the last handle (and replica cell) drops
-//!   it — which by construction is only after every shard that serves
-//!   traffic has moved past it. A shard with *no* traffic keeps its
-//!   version alive deliberately: it may still serve a batch on it.
-//!
-//! NUMA refresh: under multi-node placement each node has a refreshable
-//! replica cell. The **first pinned worker on a node** to adopt a new
-//! epoch deep-copies the model node-locally (the same first-touch
-//! contract as startup replicas: the adopting thread is pinned, so the
-//! clone's arena pages land on its node); later adopters on that node
-//! reuse the cell. Unpinned or single-node workers adopt the base `Arc`
-//! directly — exactly the startup degradation rules.
+//!   `Arc` refcount the moment the last handle drops it — which by
+//!   construction is only after every shard that serves traffic has
+//!   moved past it. A shard with *no* traffic keeps its version alive
+//!   deliberately: it may still serve a batch on it.
 
 use dart_telemetry::lockcheck::{named_mutex, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
 use dart_core::TabularModel;
-
-/// A `(epoch, model)` pair as cached in a node's replica cell.
-type ReplicaCell = Mutex<Option<(u64, Arc<TabularModel>)>>;
 
 /// The shared, versioned model cell (one per [`crate::ServeRuntime`]).
 pub struct ModelSlot {
@@ -45,10 +34,6 @@ pub struct ModelSlot {
     /// check workers run once per batch. The mutex is what orders the
     /// pair itself; this cell only answers "did anything change?".
     stamp: AtomicU64,
-    /// One refreshable model-replica cell per NUMA node: the cached
-    /// `(epoch, node-local clone)` made by the first pinned worker on
-    /// that node to adopt the epoch.
-    replicas: Vec<ReplicaCell>,
     /// Epoch each shard most recently adopted (`Release` stored by the
     /// shard's worker right after adopting; `Acquire` read by
     /// observers). A dead or idle shard's entry stays at the last epoch
@@ -57,13 +42,12 @@ pub struct ModelSlot {
 }
 
 impl ModelSlot {
-    /// Build a slot holding `model` as **version 1**, with `nodes`
-    /// replica cells and `shards` adoption counters.
-    pub fn new(model: Arc<TabularModel>, nodes: usize, shards: usize) -> ModelSlot {
+    /// Build a slot holding `model` as **version 1**, with `shards`
+    /// adoption counters.
+    pub fn new(model: Arc<TabularModel>, shards: usize) -> ModelSlot {
         ModelSlot {
             current: named_mutex("serve.model_slot", (1, model)),
             stamp: AtomicU64::new(1),
-            replicas: (0..nodes).map(|_| named_mutex("serve.model_replica", None)).collect(),
             adopted: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -106,35 +90,12 @@ impl ModelSlot {
     }
 
     /// Build the worker-side handle for `shard_id`, performing the
-    /// initial adoption **on the calling thread** — call it from the
-    /// worker thread after any NUMA pin, so a node replica's first-touch
-    /// pages land on the right node. `node` is the topology node *index*
-    /// whose replica cell this worker should serve from, or `None` to
-    /// serve the base model (unpinned / single-node degradation).
-    pub(crate) fn handle(self: &Arc<Self>, shard_id: usize, node: Option<usize>) -> ModelHandle {
-        let (epoch, base) = self.current();
-        let mut handle =
-            ModelHandle { slot: Arc::clone(self), shard_id, node, epoch: 0, model: base };
+    /// initial adoption.
+    pub(crate) fn handle(self: &Arc<Self>, shard_id: usize) -> ModelHandle {
+        let (epoch, model) = self.current();
+        let mut handle = ModelHandle { slot: Arc::clone(self), shard_id, epoch: 0, model };
         handle.adopt(epoch);
         handle
-    }
-
-    /// Resolve the node-local replica of `(epoch, base)` for node index
-    /// `node`, deep-cloning on this thread if the cell is stale. The
-    /// caller must be pinned to that node for the first-touch contract.
-    fn replica(&self, node: usize, epoch: u64, base: &Arc<TabularModel>) -> Arc<TabularModel> {
-        let mut cell = self.replicas[node].lock().unwrap_or_else(PoisonError::into_inner);
-        match &*cell {
-            Some((e, model)) if *e == epoch => Arc::clone(model),
-            _ => {
-                // First worker on this node to adopt `epoch`: deep-copy
-                // the arenas node-locally. Replacing the cell drops the
-                // previous epoch's replica once its last adopter moves.
-                let local = Arc::new(base.deep_clone());
-                *cell = Some((epoch, Arc::clone(&local)));
-                local
-            }
-        }
     }
 }
 
@@ -143,9 +104,6 @@ impl ModelSlot {
 pub(crate) struct ModelHandle {
     slot: Arc<ModelSlot>,
     shard_id: usize,
-    /// Topology node index whose replica cell this worker serves from
-    /// (`None` = the base model; unpinned or single-node).
-    node: Option<usize>,
     epoch: u64,
     model: Arc<TabularModel>,
 }
@@ -153,9 +111,9 @@ pub(crate) struct ModelHandle {
 impl ModelHandle {
     /// The model to serve the next batch with. One atomic load when
     /// nothing changed (the overwhelmingly common case); on an epoch
-    /// change, adopts the new version (slot lock + optional node-local
-    /// deep clone) before returning. Call once per batch boundary and
-    /// use the returned `Arc` for the whole batch.
+    /// change, adopts the new version (slot lock) before returning. Call
+    /// once per batch boundary and use the returned `Arc` for the whole
+    /// batch.
     pub fn current(&mut self) -> &Arc<TabularModel> {
         let stamp = self.slot.stamp.load(Ordering::Acquire);
         if stamp != self.epoch {
@@ -173,19 +131,13 @@ impl ModelHandle {
     }
 
     /// Adopt the authoritative pair (re-read under the slot lock — the
-    /// `hint` stamp only told us *something* changed), refresh the node
-    /// replica if this worker serves from one, and publish the adoption
-    /// so observers can see this shard moved.
+    /// `hint` stamp only told us *something* changed) and publish the
+    /// adoption so observers can see this shard moved.
     fn adopt(&mut self, _hint: u64) {
-        let (epoch, base) = self.slot.current();
-        self.model = match self.node {
-            Some(idx) => self.slot.replica(idx, epoch, &base),
-            None => base,
-        };
-        self.epoch = epoch;
+        (self.epoch, self.model) = self.slot.current();
         // Release pairs with observers' Acquire: the handle's model
         // switch above happens-before anyone sees the new adopted epoch.
-        self.slot.adopted[self.shard_id].store(epoch, Ordering::Release);
+        self.slot.adopted[self.shard_id].store(self.epoch, Ordering::Release);
     }
 }
 
@@ -218,9 +170,9 @@ mod tests {
     #[test]
     fn install_bumps_epoch_and_handle_adopts_at_boundary() {
         let m1 = tiny_model(1);
-        let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 1, 2));
+        let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 2));
         assert_eq!(slot.epoch(), 1);
-        let mut h = slot.handle(0, None);
+        let mut h = slot.handle(0);
         assert_eq!(h.epoch(), 1);
         assert!(Arc::ptr_eq(h.current(), &m1), "handle must serve the installed model");
 
@@ -238,9 +190,9 @@ mod tests {
     #[test]
     fn old_version_is_reclaimed_once_every_handle_moves() {
         let m1 = tiny_model(3);
-        let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 1, 2));
-        let mut h0 = slot.handle(0, None);
-        let mut h1 = slot.handle(1, None);
+        let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 2));
+        let mut h0 = slot.handle(0);
+        let mut h1 = slot.handle(1);
         slot.install(tiny_model(4));
         h0.current();
         assert!(Arc::strong_count(&m1) > 1, "shard 1 still holds version 1");
@@ -249,34 +201,6 @@ mod tests {
         // handles dropped theirs — the "reclaimed only after every shard
         // has moved past it" contract, enforced by refcount.
         assert_eq!(Arc::strong_count(&m1), 1);
-        assert_eq!(slot.min_adopted_epoch(), 2);
-    }
-
-    #[test]
-    fn node_replica_is_cloned_once_per_epoch_and_refreshed_on_swap() {
-        let m1 = tiny_model(5);
-        let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 2, 3));
-        // Two workers on node 0: one replica clone, shared.
-        let mut h0 = slot.handle(0, Some(0));
-        let mut h1 = slot.handle(1, Some(0));
-        let r0 = Arc::clone(h0.current());
-        assert!(!Arc::ptr_eq(&r0, &m1), "node replica must be a distinct allocation");
-        assert!(Arc::ptr_eq(&r0, h1.current()), "same-node workers share one replica");
-        // A worker on node 1 gets its own clone.
-        let mut h2 = slot.handle(2, Some(1));
-        assert!(!Arc::ptr_eq(h2.current(), &r0));
-        // Replicas are bit-identical to the base (same serialized form).
-        assert_eq!(r0.to_json(), m1.to_json());
-
-        // Swap: each node re-clones once; the old replica is dropped.
-        let m2 = tiny_model(6);
-        slot.install(Arc::clone(&m2));
-        let r0b = Arc::clone(h0.current());
-        assert!(!Arc::ptr_eq(&r0b, &r0), "node 0 replica must refresh");
-        assert_eq!(r0b.to_json(), m2.to_json());
-        assert!(Arc::ptr_eq(&r0b, h1.current()));
-        h2.current();
-        assert_eq!(Arc::strong_count(&r0), 1, "stale node-0 replica must be reclaimed");
         assert_eq!(slot.min_adopted_epoch(), 2);
     }
 }

@@ -32,8 +32,6 @@ fn sample_stats() -> ServeStats {
         batches: 20,
         max_batch: 16,
         per_shard_requests: vec![70, 50],
-        per_shard_node: vec![Some(0), None],
-        per_shard_pinned: vec![true, false],
         per_shard_streams: vec![5, 4],
         stream_evictions: 2,
         model_version: 3,

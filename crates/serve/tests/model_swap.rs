@@ -5,7 +5,7 @@
 //! The two load-bearing properties:
 //!
 //! 1. **Zero downtime, zero divergence**: swapping in a bit-identical
-//!    `deep_clone` mid-traffic must change *nothing* — every request
+//!    `clone` mid-traffic must change *nothing* — every request
 //!    still gets exactly one response and every response is
 //!    bit-for-bit what the un-swapped run produced. Any lost, failed,
 //!    or changed response is the swap machinery's fault.
@@ -99,7 +99,7 @@ fn serial_predict(
         .collect()
 }
 
-/// The zero-divergence property: swap a bit-identical `deep_clone` of
+/// The zero-divergence property: swap a bit-identical `clone` of
 /// the active model into a loaded runtime — repeatedly, mid-traffic —
 /// and every response must be bit-for-bit identical to a run that never
 /// swapped, with exactly one response per request and zero failures.
@@ -131,7 +131,7 @@ fn bit_identical_swap_mid_load_changes_no_response() {
         runtime.submit_all(part.iter().copied());
         if i < swaps {
             let (_, active) = runtime.registry().active();
-            let clone = Arc::new(active.deep_clone());
+            let clone = Arc::new(TabularModel::clone(&active));
             runtime.swap_model(clone, "test clone swap").expect("clone is dimension-compatible");
         }
     }
@@ -321,7 +321,7 @@ fn gate_promotes_better_and_rejects_worse_deterministically() {
     );
 
     // Worse candidate vs better incumbent: rejected, slot untouched.
-    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&good), 1, 1)));
+    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&good), 1)));
     let outcome =
         gate_candidate(&registry, Arc::clone(&bad), &holdout, 0.0, "worse candidate", None, 64);
     match outcome {
@@ -339,7 +339,7 @@ fn gate_promotes_better_and_rejects_worse_deterministically() {
 
     // Better candidate vs worse incumbent: promoted, with the eval score
     // and training window recorded on the new version.
-    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&bad), 1, 1)));
+    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&bad), 1)));
     let outcome = gate_candidate(
         &registry,
         Arc::clone(&good),
@@ -367,7 +367,7 @@ fn gate_promotes_better_and_rejects_worse_deterministically() {
     assert_eq!(versions[1].fingerprint, good.fingerprint());
 
     // An unreachable margin vetoes even a genuinely better candidate.
-    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&bad), 1, 1)));
+    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&bad), 1)));
     let outcome =
         gate_candidate(&registry, good, &holdout, 2.0, "margin-vetoed candidate", None, 64);
     assert!(
@@ -445,7 +445,7 @@ fn worker_panic_during_swap_keeps_exactly_one_response_accounting() {
     let total = reqs.len();
     runtime.submit_all(reqs);
     runtime
-        .swap_model(Arc::new(model.deep_clone()), "swap racing a worker death")
+        .swap_model(Arc::new(TabularModel::clone(&model)), "swap racing a worker death")
         .expect("publishing must not depend on worker health");
 
     // Must return, not hang: the dying batch and the drained backlog are
@@ -457,7 +457,7 @@ fn worker_panic_during_swap_keeps_exactly_one_response_accounting() {
     // A swap *after* the only worker died still publishes (nobody left
     // to adopt it — that is a health problem, not a registry problem).
     runtime
-        .swap_model(Arc::new(model.deep_clone()), "swap after worker death")
+        .swap_model(Arc::new(TabularModel::clone(&model)), "swap after worker death")
         .expect("swap on a dead runtime must not error or hang");
 
     let stats = runtime.shutdown();

@@ -84,11 +84,13 @@ impl PreprocessConfig {
         }
     }
 
-    /// The DART emission rule shared by `DartPrefetcher` and the
-    /// `dart-serve` runtime: rank bitmap probabilities at or above
-    /// `threshold`, take the strongest `max_degree` bits, and map each to a
-    /// prefetch block address relative to `anchor_block` (dropping
-    /// non-positive targets). `candidates` is caller-owned scratch.
+    /// The one emission rule, shared by `DartPrefetcher`, the NN baselines'
+    /// `precompute_predictions` and the `dart-serve` runtime: rank bitmap
+    /// probabilities at or above `threshold`, take the strongest
+    /// `max_degree` bits (at least one: a cap of 0 means the minimum useful
+    /// degree, never "off"), and map each to a prefetch block address
+    /// relative to `anchor_block` (dropping non-positive targets).
+    /// `candidates` is caller-owned scratch.
     pub fn decode_bitmap_into(
         &self,
         probs: &[f32],

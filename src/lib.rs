@@ -8,7 +8,6 @@
 //! * [`sim`] — trace-driven cache/CPU simulator,
 //! * [`prefetch`] — prefetcher zoo (BO, ISB, DART, NN baselines),
 //! * [`core`] — the DART pipeline: configurator, distillation, tabularization,
-//! * [`numa`] — NUMA topology discovery + raw-syscall thread affinity,
 //! * [`serve`] — the sharded, batched prefetch-serving runtime,
 //! * [`net`] — the TCP front-end: binary wire protocol, epoll IO loop,
 //!   backpressure NACKs, `GET /metrics`.
@@ -19,7 +18,6 @@
 pub use dart_core as core;
 pub use dart_net as net;
 pub use dart_nn as nn;
-pub use dart_numa as numa;
 pub use dart_pq as pq;
 pub use dart_prefetch as prefetch;
 pub use dart_serve as serve;

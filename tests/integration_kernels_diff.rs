@@ -26,7 +26,7 @@ use dart::nn::matrix::Matrix;
 use dart::nn::model::{AccessPredictor, ModelConfig};
 use dart::pq::{
     AttentionTable, AttentionTableConfig, EncoderKind, FusedFfnTable, LinearTable,
-    ProductQuantizer, QuantizedLinearTable, AGG_TILE_ROWS, ATTN_TILE_SAMPLES, ENCODE_TILE_ROWS,
+    ProductQuantizer, AGG_TILE_ROWS, ATTN_TILE_SAMPLES, ENCODE_TILE_ROWS,
 };
 use dart::trace::PreprocessConfig;
 use proptest::prelude::*;
@@ -207,34 +207,6 @@ proptest! {
                     "sample {} step {} diverged", n, step
                 );
             }
-        }
-    }
-
-    /// The int8 table's batch query equals its row-at-a-time path, across
-    /// output widths straddling the vector lanes.
-    #[test]
-    fn int8_query_matches_row_path(
-        seed in 0u64..5_000,
-        k in 2usize..32,
-        c in 1usize..4,
-        dout in 1usize..20,
-        size_idx in 0usize..9,
-    ) {
-        let rows = boundary_batches()[size_idx];
-        let din = 6usize;
-        let train = rand_matrix(80, din, seed);
-        let w = rand_matrix(dout, din, seed ^ 0x11);
-        let b: Vec<f32> = (0..dout).map(|o| o as f32 * 0.125 - 0.25).collect();
-        let table = LinearTable::fit(&train, &w, &b, c, k, EncoderKind::Argmin, seed);
-        let q8 = QuantizedLinearTable::from_table(&table);
-        let x = rand_matrix(rows, din, seed ^ 0x22);
-
-        let batch = q8.query(&x);
-        prop_assert_eq!(batch.shape(), (rows, dout));
-        let mut single = vec![0.0f32; dout];
-        for r in 0..rows {
-            q8.query_row_into(x.row(r), &mut single);
-            prop_assert_eq!(&single[..], batch.row(r), "int8 row {} of {}", r, rows);
         }
     }
 }

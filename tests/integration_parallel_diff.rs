@@ -274,28 +274,6 @@ fn blocked_matmul_is_thread_count_invariant() {
     assert_eq!(transb_bits.len(), 96 * 96);
 }
 
-/// The int8 table's batch query is thread-count invariant and equal to
-/// its row path.
-#[test]
-fn int8_query_is_thread_count_invariant_and_matches_rows() {
-    let (din, dout) = (8usize, 13usize); // 13 lanes: one 8-wide vector + tail
-    let train = rand_matrix(300, din, 0xB1);
-    let w = rand_matrix(dout, din, 0xB2);
-    let b = vec![0.25f32; dout];
-    let table = LinearTable::fit(&train, &w, &b, 2, 16, EncoderKind::Argmin, 0xB3);
-    let q8 = dart::pq::QuantizedLinearTable::from_table(&table);
-    let x = rand_matrix(67, din, 0xB4);
-
-    let batch_bits = invariant_across_pools(|| bits(&q8.query(&x)), "int8 query");
-    let batch = q8.query(&x);
-    assert_eq!(bits(&batch), batch_bits);
-    let mut single = vec![0.0f32; dout];
-    for r in 0..x.rows() {
-        q8.query_row_into(x.row(r), &mut single);
-        assert_eq!(&single[..], batch.row(r), "int8 row {r} vs scalar");
-    }
-}
-
 /// Tabularization itself (k-means fitting with parallel assignment steps)
 /// is deterministic across thread counts: fitting the same quantizer under
 /// different pools yields bit-identical prototypes and codes.
