@@ -10,12 +10,18 @@
 //!
 //! [`TableArena`] and [`CodebookArena`] replace that with single contiguous
 //! `Vec<f32>` allocations laid out **code-major**: all of subspace 0's
-//! entries, then all of subspace 1's, with prototype rows contiguous inside
-//! each subspace block. The tiled batch kernels in `linear_table` /
-//! `quantizer` iterate subspace-outer over row tiles so one subspace block
-//! stays cache-resident for a whole tile pass.
+//! entries, then all of subspace 1's. Inside a subspace block a table keeps
+//! its prototype rows contiguous (a lookup reads one row), while a codebook
+//! is **dimension-major** (the argmin scan reads every prototype, one
+//! coordinate at a time — see [`CodebookArena`]). The tiled batch kernels in
+//! `linear_table` / `quantizer` iterate subspace-outer over row tiles so one
+//! subspace block stays cache-resident for a whole tile pass.
+//!
+//! Both arenas are read from untrusted model files, so their `Deserialize`
+//! impls check the structure the kernels index by and return `Err` on a
+//! mismatch instead of leaving it to a shape assert at query time.
 
-use serde::{Deserialize, Serialize};
+use serde::{obj_field, Deserialize, Serialize};
 
 use dart_nn::matrix::Matrix;
 use rayon::prelude::*;
@@ -24,12 +30,35 @@ use rayon::prelude::*;
 ///
 /// Entry `(c, k, o)` lives at `data[(c * protos + k) * width + o]`; the
 /// whole arena is one contiguous allocation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TableArena {
     subspaces: usize,
     protos: usize,
     width: usize,
     data: Vec<f32>,
+}
+
+impl Deserialize for TableArena {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let arena = TableArena {
+            subspaces: obj_field(v, "subspaces")?,
+            protos: obj_field(v, "protos")?,
+            width: obj_field(v, "width")?,
+            data: obj_field(v, "data")?,
+        };
+        let want =
+            arena.subspaces.checked_mul(arena.protos).and_then(|n| n.checked_mul(arena.width));
+        if want != Some(arena.data.len()) {
+            return Err(serde::Error(format!(
+                "table arena holds {} entries, expected {} x {} x {}",
+                arena.data.len(),
+                arena.subspaces,
+                arena.protos,
+                arena.width
+            )));
+        }
+        Ok(arena)
+    }
 }
 
 impl TableArena {
@@ -137,38 +166,93 @@ impl TableArena {
     }
 }
 
-/// Flat code-major storage for a product quantizer's prototypes.
+/// Flat storage for a product quantizer's prototypes: code-major across
+/// subspaces, **dimension-major** inside each.
 ///
 /// Subspace `c` holds `K` prototypes of `sub_dims[c]` entries each (sub
 /// dimensions across subspaces differ by at most one); its block starts at
-/// `offsets[c]` and prototype `k` occupies
-/// `data[offsets[c] + k * sub_dims[c] ..][..sub_dims[c]]`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// `offsets[c]` and coordinate `d` of prototype `k` lives at
+/// `dim_major[offsets[c] + d * K + k]`. The exact argmin encoder reads every
+/// prototype of the subspace for every input, so the layout puts what one
+/// step of that scan reads — coordinate `d` of consecutive prototypes — in
+/// consecutive memory; a single prototype is a stride-`K` walk
+/// ([`Self::proto`]), which only table construction needs.
+///
+/// The serialized field is named for the layout so that a prototype-major
+/// file from before this layout fails to load instead of loading
+/// transposed.
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct CodebookArena {
     protos: usize,
     sub_dims: Vec<usize>,
     offsets: Vec<usize>,
-    data: Vec<f32>,
+    dim_major: Vec<f32>,
+}
+
+impl Deserialize for CodebookArena {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let arena = CodebookArena {
+            protos: obj_field(v, "protos")?,
+            sub_dims: obj_field(v, "sub_dims")?,
+            offsets: obj_field(v, "offsets")?,
+            dim_major: obj_field(v, "dim_major")?,
+        };
+        arena.check_structure().map_err(serde::Error)?;
+        Ok(arena)
+    }
 }
 
 impl CodebookArena {
-    /// Build from one `K x v_c` prototype matrix per subspace, consuming
-    /// them into a single contiguous allocation.
+    /// Build from one `K x v_c` prototype matrix per subspace, transposing
+    /// each into its dimension-major block of a single allocation.
     pub fn from_prototype_matrices(mats: &[Matrix]) -> CodebookArena {
         assert!(!mats.is_empty(), "codebook from zero subspaces");
         let protos = mats[0].rows();
         let mut sub_dims = Vec::with_capacity(mats.len());
         let mut offsets = Vec::with_capacity(mats.len() + 1);
         let total: usize = mats.iter().map(Matrix::len).sum();
-        let mut data = Vec::with_capacity(total);
+        let mut dim_major = Vec::with_capacity(total);
         for m in mats {
             assert_eq!(m.rows(), protos, "prototype count mismatch across subspaces");
-            offsets.push(data.len());
+            offsets.push(dim_major.len());
             sub_dims.push(m.cols());
-            data.extend_from_slice(m.as_slice());
+            dim_major.extend_from_slice(m.transpose().as_slice());
         }
-        offsets.push(data.len());
-        CodebookArena { protos, sub_dims, offsets, data }
+        offsets.push(dim_major.len());
+        CodebookArena { protos, sub_dims, offsets, dim_major }
+    }
+
+    /// The structure every accessor and the argmin scan index by: one
+    /// offset per subspace plus the end, starting at 0, each block exactly
+    /// `K * sub_dims[c]` entries, the last offset the data length.
+    fn check_structure(&self) -> Result<(), String> {
+        if self.protos == 0 || self.sub_dims.contains(&0) {
+            return Err("codebook with zero prototypes or a zero-dimensional subspace".into());
+        }
+        if self.offsets.len() != self.sub_dims.len() + 1 || self.offsets[0] != 0 {
+            return Err(format!(
+                "codebook has {} offsets for {} subspaces (want one more, starting at 0)",
+                self.offsets.len(),
+                self.sub_dims.len()
+            ));
+        }
+        for (c, (&v, w)) in self.sub_dims.iter().zip(self.offsets.windows(2)).enumerate() {
+            let end = self.protos.checked_mul(v).and_then(|span| w[0].checked_add(span));
+            if end != Some(w[1]) {
+                return Err(format!(
+                    "codebook subspace {c} spans offsets {}..{}, expected {} x {v} entries",
+                    w[0], w[1], self.protos
+                ));
+            }
+        }
+        let end = self.offsets[self.sub_dims.len()];
+        if end != self.dim_major.len() {
+            return Err(format!(
+                "codebook holds {} entries, offsets end at {end}",
+                self.dim_major.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Number of subspaces `C`.
@@ -189,32 +273,31 @@ impl CodebookArena {
         self.sub_dims[c]
     }
 
-    /// Prototype `k` of subspace `c`.
-    #[inline]
-    pub fn proto(&self, c: usize, k: usize) -> &[f32] {
-        debug_assert!(k < self.protos);
-        let v = self.sub_dims[c];
-        let start = self.offsets[c] + k * v;
-        &self.data[start..start + v]
+    /// Prototype `k` of subspace `c`, copied out of its stride-`K` column
+    /// (fit-time table construction, [`crate::ProductQuantizer::reconstruct`]
+    /// and tests — nothing on a query path needs a whole prototype).
+    pub fn proto(&self, c: usize, k: usize) -> Vec<f32> {
+        assert!(k < self.protos, "prototype {k} out of {}", self.protos);
+        self.subspace(c).iter().skip(k).step_by(self.protos).copied().collect()
     }
 
-    /// The contiguous `K * v_c` prototype block of subspace `c` (the argmin
-    /// encoder scans this linearly).
+    /// The contiguous dimension-major `v_c * K` block of subspace `c` (the
+    /// argmin encoder scans this linearly, one coordinate column at a time).
     #[inline]
     pub fn subspace(&self, c: usize) -> &[f32] {
-        &self.data[self.offsets[c]..self.offsets[c + 1]]
+        &self.dim_major[self.offsets[c]..self.offsets[c + 1]]
     }
 
     /// Total number of `f32` entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.dim_major.len()
     }
 
     /// True when the codebook holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.dim_major.is_empty()
     }
 }
 
@@ -260,10 +343,53 @@ mod tests {
         assert_eq!(cb.num_protos(), 4);
         assert_eq!(cb.sub_dim(0), 3);
         assert_eq!(cb.sub_dim(1), 2);
-        assert_eq!(cb.proto(0, 2), &[6.0, 7.0, 8.0]);
-        assert_eq!(cb.proto(1, 3), &[7.0, 7.0]);
-        assert_eq!(cb.subspace(1).len(), 8);
+        // Dimension-major: entry (c, d, k) at offsets[c] + d * K + k, so a
+        // subspace block is its coordinate columns back to back.
+        #[rustfmt::skip]
+        assert_eq!(cb.subspace(0), &[
+            0.0, 3.0, 6.0, 9.0,  // d = 0 of prototypes 0..4
+            1.0, 4.0, 7.0, 10.0, // d = 1
+            2.0, 5.0, 8.0, 11.0, // d = 2
+        ]);
+        assert_eq!(cb.subspace(1), &[7.0; 8]);
+        assert_eq!(cb.proto(0, 2), [6.0, 7.0, 8.0]);
+        assert_eq!(cb.proto(1, 3), [7.0, 7.0]);
         assert_eq!(cb.len(), 20);
+    }
+
+    /// Structural damage a model file can carry is an `Err` at load, for
+    /// both arenas; the intact value loads back equal.
+    #[test]
+    fn arena_deserialize_rejects_inconsistent_structure() {
+        let cb = CodebookArena::from_prototype_matrices(&[
+            Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32),
+            Matrix::full(4, 2, 7.0),
+        ]);
+        let json = serde_json::to_string(&cb).unwrap();
+        assert_eq!(serde_json::from_str::<CodebookArena>(&json).unwrap(), cb);
+        assert!(json.contains("\"offsets\":[0,12,20]"), "{json}");
+        for (from, to) in [
+            ("\"dim_major\":[0,", "\"dim_major\":["), // one entry short
+            ("\"dim_major\":", "\"data\":"),          // the prototype-major field name
+            ("\"offsets\":[0,12,20]", "\"offsets\":[0,11,20]"),
+            ("\"offsets\":[0,12,20]", "\"offsets\":[0,20]"),
+            ("\"offsets\":[0,12,20]", "\"offsets\":[20,12,0]"),
+            ("\"protos\":4", "\"protos\":5"),
+            ("\"protos\":4", "\"protos\":0"),
+            ("\"sub_dims\":[3,2]", "\"sub_dims\":[2,3]"),
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json, "pattern `{from}` not found in {json}");
+            assert!(serde_json::from_str::<CodebookArena>(&bad).is_err(), "accepted {bad}");
+        }
+
+        let table = TableArena::zeros(2, 3, 2);
+        let json = serde_json::to_string(&table).unwrap();
+        for (from, to) in [("\"data\":[0,", "\"data\":["), ("\"protos\":3", "\"protos\":4")] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json, "pattern `{from}` not found in {json}");
+            assert!(serde_json::from_str::<TableArena>(&bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

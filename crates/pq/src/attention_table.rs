@@ -188,7 +188,7 @@ impl AttentionTable {
     /// rayon-parallel over disjoint output rows — the multi-sample
     /// counterpart of [`Self::query`], bit-for-bit equal to querying each
     /// sample individually. The per-row encodes run through the
-    /// process-wide argmin dispatch (`simd::nearest_flat`).
+    /// process-wide argmin dispatch (`simd::nearest_dim_major`).
     ///
     /// K-row and V-column codes are staged **subspace-major** as `i32`
     /// (`codes_t[ci * lanes + lane]`), so each `(t1, ci)` / `(t1, c)` pass
@@ -197,7 +197,7 @@ impl AttentionTable {
     /// subspace order — exactly the `acc += table.get(..)` loop of a
     /// per-sample query.
     pub fn query_batch(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        let nearest = crate::simd::nearest_flat();
+        let nearest = crate::simd::nearest_dim_major();
         let t = self.seq_len;
         assert_eq!(q.cols(), self.dk, "Q shape mismatch");
         assert_eq!(q.rows() % t, 0, "rows not divisible by seq_len");
@@ -322,11 +322,12 @@ fn pairwise_tables_transform(
     let (ka, kb) = (a.num_protos(), b.num_protos());
     let mut arena = TableArena::zeros(a.num_subspaces(), ka, kb);
     arena.fill_subtables_parallel(|c, sub| {
+        let b_protos: Vec<Vec<f32>> = (0..kb).map(|j| b.proto(c, j)).collect();
         for i in 0..ka {
-            let ta = transform(a.proto(c, i));
+            let ta = transform(&a.proto(c, i));
             let row = &mut sub[i * kb..(i + 1) * kb];
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = dot(&ta, b.proto(c, j));
+            for (slot, pb) in row.iter_mut().zip(&b_protos) {
+                *slot = dot(&ta, pb);
             }
         }
     });

@@ -74,7 +74,7 @@ impl FusedFfnTable {
             for proto in 0..pq.num_protos() {
                 // Completion vector: mean everywhere, prototype in [lo,hi).
                 let mut x = mean.row(0).to_vec();
-                x[lo..hi].copy_from_slice(pq.proto(ci, proto));
+                x[lo..hi].copy_from_slice(&pq.proto(ci, proto));
                 let y = ffn(&x);
                 let row = &mut sub[proto * out_dim..(proto + 1) * out_dim];
                 for (o, slot) in row.iter_mut().enumerate() {

@@ -1,5 +1,6 @@
 //! k-means prototype learning (paper Eq. 5): k-means++ seeding followed by
-//! Lloyd iterations, with rayon-parallel assignment steps.
+//! Lloyd iterations, with rayon-parallel assignment steps through the same
+//! dispatched argmin scan the encoders use.
 
 use dart_nn::init::InitRng;
 use dart_nn::matrix::{sq_dist, Matrix};
@@ -44,6 +45,27 @@ impl Default for KMeansConfig {
 /// jitter so the centroid count is always exactly `k` (table shapes in the
 /// kernels depend on it).
 pub fn kmeans(data: &Matrix, config: &KMeansConfig) -> KMeansResult {
+    let nearest = crate::simd::nearest_dim_major();
+    lloyd(data, config, |centroids| {
+        // One transpose per assignment step buys `n` contiguous-column
+        // scans; distances keep `nearest_centroid`'s bits, so assignments,
+        // inertia and centroids do too.
+        let cols = centroids.transpose();
+        (0..data.rows())
+            .into_par_iter()
+            .map(|i| nearest(data.row(i), cols.as_slice(), centroids.rows()))
+            .collect()
+    })
+}
+
+/// [`kmeans`] with the assignment step — nearest centroid index and
+/// squared distance for every row of `data` — supplied by the caller, so
+/// the tests can run the per-row [`nearest_centroid`] Lloyd beside it.
+fn lloyd(
+    data: &Matrix,
+    config: &KMeansConfig,
+    assign: impl Fn(&Matrix) -> Vec<(usize, f32)>,
+) -> KMeansResult {
     assert!(config.k > 0, "k must be positive");
     assert!(data.rows() > 0, "cannot cluster an empty dataset");
     let n = data.rows();
@@ -87,9 +109,7 @@ pub fn kmeans(data: &Matrix, config: &KMeansConfig) -> KMeansResult {
     let mut iterations = 0;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        // Assignment step (parallel over rows).
-        let new: Vec<(usize, f32)> =
-            (0..n).into_par_iter().map(|i| nearest_centroid(data.row(i), &centroids)).collect();
+        let new = assign(&centroids);
         let new_inertia: f64 = new.iter().map(|&(_, d)| d as f64).sum();
         for (i, &(a, _)) in new.iter().enumerate() {
             assignments[i] = a;
@@ -119,7 +139,8 @@ pub fn kmeans(data: &Matrix, config: &KMeansConfig) -> KMeansResult {
                     .max_by(|&a, &b| {
                         let da = sq_dist(data.row(a), centroids.row(assignments[a]));
                         let db = sq_dist(data.row(b), centroids.row(assignments[b]));
-                        da.partial_cmp(&db).unwrap()
+                        // total_cmp: a NaN row must not panic the fit.
+                        da.total_cmp(&db)
                     })
                     .unwrap_or(0);
                 let jitter = 1e-4 * (c as f32 + 1.0);
@@ -139,8 +160,7 @@ pub fn kmeans(data: &Matrix, config: &KMeansConfig) -> KMeansResult {
     }
 
     // Final assignment against the last centroid update.
-    let finals: Vec<(usize, f32)> =
-        (0..n).into_par_iter().map(|i| nearest_centroid(data.row(i), &centroids)).collect();
+    let finals = assign(&centroids);
     inertia = finals.iter().map(|&(_, d)| d as f64).sum();
     for (i, (a, _)) in finals.into_iter().enumerate() {
         assignments[i] = a;
@@ -156,26 +176,6 @@ pub fn nearest_centroid(point: &[f32], centroids: &Matrix) -> (usize, f32) {
     let mut best_d = f32::INFINITY;
     for c in 0..centroids.rows() {
         let d = sq_dist(point, centroids.row(c));
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    (best, best_d)
-}
-
-/// [`nearest_centroid`] over a flat row-major centroid block (`k * dim`
-/// entries) — the argmin encoder's scan over one codebook-arena subspace.
-/// Tie-breaking (strict `<`, first wins) matches [`nearest_centroid`]
-/// exactly, so codes are identical to the matrix-backed scan.
-#[inline]
-pub fn nearest_centroid_flat(point: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
-    debug_assert_eq!(point.len(), dim);
-    debug_assert_eq!(centroids.len() % dim.max(1), 0);
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for (c, row) in centroids.chunks_exact(dim).enumerate() {
-        let d = sq_dist(point, row);
         if d < best_d {
             best_d = d;
             best = c;
@@ -246,6 +246,51 @@ mod tests {
         let data = Matrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]);
         let res = kmeans(&data, &KMeansConfig { k: 1, seed: 2, ..Default::default() });
         assert!((res.centroids.get(0, 0) - 2.5).abs() < 1e-5);
+    }
+
+    /// The kernel-assigned Lloyd is the per-row `nearest_centroid` Lloyd,
+    /// bit for bit, whatever the pool size: every fitted table downstream
+    /// depends on it.
+    #[test]
+    fn kernel_assignment_matches_per_row_lloyd() {
+        let mut rng = InitRng::new(0xD1FF);
+        let data = Matrix::from_fn(500, 6, |r, _| (r % 7) as f32 * 0.8 + rng.normal());
+        // 40 centroids: two full 16-centroid blocks plus a tail.
+        let config = KMeansConfig { k: 40, seed: 21, ..Default::default() };
+        let want = lloyd(&data, &config, |centroids| {
+            (0..data.rows()).map(|i| nearest_centroid(data.row(i), centroids)).collect()
+        });
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPool::new(threads);
+            let got = pool.install(|| kmeans(&data, &config));
+            assert_eq!(got.assignments, want.assignments, "{threads} threads");
+            assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "{threads} threads");
+            assert_eq!(got.iterations, want.iterations, "{threads} threads");
+            let same_bits = got
+                .centroids
+                .as_slice()
+                .iter()
+                .zip(want.centroids.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same_bits, "centroids differ at {threads} threads");
+        }
+    }
+
+    /// One NaN row neither panics the fit (k-means and hash tree both sort
+    /// by `total_cmp`) nor leaves an assignment out of range.
+    #[test]
+    fn nan_row_does_not_panic_the_fit() {
+        let mut data = blobs(30, &[(0.0, 0.0), (6.0, 6.0)], 0.5, 19);
+        data.row_mut(17).fill(f32::NAN);
+        // More clusters than distinct blobs, so the empty-cluster re-seed
+        // (the comparison that used to unwrap a partial_cmp) runs.
+        let res = kmeans(&data, &KMeansConfig { k: 12, seed: 5, ..Default::default() });
+        assert_eq!(res.centroids.rows(), 12);
+        assert!(res.assignments.iter().all(|&a| a < 12));
+        for kind in [crate::EncoderKind::Argmin, crate::EncoderKind::HashTree] {
+            let pq = crate::ProductQuantizer::fit(&data, 1, 8, kind, 3);
+            assert!(pq.encode_row(data.row(17)).iter().all(|&code| code < 8));
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! * [`sigmoid_lut`] — fixed lookup-table sigmoid (paper ref. \[46\]),
 //! * [`complexity`] — the latency / storage / arithmetic-operation formulas
 //!   of Eq. 16–21 used by DART's table configurator,
-//! * [`simd`] — the run-time-dispatched AVX2 argmin scan (chosen per
-//!   process from the CPU it observes), bit-for-bit identical to the
-//!   scalar scan that remains the mandatory fallback.
+//! * [`simd`] — the exact argmin scan over a dimension-major codebook
+//!   block: one safe body, compiled for the baseline target and for AVX2
+//!   (chosen per process from the CPU it observes), both bit-for-bit
+//!   identical to the per-centroid strided reference.
 
 pub mod arena;
 pub mod attention_table;

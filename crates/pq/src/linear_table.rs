@@ -111,7 +111,7 @@ impl LinearTable {
         table.fill_subtables_parallel(|ci, sub| {
             let (lo, hi) = pq.bounds()[ci];
             for proto in 0..pq.num_protos() {
-                let p = transform.apply(pq.proto(ci, proto));
+                let p = transform.apply(&pq.proto(ci, proto));
                 let row = &mut sub[proto * out_dim..(proto + 1) * out_dim];
                 for (o, slot) in row.iter_mut().enumerate() {
                     *slot = dot(&p, &weight.row(o)[lo..hi]);
@@ -171,7 +171,9 @@ impl LinearTable {
         aggregate_codes_batch(&self.pq, &self.table, x, out);
     }
 
-    /// Single-row query into a caller buffer (the prefetcher's hot path).
+    /// Single-row query into a caller buffer: the row-at-a-time reference
+    /// for [`Self::query_batch_into`]. (Nothing on a serving path calls it —
+    /// `DartPrefetcher` and `dart-serve` go through the batch kernels.)
     #[inline]
     pub fn query_row_into(&self, row: &[f32], out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.out_dim);

@@ -15,8 +15,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::CodebookArena;
-use crate::kmeans::{kmeans, nearest_centroid, nearest_centroid_flat, KMeansConfig};
-use crate::simd::{self, NearestFlatFn};
+use crate::kmeans::{kmeans, nearest_centroid, KMeansConfig};
+use crate::simd::{self, NearestFn};
 
 /// Rows per tile of the tiled batch encoder: a tile of input rows stays
 /// L1-resident while the per-subspace codebooks (or hash trees) are swept
@@ -128,7 +128,8 @@ impl HashTree {
                 if vals.is_empty() {
                     level_thresh.push(0.0);
                 } else {
-                    vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    // total_cmp: one NaN activation must not panic the fit.
+                    vals.sort_by(f32::total_cmp);
                     let mid = vals.len() / 2;
                     // Midpoint between the halves generalizes better than the
                     // median value itself for queries between clusters.
@@ -256,7 +257,7 @@ pub fn subspace_bounds(dim: usize, c: usize) -> Vec<(usize, usize)> {
 
 /// A product quantizer: one per-subspace encoder over each contiguous
 /// chunk of a `dim`-dimensional vector space, with every subspace's
-/// prototypes stored in one flat code-major [`CodebookArena`].
+/// prototypes stored in one flat [`CodebookArena`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProductQuantizer {
     dim: usize,
@@ -306,65 +307,60 @@ impl ProductQuantizer {
         &self.bounds
     }
 
-    /// The flat code-major prototype arena.
+    /// The flat dimension-major prototype arena.
     pub fn codebook(&self) -> &CodebookArena {
         &self.codebook
     }
 
-    /// Prototype `k` of subspace `ci` (a slice into the flat arena).
-    #[inline]
-    pub fn proto(&self, ci: usize, k: usize) -> &[f32] {
+    /// Prototype `k` of subspace `ci`, copied out of the arena (fit-time
+    /// and test use; see [`CodebookArena::proto`]).
+    pub fn proto(&self, ci: usize, k: usize) -> Vec<f32> {
         self.codebook.proto(ci, k)
     }
 
-    /// Encode one subvector against subspace `ci`'s encoder (the scalar
-    /// reference path — the batch encoder's SIMD-dispatched codes must
-    /// always match this bit for bit).
+    /// Encode one subvector against subspace `ci`'s encoder: the
+    /// one-subvector form of [`Self::encode_batch_into`], through the same
+    /// process-wide argmin dispatch.
     #[inline]
     pub fn encode_sub(&self, ci: usize, sub: &[f32]) -> usize {
-        self.encode_sub_with(ci, sub, nearest_centroid_flat)
+        self.encode_sub_with(ci, sub, simd::nearest_dim_major())
     }
 
     /// [`Self::encode_sub`] with the argmin distance scan over the
-    /// codebook arena running through `nearest` (the hash tree's `log2 K`
-    /// comparisons have no width dimension to vectorize and always run
-    /// scalar). Codes are identical whichever scan is passed — the AVX2
-    /// distances are bit-exact, so the strict-`<` argmin picks the same
-    /// prototype.
+    /// codebook arena running through `nearest`, which loops fetch once
+    /// instead of per subvector (the hash tree's `log2 K` comparisons have
+    /// no width dimension to vectorize and ignore it). Codes are identical
+    /// whichever scan is passed — every level's distances are bit-exact,
+    /// so the strict-`<` argmin picks the same prototype.
     #[inline]
-    fn encode_sub_with(&self, ci: usize, sub: &[f32], nearest: NearestFlatFn) -> usize {
+    fn encode_sub_with(&self, ci: usize, sub: &[f32], nearest: NearestFn) -> usize {
         match &self.encoders[ci] {
-            Encoder::Argmin => nearest(sub, self.codebook.subspace(ci), sub.len()).0,
+            Encoder::Argmin => {
+                nearest(sub, self.codebook.subspace(ci), self.codebook.num_protos()).0
+            }
             Encoder::HashTree(tree) => tree.encode(sub),
         }
     }
 
     /// Encode a full row into `C` prototype indices.
     pub fn encode_row(&self, row: &[f32]) -> Vec<usize> {
-        debug_assert_eq!(row.len(), self.dim);
-        self.bounds
-            .iter()
-            .enumerate()
-            .map(|(ci, &(lo, hi))| self.encode_sub(ci, &row[lo..hi]))
-            .collect()
+        let mut codes = vec![0usize; self.bounds.len()];
+        self.encode_row_into(row, &mut codes);
+        codes
     }
 
-    /// Encode into a caller-provided buffer (hot path, avoids allocation).
+    /// Encode into a caller-provided buffer (avoids allocation).
     #[inline]
     pub fn encode_row_into(&self, row: &[f32], out: &mut [usize]) {
-        self.encode_row_into_with(row, out, nearest_centroid_flat);
+        self.encode_row_into_with(row, out, simd::nearest_dim_major());
     }
 
     /// [`Self::encode_row_into`] through the argmin scan `nearest` (the
     /// attention batch kernel's per-row encodes; codes are identical
     /// whichever scan is passed, see [`Self::encode_sub_with`]).
     #[inline]
-    pub(crate) fn encode_row_into_with(
-        &self,
-        row: &[f32],
-        out: &mut [usize],
-        nearest: NearestFlatFn,
-    ) {
+    pub(crate) fn encode_row_into_with(&self, row: &[f32], out: &mut [usize], nearest: NearestFn) {
+        debug_assert_eq!(row.len(), self.dim);
         debug_assert_eq!(out.len(), self.bounds.len());
         for (ci, (slot, &(lo, hi))) in out.iter_mut().zip(&self.bounds).enumerate() {
             *slot = self.encode_sub_with(ci, &row[lo..hi], nearest);
@@ -380,18 +376,19 @@ impl ProductQuantizer {
     /// Tiles are independent, so they run rayon-parallel; codes are
     /// identical to calling [`Self::encode_row_into`] per row. The argmin
     /// distance scans run through the process-wide dispatch
-    /// (`simd::nearest_flat`) without changing any code.
+    /// (`simd::nearest_dim_major`) without changing any code.
     pub fn encode_batch_into(&self, x: &Matrix, out: &mut [usize]) {
-        self.encode_batch_into_with(x, out, simd::nearest_flat());
+        self.encode_batch_into_with(x, out, simd::nearest_dim_major());
     }
 
-    /// [`Self::encode_batch_into`] pinned to the scalar argmin scan — the
-    /// reference path of the simd differential suites and benches.
+    /// [`Self::encode_batch_into`] pinned to the per-centroid strided scan
+    /// ([`simd::scalar::nearest_strided`]) — the reference path of the
+    /// differential suites.
     pub fn encode_batch_scalar_into(&self, x: &Matrix, out: &mut [usize]) {
-        self.encode_batch_into_with(x, out, nearest_centroid_flat);
+        self.encode_batch_into_with(x, out, simd::scalar::nearest_strided);
     }
 
-    fn encode_batch_into_with(&self, x: &Matrix, out: &mut [usize], nearest: NearestFlatFn) {
+    fn encode_batch_into_with(&self, x: &Matrix, out: &mut [usize], nearest: NearestFn) {
         let c = self.bounds.len();
         assert_eq!(x.cols(), self.dim, "encode dim mismatch");
         assert_eq!(out.len(), x.rows() * c, "code buffer size mismatch");
@@ -411,7 +408,7 @@ impl ProductQuantizer {
     pub fn reconstruct(&self, codes: &[usize]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.dim];
         for ((ci, &(lo, hi)), &code) in self.bounds.iter().enumerate().zip(codes) {
-            out[lo..hi].copy_from_slice(self.codebook.proto(ci, code));
+            out[lo..hi].copy_from_slice(&self.codebook.proto(ci, code));
         }
         out
     }

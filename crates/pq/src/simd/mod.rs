@@ -1,20 +1,23 @@
-//! Kernel dispatch: the one primitive with two implementations.
+//! Kernel dispatch: the one primitive compiled twice.
 //!
-//! The argmin distance scan over a flat `K x dim` centroid block
-//! (`nearest_flat`) is the only inner loop where a hand-written vector
-//! kernel measurably beats the compiler: the AVX2 scan roughly doubles
-//! end-to-end prediction throughput, while hand-written AVX2 for the
-//! row-accumulate / gather loops in [`scalar`] is at parity with
-//! the auto-vectorised bodies on every benchmark workload. So those loops
-//! are plain functions called directly, and only the argmin scan is
-//! dispatched.
+//! The argmin distance scan over a dimension-major `dim x K` centroid
+//! block is where an exact-argmin prediction spends most of its time, and
+//! the one inner loop whose speed depends on the vector width it is
+//! compiled for. It is one safe body ([`scalar`]'s `scan_blocks`: a
+//! 16-centroid accumulator block swept over contiguous coordinate columns,
+//! which the compiler vectorises), compiled once for the build's baseline
+//! target and once under `#[target_feature(enable = "avx2")]`; the AVX2
+//! compile is about a third faster end to end (`BENCH_20.json`). The row-accumulate / gather
+//! loops in [`scalar`] measure the same either way, so they are plain
+//! functions called directly, and only the argmin scan is dispatched.
 //!
-//! The AVX2 scan keeps the scalar per-centroid operation sequence
-//! (separate subtract / multiply / add in dimension order, strict `<`
-//! first-minimum-wins), so codes are **bit-for-bit identical** at either
-//! level — the differential suites (`tests/integration_kernels_diff.rs`,
-//! the proptests below) compare it against
-//! [`crate::kmeans::nearest_centroid_flat`].
+//! Both compiles keep the per-centroid operation sequence of the strided
+//! reference [`scalar::nearest_strided`] (separate subtract / multiply /
+//! add in dimension order, strict `<` first-minimum-wins; lanes are
+//! centroids, never the reduction dimension), so codes are **bit-for-bit
+//! identical** at either level — the differential suites
+//! (`tests/integration_kernels_diff.rs`, the proptests below) compare both
+//! against it.
 //!
 //! ## Dispatch rules
 //!
@@ -26,8 +29,8 @@
 //! * `x86_64` with `is_x86_feature_detected!("avx2")`: [`SimdLevel::Avx2`].
 //! * Anything else (older x86, every other architecture):
 //!   [`SimdLevel::Scalar`].
-//! * `DART_SIMD=off` (or `scalar`/`0`) forces the scalar scan — the
-//!   debugging escape hatch, and how CI keeps the process-wide scalar
+//! * `DART_SIMD=off` (or `scalar`/`0`) forces the baseline compile — the
+//!   debugging escape hatch, and how CI keeps the process-wide baseline
 //!   dispatch exercised on AVX2 runners. Any other value except
 //!   `auto`/empty panics, matching the strict `DART_NUM_THREADS` parsing.
 
@@ -38,14 +41,13 @@ mod avx2;
 
 use std::sync::OnceLock;
 
-use crate::kmeans::nearest_centroid_flat;
-
-/// Which argmin kernel the process dispatches to.
+/// Which compile of the argmin scan the process dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// The portable scalar scan (the mandatory fallback and reference).
+    /// The scan compiled for the build's baseline target (the mandatory
+    /// fallback; 4-lane SSE2 on x86-64).
     Scalar,
-    /// The 8-lane f32 AVX2 scan (`std::arch::x86_64`).
+    /// The same scan compiled with AVX2 enabled (8-lane f32).
     Avx2,
 }
 
@@ -58,14 +60,15 @@ impl std::fmt::Display for SimdLevel {
     }
 }
 
-/// An argmin scan over a flat `K x dim` centroid block: index + squared
-/// distance of the nearest row, scanning rows in order with strict `<`
-/// (first minimum wins) and per-row accumulation order `d = 0, 1, …` —
-/// [`nearest_centroid_flat`] exactly, whichever implementation runs.
-pub(crate) type NearestFlatFn = fn(&[f32], &[f32], usize) -> (usize, f32);
+/// An argmin scan `(point, cols, k)` over a dimension-major
+/// `point.len() x k` centroid block: index + squared distance of the
+/// nearest centroid, scanning centroids in order with strict `<` (first
+/// minimum wins) and per-centroid accumulation order `d = 0, 1, …` —
+/// [`scalar::nearest_strided`] exactly, whichever compile runs.
+pub(crate) type NearestFn = fn(&[f32], &[f32], usize) -> (usize, f32);
 
-fn dispatch() -> (SimdLevel, NearestFlatFn) {
-    static DISPATCH: OnceLock<(SimdLevel, NearestFlatFn)> = OnceLock::new();
+fn dispatch() -> (SimdLevel, NearestFn) {
+    static DISPATCH: OnceLock<(SimdLevel, NearestFn)> = OnceLock::new();
     *DISPATCH.get_or_init(|| {
         let value = std::env::var("DART_SIMD").ok();
         let forced_scalar = forced_scalar(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"));
@@ -91,7 +94,7 @@ pub fn active_level() -> SimdLevel {
 /// The dispatched argmin scan. Batch kernels fetch it once per call and
 /// run every subvector through it, so dispatch costs one `OnceLock` load
 /// per batch, not per element.
-pub(crate) fn nearest_flat() -> NearestFlatFn {
+pub(crate) fn nearest_dim_major() -> NearestFn {
     dispatch().1
 }
 
@@ -108,17 +111,18 @@ fn forced_scalar(value: Option<&str>) -> Result<bool, String> {
     }
 }
 
-fn detect(forced_scalar: bool) -> (SimdLevel, NearestFlatFn) {
+fn detect(forced_scalar: bool) -> (SimdLevel, NearestFn) {
     #[cfg(target_arch = "x86_64")]
     if !forced_scalar && std::arch::is_x86_feature_detected!("avx2") {
-        return (SimdLevel::Avx2, avx2::nearest_flat);
+        return (SimdLevel::Avx2, avx2::nearest_dim_major);
     }
     let _ = forced_scalar; // only read on x86_64
-    (SimdLevel::Scalar, nearest_centroid_flat)
+    (SimdLevel::Scalar, scalar::scan_blocks)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::scalar::nearest_strided;
     use super::*;
     use proptest::prelude::*;
 
@@ -137,31 +141,85 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Centroid counts around the 16-centroid block (tail only, exactly
+    /// one block, block + tail, several blocks) plus the model shapes'.
+    fn centroid_counts() -> impl Strategy<Value = usize> {
+        (0usize..44).prop_map(|i| if i < 40 { i + 1 } else { [127, 128, 129, 256][i - 40] })
+    }
 
-        /// Dispatched argmin matches the scalar scan exactly — same index
-        /// (first-minimum tie-break included) and same distance bits — for
-        /// centroid counts straddling the 8-lane AVX2 block.
+    /// 1..=17 plus the attention kernel's widest subvector.
+    fn dims() -> impl Strategy<Value = usize> {
+        (0usize..18).prop_map(|i| if i < 17 { i + 1 } else { 64 })
+    }
+
+    /// A `dim x k` dimension-major block and a point. `special` overwrites
+    /// a few coordinates with -0.0 / ±inf / NaN; `dup` copies centroid 0
+    /// over the last two so the first-wins tie-break is actually exercised
+    /// across a block boundary.
+    fn case(seed: u64, k: usize, dim: usize, dup: bool, special: bool) -> (Vec<f32>, Vec<f32>) {
+        let mut cols: Vec<f32> = (0..k * dim).map(|i| val(seed, i)).collect();
+        let mut point: Vec<f32> = (0..dim).map(|i| val(seed ^ 0xF0, i)).collect();
+        if special {
+            const SPECIALS: [f32; 4] = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            for (n, &v) in SPECIALS.iter().enumerate() {
+                let at = (seed as usize).wrapping_mul(31).wrapping_add(n * 7) % cols.len();
+                cols[at] = v;
+            }
+            if seed.is_multiple_of(3) {
+                point[seed as usize % dim] = SPECIALS[seed as usize % 4];
+            }
+        }
+        if dup && k > 2 {
+            for d in 0..dim {
+                cols[d * k + k - 2] = cols[d * k];
+                cols[d * k + k - 1] = cols[d * k];
+            }
+        }
+        (point, cols)
+    }
+
+    fn assert_same(got: (usize, f32), want: (usize, f32), what: &str) {
+        assert_eq!(got.0, want.0, "{what}: argmin index");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: argmin distance bits");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dispatched scan — and the AVX2 compile called directly,
+        /// which `DART_SIMD=off` would otherwise leave unexercised — match
+        /// the strided reference exactly: same index (first-minimum
+        /// tie-break included) and same distance bits.
         #[test]
         fn dispatched_nearest_flat_matches_scalar(
             seed in 0u64..10_000,
-            k in 1usize..21,
-            dim in 1usize..9,
+            k in centroid_counts(),
+            dim in dims(),
             dup in proptest::bool::ANY,
+            special in proptest::bool::ANY,
         ) {
-            let mut cents: Vec<f32> = (0..k * dim).map(|i| val(seed, i)).collect();
-            if dup && k > 1 {
-                // Force exact duplicate rows so the first-wins tie-break is
-                // actually exercised.
-                let (head, tail) = cents.split_at_mut(dim);
-                tail[(k - 2) * dim..].copy_from_slice(head);
+            let (point, cols) = case(seed, k, dim, dup, special);
+            let want = nearest_strided(&point, &cols, k);
+            assert_same(nearest_dim_major()(&point, &cols, k), want, "dispatched");
+            assert_same(scalar::scan_blocks(&point, &cols, k), want, "baseline");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                assert_same(avx2::nearest_dim_major(&point, &cols, k), want, "avx2");
             }
-            let point: Vec<f32> = (0..dim).map(|i| val(seed ^ 0xF0, i)).collect();
-            let (di, dd) = nearest_flat()(&point, &cents, dim);
-            let (si, sd) = nearest_centroid_flat(&point, &cents, dim);
-            prop_assert_eq!(di, si, "argmin index");
-            prop_assert_eq!(dd.to_bits(), sd.to_bits(), "argmin distance bits");
+        }
+    }
+
+    /// A NaN distance is never selected: strict `<` is false against NaN
+    /// at every level, so an all-NaN point scans to `(0, +inf)`.
+    #[test]
+    fn all_nan_point_selects_nothing() {
+        for k in [1usize, 5, 16, 21, 128] {
+            let cols: Vec<f32> = (0..3 * k).map(|i| val(0xAA, i)).collect();
+            let point = [f32::NAN; 3];
+            let want = (0usize, f32::INFINITY);
+            assert_same(nearest_strided(&point, &cols, k), want, "reference");
+            assert_same(nearest_dim_major()(&point, &cols, k), want, "dispatched");
+            assert_same(scalar::scan_blocks(&point, &cols, k), want, "baseline");
         }
     }
 
@@ -179,7 +237,7 @@ mod tests {
         }
     }
 
-    /// `DART_SIMD=off` resolves to the scalar scan on every host.
+    /// `DART_SIMD=off` resolves to the baseline compile on every host.
     #[test]
     fn forced_scalar_dispatches_scalar() {
         assert_eq!(detect(true).0, SimdLevel::Scalar);
@@ -192,9 +250,9 @@ mod tests {
         assert!(doc.contains(&format!("dart_pq_simd_level{{level=\"{level}\"}} 1")), "{doc}");
     }
 
-    /// The AVX2 scan is exercised directly (bypassing the cached dispatch,
-    /// which `DART_SIMD=off` may have pinned to scalar) whenever the host
-    /// supports it.
+    /// The AVX2 compile is exercised directly (bypassing the cached
+    /// dispatch, which `DART_SIMD=off` may have pinned to the baseline)
+    /// whenever the host supports it, at the block-straddling counts.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_kernels_match_scalar_directly() {
@@ -202,14 +260,15 @@ mod tests {
             eprintln!("skipping: host has no AVX2");
             return;
         }
-        for k in [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 33] {
-            let dim = 5usize;
-            let cents: Vec<f32> = (0..k * dim).map(|i| val(0xCE, i)).collect();
-            let point: Vec<f32> = (0..dim).map(|i| val(0xBD, i)).collect();
-            let got = avx2::nearest_flat(&point, &cents, dim);
-            let want = nearest_centroid_flat(&point, &cents, dim);
-            assert_eq!(got.0, want.0, "argmin index k={k}");
-            assert_eq!(got.1.to_bits(), want.1.to_bits(), "argmin bits k={k}");
+        for k in [1usize, 3, 15, 16, 17, 31, 32, 33, 47, 48, 128, 129] {
+            for dim in [1usize, 5, 16] {
+                let (point, cols) = case(0xCE + k as u64, k, dim, k % 2 == 0, false);
+                assert_same(
+                    avx2::nearest_dim_major(&point, &cols, k),
+                    nearest_strided(&point, &cols, k),
+                    &format!("k={k} dim={dim}"),
+                );
+            }
         }
     }
 }

@@ -93,16 +93,21 @@ fn golden_model_predictions_match_fixture() {
     }
 }
 
+/// The model fixture's text; `None` only in a regeneration run that has
+/// not written it yet (the predictions test writes the fixture).
+fn model_fixture_json() -> Option<String> {
+    match std::fs::read_to_string(MODEL_FIXTURE) {
+        Ok(json) => Some(json),
+        Err(_) if std::env::var("DART_REGEN_FIXTURES").is_ok() => None,
+        Err(e) => panic!("fixture missing ({e}) — regenerate with DART_REGEN_FIXTURES=1"),
+    }
+}
+
 /// The serialized model itself round-trips exactly: guards accidental
 /// lossy serde on the arena/codebook/hash-tree types.
 #[test]
 fn golden_model_json_roundtrip_is_stable() {
-    let json = match std::fs::read_to_string(MODEL_FIXTURE) {
-        Ok(j) => j,
-        // Regeneration run: the other test writes the fixture.
-        Err(_) if std::env::var("DART_REGEN_FIXTURES").is_ok() => return,
-        Err(e) => panic!("fixture missing ({e}) — regenerate with DART_REGEN_FIXTURES=1"),
-    };
+    let Some(json) = model_fixture_json() else { return };
     let model = TabularModel::from_json(&json).unwrap();
     let reserialized = model.to_json();
     let again = TabularModel::from_json(&reserialized).unwrap();
@@ -110,4 +115,30 @@ fn golden_model_json_roundtrip_is_stable() {
     let pre = golden_pre();
     let inputs = golden_inputs(&pre, 3);
     assert_eq!(model.predict_batch(&inputs), again.predict_batch(&inputs));
+}
+
+/// A model file is untrusted input: structural damage is an `Err` from
+/// `from_json`, never a panic and never a model that loads and then trips
+/// a kernel's shape assert on a shard worker at query time.
+#[test]
+fn damaged_model_files_are_rejected_at_load() {
+    let Some(json) = model_fixture_json() else { return };
+    /// `json` minus the first array element after the first `key`.
+    fn drop_first_entry(json: &str, key: &str) -> String {
+        let start = json.find(key).unwrap_or_else(|| panic!("no {key} in fixture")) + key.len();
+        let comma = start + json[start..].find(',').expect("array has several entries");
+        format!("{}{}", &json[..start], &json[comma + 1..])
+    }
+    let damaged = [
+        ("codebook entry removed", drop_first_entry(&json, "\"dim_major\":[")),
+        ("table entry removed", drop_first_entry(&json, "\"width\":8,\"data\":[")),
+        // What every model file written before the dimension-major layout
+        // looks like: same shape fields, prototype-major `data`.
+        ("prototype-major field name", json.replace("\"dim_major\":", "\"data\":")),
+        ("offsets shifted", json.replacen("\"offsets\":[0,16,32]", "\"offsets\":[0,15,32]", 1)),
+    ];
+    for (what, bad) in &damaged {
+        assert_ne!(bad, &json, "{what}: damage pattern did not apply");
+        assert!(TabularModel::from_json(bad).is_err(), "{what}: loaded");
+    }
 }

@@ -11,12 +11,15 @@
 //! exact. Batch sizes deliberately straddle the tile boundaries (empty, 1,
 //! tile - 1, tile, tile + 1, several tiles, non-multiples).
 //!
-//! On a CPU with AVX2 the batch encodes dispatch to the vector argmin scan;
-//! the row-at-a-time references and `encode_batch_scalar_into` stay pinned
-//! to the scalar scan, so **the same assertions are the simd-vs-scalar
-//! differential** (CI also runs this suite under `DART_SIMD=off`, where
-//! both sides are scalar). Prototype counts straddle the 8-lane AVX2 block,
-//! so both the vector body and the ragged tail of the scan are covered.
+//! Every encode — batch or row-at-a-time — runs the dispatched argmin scan
+//! (the AVX2 compile of the 16-centroid block body where the CPU has it);
+//! `encode_batch_scalar_into` stays pinned to the per-centroid strided
+//! reference, so `encode_batch_matches_per_row` is also **the
+//! dispatched-vs-reference differential** (CI also runs this suite under
+//! `DART_SIMD=off`, which swaps in the baseline compile). Prototype counts
+//! straddle the 16-centroid block — tail only, one block + tail (24), two
+//! blocks + tail (40) — so the block body, the tail and their hand-over are
+//! all covered.
 
 use dart::core::config::TabularConfig;
 use dart::core::tabularize::tabularize;
@@ -73,7 +76,8 @@ proptest! {
     #[test]
     fn encode_batch_matches_per_row(
         seed in 0u64..5_000,
-        k in 1usize..24,
+        // 1..=24 plus 40: up to two full 16-centroid blocks and a tail.
+        k in (1usize..26).prop_map(|k| if k == 25 { 40 } else { k }),
         c in 1usize..5,
         dim in 2usize..10,
         size_idx in 0usize..9,
@@ -93,11 +97,11 @@ proptest! {
                 "row {} codes diverged (rows {})", r, rows
             );
         }
-        // The dispatched batch encode (AVX2 argmin where the CPU has it)
-        // must equal the scalar-tile batch encode exactly.
+        // The dispatched batch encode must equal the batch encode through
+        // the strided reference scan exactly.
         let mut scalar_codes = vec![0usize; rows * pq.num_subspaces()];
         pq.encode_batch_scalar_into(&x, &mut scalar_codes);
-        prop_assert_eq!(codes, scalar_codes, "simd vs scalar encode diverged");
+        prop_assert_eq!(codes, scalar_codes, "dispatched vs reference encode diverged");
     }
 
     /// Tiled linear-table batch query equals the scalar single-row query
@@ -215,15 +219,21 @@ proptest! {
 /// gather stages (QK lanes = seq_len = 12, QKV lanes = head dim = 16) plus
 /// ragged tails — the proptest above keeps t/dk small for fit speed, so
 /// this pins batch-vs-per-sample equality at full-vector widths
-/// deterministically.
+/// deterministically, at prototype counts below (8), across (24) and
+/// beyond (40) the argmin scan's 16-centroid block.
 #[test]
 fn attention_batch_matches_per_sample_at_vector_filling_shapes() {
     let (t, dk) = (12usize, 16usize);
     let q = rand_matrix(20 * t, dk, 0x1001);
     let kk = rand_matrix(20 * t, dk, 0x1002);
     let v = rand_matrix(20 * t, dk, 0x1003);
-    for encoder in [EncoderKind::Argmin, EncoderKind::HashTree] {
-        let cfg = AttentionTableConfig { k: 8, ck: 3, ct: 3, encoder, ..Default::default() };
+    for (encoder, k) in [
+        (EncoderKind::Argmin, 8),
+        (EncoderKind::Argmin, 24),
+        (EncoderKind::Argmin, 40),
+        (EncoderKind::HashTree, 8),
+    ] {
+        let cfg = AttentionTableConfig { k, ck: 3, ct: 3, encoder, ..Default::default() };
         let table = AttentionTable::fit(&q, &kk, &v, t, &cfg);
         let qs = rand_matrix(5 * t, dk, 0x2001);
         let ks = rand_matrix(5 * t, dk, 0x2002);
@@ -239,7 +249,7 @@ fn attention_batch_matches_per_sample_at_vector_filling_shapes() {
             assert_eq!(
                 bits_of(&single),
                 bits_of(&batch.slice_rows(rows.start, rows.end)),
-                "encoder {encoder:?} sample {n}"
+                "encoder {encoder:?} k {k} sample {n}"
             );
         }
     }
