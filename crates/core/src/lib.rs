@@ -12,7 +12,9 @@
 //! * [`tabular_model`] — the **hierarchy of tables**: a table-based mirror
 //!   of the attention predictor (linear kernels, per-head attention kernels,
 //!   exact LayerNorm/residuals, LUT sigmoid) whose inference performs no
-//!   matrix multiplications,
+//!   matrix multiplications, split into a per-token prefix and a
+//!   window-mixing suffix so a stream computes each token once
+//!   ([`token_ring`] keeps the rows),
 //! * [`mod@tabularize`] — **layer-wise tabularization with fine-tuning**
 //!   (Algorithm 1): each linear layer is re-fit by MSE against the original
 //!   layer outputs with the *approximated* inputs produced by the tables
@@ -41,10 +43,12 @@ pub mod eval;
 pub mod pipeline;
 pub mod tabular_model;
 pub mod tabularize;
+pub mod token_ring;
 
 pub use config::{DesignConstraints, PredictorConfig, TabularConfig};
 pub use configurator::TableConfigurator;
 pub use distill::{distill, DistillConfig};
 pub use pipeline::{run_pipeline, PipelineArtifacts, PipelineConfig};
-pub use tabular_model::TabularModel;
+pub use tabular_model::{TabularModel, TokenRows};
 pub use tabularize::{tabularize, TabularizationReport};
+pub use token_ring::TokenRing;

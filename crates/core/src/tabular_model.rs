@@ -107,32 +107,78 @@ pub struct TabularEncoderBlock {
 }
 
 impl TabularEncoderBlock {
-    /// Forward one stacked batch (`(batch*T) x D`).
+    /// Forward one stacked batch (`(batch*T) x D`): [`Self::project`] then
+    /// [`Self::mix`].
     ///
     /// Every kernel runs its batched path: the QKV/out/FFN linear kernels
     /// aggregate subspace-major over the whole batch, and each attention
-    /// head processes all samples in one `query_batch` call with shared
-    /// scratch buffers.
+    /// head processes all samples in one call with shared scratch buffers.
     pub fn forward(&self, x: &Matrix, seq_len: usize) -> Matrix {
+        let (v, qk_codes) = self.project(x);
+        self.mix(x, &v, &qk_codes, seq_len)
+    }
+
+    /// Q and K codes [`Self::project`] writes per row: every head's `C_k`
+    /// Q codes then its `C_k` K codes, heads in order.
+    pub fn code_width(&self) -> usize {
+        self.heads.iter().map(|head| 2 * head.qk_subspaces()).sum()
+    }
+
+    /// The per-token-pure half of the block: LN1, the QKV projection and
+    /// each head's Q / K row encodes. Row `r` of the V projection
+    /// (`rows x D`) and of the codes (`rows x code_width`) depends on row
+    /// `r` of `x` alone.
+    fn project(&self, x: &Matrix) -> (Matrix, Vec<u16>) {
         let dim = x.cols();
-        let heads = self.heads.len();
-        let dh = dim / heads;
-        debug_assert_eq!(x.rows() % seq_len, 0, "rows not divisible by seq_len");
+        let dh = dim / self.heads.len();
+        let rows = x.rows();
 
         let a = self.ln1.apply(x);
         let qkv = self.qkv.query(&a);
-        let q = qkv.slice_cols(0, dim);
-        let k = qkv.slice_cols(dim, 2 * dim);
-        let v = qkv.slice_cols(2 * dim, 3 * dim);
+        let width = self.code_width();
+        let mut codes = vec![0u16; rows * width];
+        let mut at = 0;
+        for (h, head) in self.heads.iter().enumerate() {
+            let ck = head.qk_subspaces();
+            let qs = qkv.slice_cols(h * dh, (h + 1) * dh);
+            let ks = qkv.slice_cols(dim + h * dh, dim + (h + 1) * dh);
+            let (mut q_codes, mut k_codes) = (vec![0u16; rows * ck], vec![0u16; rows * ck]);
+            head.encode_qk_rows(&qs, &ks, &mut q_codes, &mut k_codes);
+            for (r, row) in codes.chunks_mut(width).enumerate() {
+                row[at..at + ck].copy_from_slice(&q_codes[r * ck..(r + 1) * ck]);
+                row[at + ck..at + 2 * ck].copy_from_slice(&k_codes[r * ck..(r + 1) * ck]);
+            }
+            at += 2 * ck;
+        }
+        (qkv.slice_cols(2 * dim, 3 * dim), codes)
+    }
 
-        let mut concat = Matrix::zeros(x.rows(), dim);
+    /// The window-mixing half: attention over each `seq_len`-row window of
+    /// the projected rows, the output projection, the residual, LN2 and
+    /// the FFN.
+    fn mix(&self, x: &Matrix, v: &Matrix, qk_codes: &[u16], seq_len: usize) -> Matrix {
+        let dim = x.cols();
+        let dh = dim / self.heads.len();
+        let rows = x.rows();
+        let width = self.code_width();
+        debug_assert_eq!(rows % seq_len, 0, "rows not divisible by seq_len");
+        assert_eq!(v.shape(), x.shape(), "V shape mismatch");
+        assert_eq!(qk_codes.len(), rows * width, "code buffer size mismatch");
+
+        let mut concat = Matrix::zeros(rows, dim);
+        let mut at = 0;
         for (h, head) in self.heads.iter().enumerate() {
             let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qs = q.slice_cols(lo, hi);
-            let ks = k.slice_cols(lo, hi);
-            let vs = v.slice_cols(lo, hi);
-            let y = head.query_batch(&qs, &ks, &vs);
-            for r in 0..x.rows() {
+            let ck = head.qk_subspaces();
+            let (mut q_codes, mut k_codes) =
+                (Vec::with_capacity(rows * ck), Vec::with_capacity(rows * ck));
+            for row in qk_codes.chunks(width) {
+                q_codes.extend_from_slice(&row[at..at + ck]);
+                k_codes.extend_from_slice(&row[at + ck..at + 2 * ck]);
+            }
+            at += 2 * ck;
+            let y = head.query_batch_coded(&q_codes, &k_codes, &v.slice_cols(lo, hi));
+            for r in 0..rows {
                 concat.row_mut(r)[lo..hi].copy_from_slice(y.row(r));
             }
         }
@@ -170,22 +216,101 @@ pub struct TabularModel {
     pub sigmoid: SigmoidLut,
 }
 
+/// What the forward knows about each token on its own, before any window
+/// mixes them: the output of [`TabularModel::encode_tokens`] and the input
+/// of [`TabularModel::predict_tokens`]. Row `r` of every field is a pure
+/// function of feature row `r` — the model has no positional encoding — so
+/// a caller sliding a window over an access stream computes each token's
+/// row once and keeps it (see [`crate::TokenRing`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct TokenRows {
+    /// Hidden rows after the input projection and its LayerNorm, `rows x D`.
+    pub hidden: Matrix,
+    /// Block 0's V projection of those rows, `rows x D` (`rows x 0` for a
+    /// model without blocks).
+    pub value: Matrix,
+    /// Block 0's Q and K codes, `rows x code_width` row-major in the order
+    /// of [`TabularEncoderBlock::code_width`].
+    pub qk_codes: Vec<u16>,
+    /// Codes per row.
+    pub code_width: usize,
+}
+
+impl TokenRows {
+    /// Zeroed rows of the shape `model` encodes to.
+    pub fn zeros(model: &TabularModel, rows: usize) -> TokenRows {
+        let value_dim = if model.blocks.is_empty() { 0 } else { model.config.dim };
+        let code_width = model.token_code_width();
+        TokenRows {
+            hidden: Matrix::zeros(rows, model.config.dim),
+            value: Matrix::zeros(rows, value_dim),
+            qk_codes: vec![0; rows * code_width],
+            code_width,
+        }
+    }
+
+    /// Number of token rows.
+    pub fn rows(&self) -> usize {
+        self.hidden.rows()
+    }
+
+    /// Grow (zero rows) or shrink to `rows` rows in place, keeping the
+    /// leading rows and the buffers: how a caller stacking windows sizes
+    /// its staging for a batch and then cuts it to the windows it filled.
+    pub fn resize_rows(&mut self, rows: usize) {
+        for m in [&mut self.hidden, &mut self.value] {
+            let cols = m.cols();
+            let mut data = std::mem::replace(m, Matrix::zeros(0, 0)).into_vec();
+            data.resize(rows * cols, 0.0);
+            *m = Matrix::from_vec(rows, cols, data);
+        }
+        self.qk_codes.resize(rows * self.code_width, 0);
+    }
+}
+
 impl TabularModel {
-    /// Per-token hidden representation, pre-head (for layer diagnostics).
-    pub fn encode(&self, x: &Matrix) -> Matrix {
-        let mut h = self.input_linear.query(x);
-        h = self.input_ln.apply(&h);
-        for blk in &self.blocks {
-            h = blk.forward(&h, self.config.seq_len);
+    /// Q and K codes per token row ([`TokenRows::qk_codes`]): block 0's
+    /// [`TabularEncoderBlock::code_width`].
+    pub fn token_code_width(&self) -> usize {
+        self.blocks.first().map_or(0, TabularEncoderBlock::code_width)
+    }
+
+    /// The per-token-pure prefix of the forward: input projection, its
+    /// LayerNorm, and block 0's LN1, QKV projection and Q / K encodes, over
+    /// feature rows `x` (`rows x D_I`, any number of rows).
+    pub fn encode_tokens(&self, x: &Matrix) -> TokenRows {
+        assert_eq!(x.cols(), self.config.input_dim, "input dim mismatch");
+        let hidden = self.input_ln.apply(&self.input_linear.query(x));
+        let (value, qk_codes) = match self.blocks.first() {
+            Some(first) => first.project(&hidden),
+            None => (Matrix::zeros(x.rows(), 0), Vec::new()),
+        };
+        TokenRows { hidden, value, qk_codes, code_width: self.token_code_width() }
+    }
+
+    /// Per-token hidden rows after the whole encoder stack: block 0 mixes
+    /// the already-projected rows, later blocks run in full.
+    fn mix_tokens(&self, tokens: &TokenRows) -> Matrix {
+        let t = self.config.seq_len;
+        assert_eq!(
+            tokens.rows() % t,
+            0,
+            "{} token rows not divisible by seq_len {t}",
+            tokens.rows()
+        );
+        let Some((first, rest)) = self.blocks.split_first() else {
+            return tokens.hidden.clone();
+        };
+        let mut h = first.mix(&tokens.hidden, &tokens.value, &tokens.qk_codes, t);
+        for blk in rest {
+            h = blk.forward(&h, t);
         }
         h
     }
 
-    /// Pooled pre-sigmoid logits (`batch x D_O`).
-    pub fn forward_logits(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.config.input_dim, "input dim mismatch");
-        let h = self.encode(x);
-        let per_token = self.output_linear.query(&h);
+    /// Pooled pre-sigmoid logits of stacked windows of token rows.
+    fn logits_of_tokens(&self, tokens: &TokenRows) -> Matrix {
+        let per_token = self.output_linear.query(&self.mix_tokens(tokens));
         let t = self.config.seq_len;
         let batch = per_token.rows() / t;
         let mut out = Matrix::zeros(batch, self.config.output_dim);
@@ -204,15 +329,35 @@ impl TabularModel {
         out
     }
 
-    /// Bitmap probabilities via the sigmoid LUT (`batch x D_O`).
-    pub fn forward_probs(&self, x: &Matrix) -> Matrix {
-        let mut logits = self.forward_logits(x);
+    /// The window-mixing suffix of the forward: `tokens` holds `B` stacked
+    /// windows of `seq_len` token rows each (rows `[n*seq_len,
+    /// (n+1)*seq_len)` are window `n`, oldest first); returns `B x D_O`
+    /// bitmap probabilities. `predict_tokens(&encode_tokens(x))` is
+    /// [`Self::predict_batch`]`(x)` — that is its definition — and because
+    /// every kernel accumulates per row, rows encoded in one call may be
+    /// regrouped into the windows of another without changing a bit.
+    pub fn predict_tokens(&self, tokens: &TokenRows) -> Matrix {
+        let mut logits = self.logits_of_tokens(tokens);
         self.sigmoid.apply(logits.as_mut_slice());
         logits
     }
 
-    /// Batched prediction over `B` stacked samples — the serving entry
-    /// point used by `dart-serve`.
+    /// Per-token hidden representation, pre-head (for layer diagnostics).
+    pub fn encode(&self, x: &Matrix) -> Matrix {
+        self.mix_tokens(&self.encode_tokens(x))
+    }
+
+    /// Pooled pre-sigmoid logits (`batch x D_O`).
+    pub fn forward_logits(&self, x: &Matrix) -> Matrix {
+        self.logits_of_tokens(&self.encode_tokens(x))
+    }
+
+    /// Bitmap probabilities via the sigmoid LUT (`batch x D_O`).
+    pub fn forward_probs(&self, x: &Matrix) -> Matrix {
+        self.predict_tokens(&self.encode_tokens(x))
+    }
+
+    /// Batched prediction over `B` stacked samples.
     ///
     /// `x` is `(B * seq_len) x D_I`: sample `n`'s token rows occupy rows
     /// `[n*seq_len, (n+1)*seq_len)`. Returns `B x D_O` bitmap
@@ -271,9 +416,99 @@ impl TabularModel {
 
     /// Load a model serialized by [`Self::to_json`]. f32 entries survive
     /// the round trip bit-for-bit (JSON numbers are f64, and f32 -> f64 is
-    /// exact).
+    /// exact). A file whose parts each parse but do not fit together is an
+    /// `Err` here ([`Self::validate`]), not a shape panic at the first
+    /// query.
     pub fn from_json(s: &str) -> serde_json::Result<TabularModel> {
-        serde_json::from_str(s)
+        let model: TabularModel = serde_json::from_str(s)?;
+        model.validate().map_err(serde_json::Error)?;
+        Ok(model)
+    }
+
+    /// Check every agreement between parts that the forward indexes by and
+    /// that deserialization — field by field — cannot see: layer widths
+    /// against [`Self::config`], every quantizer against its codebook and
+    /// table ([`LinearTable::validate`], [`AttentionTable::validate`]),
+    /// `heads * d_k == dim`, every head built for `config.seq_len`, and
+    /// prototype counts that fit the `u16` codes of [`TokenRows`]. A model
+    /// that passes cannot panic a kernel on a well-shaped input.
+    pub fn validate(&self) -> Result<(), String> {
+        let c = &self.config;
+        if c.input_dim == 0 || c.dim == 0 || c.heads == 0 || c.seq_len == 0 || c.output_dim == 0 {
+            return Err(format!("zero-sized dimension in {c:?}"));
+        }
+        if self.blocks.len() != c.layers {
+            return Err(format!("{} blocks, config says {} layers", self.blocks.len(), c.layers));
+        }
+        let linear = |name: &str, table: &LinearTable, inp: usize, out: usize| {
+            table.validate().map_err(|e| format!("{name}: {e}"))?;
+            if (table.in_dim(), table.out_dim()) != (inp, out) {
+                return Err(format!(
+                    "{name} maps {} -> {}, config needs {inp} -> {out}",
+                    table.in_dim(),
+                    table.out_dim()
+                ));
+            }
+            Ok(())
+        };
+        let layer_norm = |name: &str, ln: &ExactLayerNorm| {
+            if ln.gamma.len() != c.dim || ln.beta.len() != c.dim {
+                return Err(format!(
+                    "{name} has {} scales and {} shifts for dim {}",
+                    ln.gamma.len(),
+                    ln.beta.len(),
+                    c.dim
+                ));
+            }
+            Ok(())
+        };
+        linear("input_linear", &self.input_linear, c.input_dim, c.dim)?;
+        layer_norm("input_ln", &self.input_ln)?;
+        for (b, blk) in self.blocks.iter().enumerate() {
+            layer_norm(&format!("block {b} ln1"), &blk.ln1)?;
+            layer_norm(&format!("block {b} ln2"), &blk.ln2)?;
+            linear(&format!("block {b} qkv"), &blk.qkv, c.dim, 3 * c.dim)?;
+            linear(&format!("block {b} out"), &blk.out, c.dim, c.dim)?;
+            if blk.heads.len() != c.heads {
+                return Err(format!("block {b} has {} heads, config {}", blk.heads.len(), c.heads));
+            }
+            for (h, head) in blk.heads.iter().enumerate() {
+                head.validate().map_err(|e| format!("block {b} head {h}: {e}"))?;
+                if head.seq_len() != c.seq_len || head.head_dim() * c.heads != c.dim {
+                    return Err(format!(
+                        "block {b} head {h} is built for seq_len {} and d_k {}, config needs \
+                         seq_len {} and {} heads over dim {}",
+                        head.seq_len(),
+                        head.head_dim(),
+                        c.seq_len,
+                        c.heads,
+                        c.dim
+                    ));
+                }
+            }
+            match &blk.ffn {
+                FfnTables::TwoKernel { hidden, out } => {
+                    linear(&format!("block {b} ffn hidden"), hidden, c.dim, c.ffn_dim)?;
+                    linear(&format!("block {b} ffn out"), out, c.ffn_dim, c.dim)?;
+                }
+                FfnTables::Fused(fused) => {
+                    fused.validate().map_err(|e| format!("block {b} fused ffn: {e}"))?;
+                    if (fused.in_dim(), fused.out_dim()) != (c.dim, c.dim) {
+                        return Err(format!(
+                            "block {b} fused ffn maps {} -> {}, config dim is {}",
+                            fused.in_dim(),
+                            fused.out_dim(),
+                            c.dim
+                        ));
+                    }
+                }
+            }
+        }
+        linear("output_linear", &self.output_linear, c.dim, c.output_dim)?;
+        if self.sigmoid.len() < 2 {
+            return Err(format!("sigmoid table holds {} entries", self.sigmoid.len()));
+        }
+        Ok(())
     }
 
     /// Measured table storage in bytes (actual, not the Eq. 23 estimate).
@@ -283,5 +518,107 @@ impl TabularModel {
             + self.blocks.iter().map(TabularEncoderBlock::storage_bytes).sum::<u64>()
             + self.output_linear.storage_bytes()
             + self.sigmoid.storage_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::TabularConfig;
+    use crate::tabularize::tabularize;
+    use dart_nn::init::InitRng;
+    use dart_nn::model::AccessPredictor;
+    use serde_json::Value;
+
+    fn tiny_model() -> TabularModel {
+        let cfg = ModelConfig {
+            input_dim: 6,
+            dim: 8,
+            heads: 2,
+            layers: 1,
+            ffn_dim: 16,
+            output_dim: 5,
+            seq_len: 4,
+        };
+        let student = AccessPredictor::new(cfg, 3).unwrap();
+        let mut rng = InitRng::new(9);
+        let x = Matrix::from_fn(40 * 4, 6, |_, _| rng.next_f32());
+        let tab = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
+        tabularize(&student, &x, &tab).0
+    }
+
+    /// First value stored under `key`, depth first in field order.
+    fn find_mut<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+        match v {
+            Value::Object(fields) => {
+                for (name, value) in fields {
+                    if name == key {
+                        return Some(value);
+                    }
+                    if let Some(found) = find_mut(value, key) {
+                        return Some(found);
+                    }
+                }
+                None
+            }
+            Value::Array(items) => items.iter_mut().find_map(|item| find_mut(item, key)),
+            _ => None,
+        }
+    }
+
+    /// The model's JSON with one edit applied, loaded back.
+    fn load_edited(edit: impl FnOnce(&mut Value)) -> Result<TabularModel, String> {
+        let mut json: Value = serde_json::from_str(&tiny_model().to_json()).unwrap();
+        edit(&mut json);
+        TabularModel::from_json(&serde_json::to_string(&json).unwrap()).map_err(|e| e.0)
+    }
+
+    #[test]
+    fn a_tabularized_model_validates_and_round_trips() {
+        let model = tiny_model();
+        assert_eq!(model.validate(), Ok(()));
+        assert_eq!(load_edited(|_| {}).unwrap().fingerprint(), model.fingerprint());
+    }
+
+    /// Each edit leaves every part parseable on its own — these files
+    /// used to load and then panic a kernel at query time.
+    #[test]
+    fn parts_that_do_not_fit_together_are_a_load_error() {
+        // input_linear's quantizer: 6 dims as 3 + 3 → bounds 2 + 4.
+        let err = load_edited(|json| {
+            *find_mut(json, "bounds").unwrap() =
+                serde_json::to_value(vec![(0, 2), (2, 6)]).unwrap();
+        })
+        .unwrap_err();
+        assert!(err.contains("input_linear") && err.contains("codebook"), "{err}");
+
+        // input_linear's table: 2 x 8 x 8 entries read as 2 x 4 x 16.
+        let err = load_edited(|json| {
+            let table = find_mut(json, "table").unwrap();
+            *find_mut(table, "protos").unwrap() = Value::Number(4.0);
+            *find_mut(table, "width").unwrap() = Value::Number(16.0);
+        })
+        .unwrap_err();
+        assert!(err.contains("input_linear: table is 2 x 4 x 16"), "{err}");
+
+        // Layer widths against the config.
+        let err = load_edited(|json| {
+            let Value::Object(fields) = json else { unreachable!() };
+            let at = |name: &str| fields.iter().position(|(n, _)| n == name).unwrap();
+            let (a, b) = (at("input_linear"), at("output_linear"));
+            let (first, second) = (fields[a].1.clone(), fields[b].1.clone());
+            (fields[a].1, fields[b].1) = (second, first);
+        })
+        .unwrap_err();
+        assert!(err.contains("input_linear maps 8 -> 5, config needs 6 -> 8"), "{err}");
+
+        let err =
+            load_edited(|json| *find_mut(json, "heads").unwrap() = Value::Number(4.0)).unwrap_err();
+        assert!(err.contains("has 2 heads, config 4"), "{err}");
+
+        // Every head is built for one window length: the ring's, too.
+        let err = load_edited(|json| *find_mut(json, "seq_len").unwrap() = Value::Number(5.0))
+            .unwrap_err();
+        assert!(err.contains("built for seq_len 4"), "{err}");
     }
 }

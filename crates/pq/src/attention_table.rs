@@ -26,7 +26,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::TableArena;
-use crate::quantizer::{EncoderKind, ProductQuantizer};
+use crate::quantizer::{EncoderKind, ProductQuantizer, ENCODE_TILE_ROWS};
 use crate::simd::scalar::{gather_add, gather_init};
 
 /// Samples per tile of the batched attention query: each tile reuses one
@@ -165,6 +165,44 @@ impl AttentionTable {
         AttentionTable { q_pq, k_pq, qk: qk_tables, qkt_pq, v_pq, qkv: qkv_tables, seq_len, dk }
     }
 
+    /// Check the agreements the query indexes by, which a model file can
+    /// break: four consistent quantizers (Q and K over `D_k`, Q̂K^T rows and
+    /// V columns over `T`, pairwise equal subspace counts), pairwise tables
+    /// of matching shape, and a Q / K prototype count small enough for the
+    /// `u16` codes of [`Self::encode_qk_rows`].
+    pub fn validate(&self) -> Result<(), String> {
+        let pairs = [
+            ("QK", &self.q_pq, &self.k_pq, &self.qk, self.dk),
+            ("QKV", &self.qkt_pq, &self.v_pq, &self.qkv, self.seq_len),
+        ];
+        for (name, a, b, table, dim) in pairs {
+            a.validate().map_err(|e| format!("{name} row quantizer: {e}"))?;
+            b.validate().map_err(|e| format!("{name} column quantizer: {e}"))?;
+            if a.dim() != dim || b.dim() != dim || a.num_subspaces() != b.num_subspaces() {
+                return Err(format!(
+                    "{name} quantizers are {}-dim / {} subspaces and {}-dim / {} subspaces, \
+                     want {dim}-dim and equal subspaces",
+                    a.dim(),
+                    a.num_subspaces(),
+                    b.dim(),
+                    b.num_subspaces()
+                ));
+            }
+            let want = (a.num_subspaces(), a.num_protos(), b.num_protos());
+            let got = (table.num_subspaces(), table.num_protos(), table.width());
+            if got != want {
+                return Err(format!(
+                    "{name} table is {} x {} x {}, its quantizers need {} x {} x {}",
+                    got.0, got.1, got.2, want.0, want.1, want.2
+                ));
+            }
+        }
+        if self.q_pq.num_protos().max(self.k_pq.num_protos()) > usize::from(u16::MAX) {
+            return Err(format!("QK quantizers hold more than {} prototypes", u16::MAX));
+        }
+        Ok(())
+    }
+
     /// Sequence length `T`.
     pub fn seq_len(&self) -> usize {
         self.seq_len
@@ -182,13 +220,62 @@ impl AttentionTable {
         self.query_batch(q, k, v)
     }
 
+    /// Subspaces over the head dimension (`C_k`): the Q codes, and the K
+    /// codes, one row encodes to.
+    pub fn qk_subspaces(&self) -> usize {
+        self.q_pq.num_subspaces()
+    }
+
     /// Batched attention over `B` stacked samples (`q`/`k`/`v` are
-    /// `(B*T) x D_k`), tiled by [`ATTN_TILE_SAMPLES`]: each tile reuses one
-    /// set of encode/scratch buffers across its samples and tiles run
-    /// rayon-parallel over disjoint output rows — the multi-sample
-    /// counterpart of [`Self::query`], bit-for-bit equal to querying each
-    /// sample individually. The per-row encodes run through the
-    /// process-wide argmin dispatch (`simd::nearest_dim_major`).
+    /// `(B*T) x D_k`): [`Self::encode_qk_rows`] then
+    /// [`Self::query_batch_coded`] — the multi-sample counterpart of
+    /// [`Self::query`], bit-for-bit equal to querying each sample
+    /// individually.
+    pub fn query_batch(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        assert_eq!(k.shape(), q.shape());
+        let mut q_codes = vec![0u16; q.rows() * self.qk_subspaces()];
+        let mut k_codes = vec![0u16; q_codes.len()];
+        self.encode_qk_rows(q, k, &mut q_codes, &mut k_codes);
+        self.query_batch_coded(&q_codes, &k_codes, v)
+    }
+
+    /// The per-row half of the attention query: encode every Q row and
+    /// every K row (`R x D_k` each) into `C_k` prototype codes, row-major
+    /// (`q_codes[r * C_k + ci]`). A row's codes depend on that row alone,
+    /// so a caller that sees the same row again (a sliding window) can keep
+    /// them. The encodes run through the process-wide argmin dispatch
+    /// (`simd::nearest_dim_major`); row tiles run rayon-parallel.
+    pub fn encode_qk_rows(&self, q: &Matrix, k: &Matrix, q_codes: &mut [u16], k_codes: &mut [u16]) {
+        let nearest = crate::simd::nearest_dim_major();
+        let ck = self.qk_subspaces();
+        assert_eq!(q.cols(), self.dk, "Q shape mismatch");
+        assert_eq!(k.shape(), q.shape());
+        assert_eq!(q_codes.len(), q.rows() * ck, "Q code buffer size mismatch");
+        assert_eq!(k_codes.len(), q.rows() * ck, "K code buffer size mismatch");
+        let protos = self.q_pq.num_protos().max(self.k_pq.num_protos());
+        assert!(protos <= usize::from(u16::MAX), "codes do not fit u16");
+        let tile = ENCODE_TILE_ROWS * ck;
+        q_codes.par_chunks_mut(tile).zip(k_codes.par_chunks_mut(tile)).enumerate().for_each(
+            |(t, (qc, kc))| {
+                let r0 = t * ENCODE_TILE_ROWS;
+                for (rr, (qrow, krow)) in qc.chunks_mut(ck).zip(kc.chunks_mut(ck)).enumerate() {
+                    let (qr, kr) = (q.row(r0 + rr), k.row(r0 + rr));
+                    let bounds = self.q_pq.bounds().iter().zip(self.k_pq.bounds());
+                    for (ci, (&(qlo, qhi), &(klo, khi))) in bounds.enumerate() {
+                        qrow[ci] = self.q_pq.encode_sub_with(ci, &qr[qlo..qhi], nearest) as u16;
+                        krow[ci] = self.k_pq.encode_sub_with(ci, &kr[klo..khi], nearest) as u16;
+                    }
+                }
+            },
+        );
+    }
+
+    /// The window-mixing half of the attention query: `B` stacked samples
+    /// whose Q and K rows are already encoded (`q_codes` / `k_codes` as
+    /// written by [`Self::encode_qk_rows`], `(B*T) x C_k`; `v` is
+    /// `(B*T) x D_k`). Tiled by [`ATTN_TILE_SAMPLES`]; tiles run
+    /// rayon-parallel over disjoint output rows, each on its own slice of
+    /// two per-call scratch buffers.
     ///
     /// K-row and V-column codes are staged **subspace-major** as `i32`
     /// (`codes_t[ci * lanes + lane]`), so each `(t1, ci)` / `(t1, c)` pass
@@ -196,61 +283,52 @@ impl AttentionTable {
     /// lane `o` (QKV) reads `table_row[idx[lane]]` and accumulates in
     /// subspace order — exactly the `acc += table.get(..)` loop of a
     /// per-sample query.
-    pub fn query_batch(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+    pub fn query_batch_coded(&self, q_codes: &[u16], k_codes: &[u16], v: &Matrix) -> Matrix {
         let nearest = crate::simd::nearest_dim_major();
         let t = self.seq_len;
-        assert_eq!(q.cols(), self.dk, "Q shape mismatch");
-        assert_eq!(q.rows() % t, 0, "rows not divisible by seq_len");
-        assert_eq!(k.shape(), q.shape());
-        assert_eq!(v.shape(), q.shape());
-        crate::profile::profile_kernel("attention_query", q.rows() as u64);
-        let ck = self.q_pq.num_subspaces();
+        let ck = self.qk_subspaces();
         let ct = self.qkt_pq.num_subspaces();
         let dk = self.dk;
+        assert_eq!(v.cols(), dk, "V shape mismatch");
+        assert_eq!(v.rows() % t, 0, "rows not divisible by seq_len");
+        assert_eq!(q_codes.len(), v.rows() * ck, "Q code buffer size mismatch");
+        assert_eq!(k_codes.len(), v.rows() * ck, "K code buffer size mismatch");
+        crate::profile::profile_kernel("attention_query", v.rows() as u64);
         let qk_width = self.qk.width();
         let qkv_width = self.qkv.width();
 
-        let mut out = Matrix::zeros(q.rows(), dk);
+        let mut out = Matrix::zeros(v.rows(), dk);
         let sample_span = t * dk;
-        out.as_mut_slice().par_chunks_mut(ATTN_TILE_SAMPLES * sample_span).enumerate().for_each(
-            |(tile, ochunk)| {
+        // Per-tile scratch, one slice of each buffer per tile. Floats:
+        // the `T x T` Q̂K^T block, then one V column. Codes, subspace-major
+        // `i32`: K rows (row `t2` under subspace `ci` at `ci * t + t2`),
+        // then V columns (column `o` under subspace `c` at `c * dk + o`).
+        let tiles = out.len().div_ceil(ATTN_TILE_SAMPLES * sample_span);
+        let (tile_floats, tile_codes) = (t * t + t, ck * t + ct * dk);
+        let mut floats = vec![0.0f32; tiles * tile_floats];
+        let mut codes = vec![0i32; tiles * tile_codes];
+        out.as_mut_slice()
+            .par_chunks_mut(ATTN_TILE_SAMPLES * sample_span)
+            .zip(floats.par_chunks_mut(tile_floats))
+            .zip(codes.par_chunks_mut(tile_codes))
+            .enumerate()
+            .for_each(|(tile, ((ochunk, floats), codes))| {
                 let n0 = tile * ATTN_TILE_SAMPLES;
-                let samples = ochunk.len() / sample_span;
-                let mut q_codes = vec![0usize; t * ck];
-                // K-row codes, subspace-major i32: code of row t2 under
-                // subspace ci at `k_codes_t[ci * t + t2]`.
-                let mut k_codes_t = vec![0i32; ck * t];
-                let mut qkt = Matrix::zeros(t, t);
-                let mut row_codes = vec![0usize; ct];
-                // V-column codes, subspace-major i32: code of column o
-                // under subspace c at `col_codes_t[c * dk + o]`.
-                let mut col_codes_t = vec![0i32; ct * dk];
-                let mut code_tmp = vec![0usize; ck.max(ct)];
-                let mut vcol = vec![0.0f32; t];
+                let (qkt, vcol) = floats.split_at_mut(t * t);
+                let (k_codes_t, col_codes_t) = codes.split_at_mut(ck * t);
 
-                for s in 0..samples {
+                for (s, osample) in ochunk.chunks_mut(sample_span).enumerate() {
                     let base = (n0 + s) * t;
 
                     // Stage 1: Q̂K^T via the QK table (Eq. 13).
                     for r in 0..t {
-                        self.q_pq.encode_row_into_with(
-                            q.row(base + r),
-                            &mut q_codes[r * ck..(r + 1) * ck],
-                            nearest,
-                        );
-                        self.k_pq.encode_row_into_with(
-                            k.row(base + r),
-                            &mut code_tmp[..ck],
-                            nearest,
-                        );
                         for ci in 0..ck {
-                            k_codes_t[ci * t + r] = code_tmp[ci] as i32;
+                            k_codes_t[ci * t + r] = i32::from(k_codes[(base + r) * ck + ci]);
                         }
                     }
-                    for t1 in 0..t {
-                        let orow = qkt.row_mut(t1);
+                    for (t1, orow) in qkt.chunks_mut(t).enumerate() {
                         for ci in 0..ck {
-                            let qcode = q_codes[t1 * ck + ci];
+                            let qcode = usize::from(q_codes[(base + t1) * ck + ci]);
                             let trow =
                                 &self.qk.subtable(ci)[qcode * qk_width..(qcode + 1) * qk_width];
                             let idx = &k_codes_t[ci * t..(ci + 1) * t];
@@ -268,16 +346,14 @@ impl AttentionTable {
                         for (tt, slot) in vcol.iter_mut().enumerate() {
                             *slot = v.get(base + tt, o);
                         }
-                        self.v_pq.encode_row_into_with(&vcol, &mut code_tmp[..ct], nearest);
-                        for c in 0..ct {
-                            col_codes_t[c * dk + o] = code_tmp[c] as i32;
+                        for (c, &(lo, hi)) in self.v_pq.bounds().iter().enumerate() {
+                            col_codes_t[c * dk + o] =
+                                self.v_pq.encode_sub_with(c, &vcol[lo..hi], nearest) as i32;
                         }
                     }
-                    for t1 in 0..t {
-                        self.qkt_pq.encode_row_into_with(qkt.row(t1), &mut row_codes, nearest);
-                        let orow = &mut ochunk[s * sample_span + t1 * dk..][..dk];
-                        for c in 0..ct {
-                            let rcode = row_codes[c];
+                    for (qkt_row, orow) in qkt.chunks(t).zip(osample.chunks_mut(dk)) {
+                        for (c, &(lo, hi)) in self.qkt_pq.bounds().iter().enumerate() {
+                            let rcode = self.qkt_pq.encode_sub_with(c, &qkt_row[lo..hi], nearest);
                             let trow =
                                 &self.qkv.subtable(c)[rcode * qkv_width..(rcode + 1) * qkv_width];
                             let idx = &col_codes_t[c * dk..(c + 1) * dk];
@@ -289,8 +365,7 @@ impl AttentionTable {
                         }
                     }
                 }
-            },
-        );
+            });
         out
     }
 

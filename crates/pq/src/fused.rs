@@ -86,6 +86,11 @@ impl FusedFfnTable {
         FusedFfnTable { pq, table, out_dim }
     }
 
+    /// Same checks as [`crate::LinearTable::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        crate::linear_table::validate_table(&self.pq, &self.table, self.out_dim)
+    }
+
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.out_dim

@@ -126,6 +126,13 @@ impl LinearTable {
         LinearTable { pq, table, out_dim }
     }
 
+    /// Check that the quantizer is consistent and the table has one
+    /// `K x D_O` sub-table per quantizer subspace (see
+    /// [`ProductQuantizer::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        validate_table(&self.pq, &self.table, self.out_dim)
+    }
+
     /// Output dimension `D_O`.
     pub fn out_dim(&self) -> usize {
         self.out_dim
@@ -193,6 +200,26 @@ impl LinearTable {
     pub fn storage_bytes(&self) -> u64 {
         (self.table.len() * 4) as u64
     }
+}
+
+/// The agreements [`aggregate_codes_batch`] indexes by: a consistent
+/// quantizer whose every code of every subspace names a `width`-wide row of
+/// `table`. Shared by [`LinearTable`] and [`crate::FusedFfnTable`].
+pub(crate) fn validate_table(
+    pq: &ProductQuantizer,
+    table: &TableArena,
+    width: usize,
+) -> Result<(), String> {
+    pq.validate()?;
+    let want = (pq.num_subspaces(), pq.num_protos(), width);
+    let got = (table.num_subspaces(), table.num_protos(), table.width());
+    if got != want {
+        return Err(format!(
+            "table is {} x {} x {}, quantizer and output need {} x {} x {}",
+            got.0, got.1, got.2, want.0, want.1, want.2
+        ));
+    }
+    Ok(())
 }
 
 /// Shared tiled batch aggregation used by [`LinearTable`] and

@@ -74,6 +74,26 @@ impl HashTree {
         }
     }
 
+    /// Check that every index [`Self::encode`] forms stays inside a
+    /// `sub_dim`-dimensional subvector and the threshold array, for a tree
+    /// routing to `k` buckets.
+    fn validate(&self, sub_dim: usize, k: usize) -> Result<(), String> {
+        let depth = self.split_dims.len();
+        if depth == 0 || depth >= 32 || self.thresholds.len() != (1usize << depth) - 1 {
+            return Err(format!(
+                "hash tree of depth {depth} holds {} thresholds",
+                self.thresholds.len()
+            ));
+        }
+        if self.k != k {
+            return Err(format!("hash tree routes to {} buckets, codebook holds {k}", self.k));
+        }
+        match self.split_dims.iter().find(|&&d| d >= sub_dim) {
+            Some(d) => Err(format!("hash tree splits on dim {d} of a {sub_dim}-dim subspace")),
+            None => Ok(()),
+        }
+    }
+
     /// Fit a tree on the rows of `data` (`n x v`).
     ///
     /// At each level the split dimension is the one with the largest summed
@@ -287,6 +307,41 @@ impl ProductQuantizer {
         ProductQuantizer { dim, bounds, codebook, encoders }
     }
 
+    /// Check the agreements the encoders index by, which a model file can
+    /// break and `Deserialize` does not see (each field parses on its own):
+    /// `bounds` tile `0..dim` contiguously with one codebook subspace of the
+    /// same width and one encoder each, and every hash tree stays inside its
+    /// subspace.
+    pub fn validate(&self) -> Result<(), String> {
+        let c = self.bounds.len();
+        if c == 0 || c != self.codebook.num_subspaces() || c != self.encoders.len() {
+            return Err(format!(
+                "quantizer has {c} bounds, {} codebook subspaces, {} encoders",
+                self.codebook.num_subspaces(),
+                self.encoders.len()
+            ));
+        }
+        let mut at = 0;
+        for (ci, &(lo, hi)) in self.bounds.iter().enumerate() {
+            if lo != at || hi <= lo || hi - lo != self.codebook.sub_dim(ci) {
+                return Err(format!(
+                    "quantizer subspace {ci} spans {lo}..{hi} (previous ends at {at}), its \
+                     codebook block is {}-dimensional",
+                    self.codebook.sub_dim(ci)
+                ));
+            }
+            at = hi;
+            if let Encoder::HashTree(tree) = &self.encoders[ci] {
+                tree.validate(hi - lo, self.codebook.num_protos())
+                    .map_err(|e| format!("quantizer subspace {ci}: {e}"))?;
+            }
+        }
+        if at != self.dim {
+            return Err(format!("quantizer bounds end at {at}, dim is {}", self.dim));
+        }
+        Ok(())
+    }
+
     /// Full vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -333,7 +388,7 @@ impl ProductQuantizer {
     /// whichever scan is passed — every level's distances are bit-exact,
     /// so the strict-`<` argmin picks the same prototype.
     #[inline]
-    fn encode_sub_with(&self, ci: usize, sub: &[f32], nearest: NearestFn) -> usize {
+    pub(crate) fn encode_sub_with(&self, ci: usize, sub: &[f32], nearest: NearestFn) -> usize {
         match &self.encoders[ci] {
             Encoder::Argmin => {
                 nearest(sub, self.codebook.subspace(ci), self.codebook.num_protos()).0
@@ -352,14 +407,7 @@ impl ProductQuantizer {
     /// Encode into a caller-provided buffer (avoids allocation).
     #[inline]
     pub fn encode_row_into(&self, row: &[f32], out: &mut [usize]) {
-        self.encode_row_into_with(row, out, simd::nearest_dim_major());
-    }
-
-    /// [`Self::encode_row_into`] through the argmin scan `nearest` (the
-    /// attention batch kernel's per-row encodes; codes are identical
-    /// whichever scan is passed, see [`Self::encode_sub_with`]).
-    #[inline]
-    pub(crate) fn encode_row_into_with(&self, row: &[f32], out: &mut [usize], nearest: NearestFn) {
+        let nearest = simd::nearest_dim_major();
         debug_assert_eq!(row.len(), self.dim);
         debug_assert_eq!(out.len(), self.bounds.len());
         for (ci, (slot, &(lo, hi))) in out.iter_mut().zip(&self.bounds).enumerate() {
@@ -540,6 +588,27 @@ mod tests {
             pq.encode_row_into(data.row(i), &mut buf);
             assert_eq!(buf, pq.encode_row(data.row(i)));
         }
+    }
+
+    /// `validate` sees what field-by-field deserialization cannot: bounds
+    /// that disagree with the codebook, and a hash tree that would index
+    /// outside its subvector.
+    #[test]
+    fn validate_rejects_parts_that_do_not_fit_together() {
+        let data = sample_data(120, 6, 31);
+        for kind in [EncoderKind::Argmin, EncoderKind::HashTree] {
+            let pq = ProductQuantizer::fit(&data, 2, 8, kind, 5);
+            assert_eq!(pq.validate(), Ok(()));
+            let json = serde_json::to_string(&pq).unwrap();
+            let shifted = json.replace("\"bounds\":[[0,3],[3,6]]", "\"bounds\":[[0,2],[2,6]]");
+            assert_ne!(shifted, json, "fixture drifted: {json}");
+            let torn: ProductQuantizer = serde_json::from_str(&shifted).unwrap();
+            assert!(torn.validate().unwrap_err().contains("codebook block is 3-dimensional"));
+        }
+        let mut tree = ProductQuantizer::fit(&data, 2, 8, EncoderKind::HashTree, 5);
+        let Encoder::HashTree(t) = &mut tree.encoders[1] else { panic!("expected hash tree") };
+        t.split_dims[0] = 3;
+        assert!(tree.validate().unwrap_err().contains("splits on dim 3 of a 3-dim subspace"));
     }
 
     #[test]

@@ -2,22 +2,29 @@
 //! hierarchy-of-tables predictor, emitting one prefetch per delta-bitmap bit
 //! above threshold (variable prefetch degree).
 
-use std::collections::VecDeque;
-
 use dart_core::config::PredictorConfig;
 use dart_core::configurator::model_latency;
-use dart_core::TabularModel;
+use dart_core::{TabularModel, TokenRing, TokenRows};
 use dart_nn::matrix::Matrix;
 use dart_sim::{LlcAccess, Prefetcher};
 use dart_trace::PreprocessConfig;
 
 /// DART: table-based neural prefetching at rule-based-prefetcher cost.
+///
+/// The history buffer is a [`TokenRing`]: each access is encoded once
+/// (`encode_tokens` on its one feature row) and joins the ring; a
+/// prediction runs `predict_tokens` over the ring's window — bit for bit
+/// `forward_probs` on the window's `T x D_I` feature matrix.
 pub struct DartPrefetcher {
     name: String,
     model: TabularModel,
     pre: PreprocessConfig,
-    history: VecDeque<(u64, u64)>, // (block, pc)
+    history: TokenRing,
+    /// The newest access's feature row.
     features: Matrix,
+    /// The history window, as `predict_tokens` takes it.
+    window: TokenRows,
+    candidates: Vec<(f32, usize)>,
     threshold: f32,
     max_degree: usize,
     latency: u64,
@@ -50,13 +57,14 @@ impl DartPrefetcher {
         assert_eq!(model.config.seq_len, pre.seq_len, "seq_len mismatch");
         assert_eq!(model.config.input_dim, pre.input_dim(), "input dim mismatch");
         assert_eq!(model.config.output_dim, pre.output_dim(), "output dim mismatch");
-        let features = Matrix::zeros(pre.seq_len, pre.input_dim());
         DartPrefetcher {
             name: name.into(),
+            features: Matrix::zeros(1, pre.input_dim()),
+            window: TokenRows::zeros(&model, pre.seq_len),
             model,
             pre,
-            history: VecDeque::with_capacity(pre.seq_len),
-            features,
+            history: TokenRing::default(),
+            candidates: Vec::new(),
             threshold,
             max_degree: max_degree.max(1),
             latency,
@@ -79,28 +87,24 @@ impl Prefetcher for DartPrefetcher {
     }
 
     fn on_access(&mut self, access: &LlcAccess) -> Vec<u64> {
-        if self.history.len() == self.pre.seq_len {
-            self.history.pop_front();
-        }
-        self.history.push_back((access.block, access.pc));
+        self.pre.write_token_features(access.block, access.pc, self.features.row_mut(0));
+        let token = self.model.encode_tokens(&self.features);
+        self.history.push(self.pre.seq_len, &token, 0);
         if self.history.len() < self.pre.seq_len {
             return Vec::new();
         }
 
-        for (t, &(block, pc)) in self.history.iter().enumerate() {
-            self.pre.write_token_features(block, pc, self.features.row_mut(t));
-        }
-        let probs = self.model.forward_probs(&self.features);
+        self.history.write_window(&mut self.window, 0);
+        let probs = self.model.predict_tokens(&self.window);
 
         // Rank bits above threshold, emit the strongest `max_degree` deltas
         // (the emission rule shared with `dart-serve`).
-        let mut candidates = Vec::new();
         self.pre.decode_bitmap_into(
             probs.row(0),
             access.block,
             self.threshold,
             self.max_degree,
-            &mut candidates,
+            &mut self.candidates,
         )
     }
 
@@ -220,14 +224,20 @@ mod tests {
         }
     }
 
-    /// One emission rule: the same probability rows give the same targets
-    /// through the NN-baseline replay, `DartPrefetcher` and
-    /// `decode_bitmap_into`, including the `max_degree = 0` floor of one.
+    /// One emission rule, one forward: on every access of a 200-record
+    /// trace (three PCs, strides and jumps) the same targets come out of
+    /// the NN-baseline replay, `DartPrefetcher`'s token ring, and
+    /// `forward_probs` + `decode_bitmap_into` on the materialised window,
+    /// including the `max_degree = 0` floor of one.
     #[test]
     fn nn_batch_dart_and_decode_bitmap_emit_identical_targets() {
         let (model, pre) = tiny_setup();
-        let trace: Vec<TraceRecord> = (0..12u64)
-            .map(|i| TraceRecord { instr_id: i * 4, pc: 0x400100, addr: (100 + i * 3) << 6 })
+        let mut block = 100u64;
+        let trace: Vec<TraceRecord> = (0..200u64)
+            .map(|i| {
+                block = if i % 17 == 16 { block + 4096 } else { block + 1 + i % 3 };
+                TraceRecord { instr_id: i * 4, pc: 0x400100 + (i % 3) * 8, addr: block << 6 }
+            })
             .collect();
         let mut scratch = Vec::new();
         for max_degree in [0, 1, 4] {
@@ -242,7 +252,7 @@ mod tests {
             let mut dart =
                 DartPrefetcher::with_latency("DART", model.clone(), pre, 97, 0.0, max_degree);
             for (i, rec) in trace.iter().enumerate() {
-                let acc = access(i, rec.block());
+                let acc = LlcAccess { pc: rec.pc, ..access(i, rec.block()) };
                 let from_dart = dart.on_access(&acc);
                 assert_eq!(nn.on_access(&acc), from_dart, "degree {max_degree}, access {i}");
                 if i + 1 < pre.seq_len {
@@ -265,6 +275,58 @@ mod tests {
                 assert_eq!(from_dart.len(), max_degree.max(1));
             }
         }
+    }
+
+    /// What `DartPrefetcher` was before the token ring: the `(block, pc)`
+    /// history written out as a `T x D_I` matrix and pushed through
+    /// `forward_probs` on every access.
+    struct WindowDart {
+        model: TabularModel,
+        pre: PreprocessConfig,
+        history: std::collections::VecDeque<(u64, u64)>,
+    }
+
+    impl Prefetcher for WindowDart {
+        fn name(&self) -> &str {
+            "DART-window"
+        }
+        fn latency(&self) -> u64 {
+            97
+        }
+        fn on_access(&mut self, access: &LlcAccess) -> Vec<u64> {
+            if self.history.len() == self.pre.seq_len {
+                self.history.pop_front();
+            }
+            self.history.push_back((access.block, access.pc));
+            if self.history.len() < self.pre.seq_len {
+                return Vec::new();
+            }
+            let mut x = Matrix::zeros(self.pre.seq_len, self.pre.input_dim());
+            for (t, &(block, pc)) in self.history.iter().enumerate() {
+                self.pre.write_token_features(block, pc, x.row_mut(t));
+            }
+            let probs = self.model.forward_probs(&x);
+            self.pre.decode_bitmap_into(probs.row(0), access.block, 0.6, 4, &mut Vec::new())
+        }
+        fn storage_bytes(&self) -> u64 {
+            self.model.storage_bytes()
+        }
+    }
+
+    /// The whole simulation — every cycle, fill and late prefetch — is the
+    /// same with the ring as with the materialised window, on the seeded
+    /// gcc trace the benchmark's `paper_loop` runs.
+    #[test]
+    fn sim_counters_equal_a_window_materialising_prefetcher() {
+        let (model, pre) = tiny_setup();
+        let trace = dart_trace::workload_by_name("602.gcc").unwrap().generate(6_000, 1);
+        let sim = dart_sim::Simulator::new(dart_sim::SimConfig::table_iii());
+        let mut ring = DartPrefetcher::with_latency("DART", model.clone(), pre, 97, 0.6, 4);
+        let mut window = WindowDart { model, pre, history: Default::default() };
+        let with_ring = sim.run(&trace, &mut ring, false);
+        let with_window = sim.run(&trace, &mut window, false);
+        assert!(with_ring.prefetches_issued > 0, "the comparison must exercise predictions");
+        assert_eq!(format!("{with_ring:?}"), format!("{with_window:?}"));
     }
 
     #[test]

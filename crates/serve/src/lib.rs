@@ -20,9 +20,9 @@
 //!   │ shard 0 │   │ shard 1 │   │ shard N │   each: queue + worker thread
 //!   │ worker  │   │ worker  │   │ worker  │   owns per-stream history state
 //!   └────┬────┘   └────┬────┘   └────┬────┘
-//!        │  coalesce pending requests into one
-//!        │  stacked feature matrix, then one
-//!        ▼  TabularModel::predict_batch call
+//!        │  coalesce pending requests: one feature row each,
+//!        │  one encode_tokens call, each row into its stream's
+//!        ▼  ring, one predict_tokens call over the warm windows
 //!   PrefetchResponse (per request, in per-stream order)
 //! ```
 //!
@@ -43,8 +43,16 @@
 //!   traffic is re-trained/re-tabularized in the background and promoted
 //!   through an A/B gate only if it beats the incumbent.
 //! * **Batch coalescing** — each worker drains its queue (up to
-//!   `max_batch` requests) and issues one `predict_batch` call for every
-//!   warm stream in the drain, amortizing table-lookup locality.
+//!   `max_batch` requests) and issues one `encode_tokens` call for the
+//!   drain's new tokens and one `predict_tokens` call for its warm
+//!   streams' windows, amortizing table-lookup locality.
+//! * **Each token computed once** — a stream's request `n + 1` shares
+//!   `T - 1` of its `T` window tokens with request `n`, and everything the
+//!   model does to a token before attention mixes the window is a function
+//!   of that token alone. [`StreamState`] keeps those rows in a ring beside
+//!   the history; a hot swap or an eviction re-derives them from the
+//!   history. Answers are bit for bit `predict_batch` on the window
+//!   written out ([`StreamState::write_features_into`]).
 //! * **Complete accounting** — every submitted request produces exactly one
 //!   [`PrefetchResponse`] (cold-history requests return an empty prefetch
 //!   list), so dropped or misrouted work is detectable. Responses land in

@@ -14,12 +14,14 @@
 //! | `dart_serve_uptime_seconds` | gauge | seconds since runtime start |
 //! | `dart_serve_requests_total{shard}` | counter | requests answered |
 //! | `dart_serve_predictions_total` | counter | warm-stream predictions |
-//! | `dart_serve_batches_total` | counter | `predict_batch` calls |
+//! | `dart_serve_batches_total` | counter | batches served |
 //! | `dart_serve_failed_total` | counter | failure responses |
 //! | `dart_serve_worker_panics_total` | counter | dead shard workers |
 //! | `dart_serve_worker_panic_info{shard,reason}` | gauge | 1 per dead worker, reason label |
 //! | `dart_serve_stream_evictions_total` | counter | LRU stream evictions |
 //! | `dart_serve_stream_retirements_total` | counter | dead-connection stream retirements |
+//! | `dart_serve_token_rows_computed_total{shard}` | counter | token rows encoded |
+//! | `dart_serve_token_rows_reused_total{shard}` | counter | window rows taken from stream rings |
 //! | `dart_serve_in_flight` | gauge | submitted, unanswered |
 //! | `dart_serve_queue_depth` | gauge | queued, undrained |
 //! | `dart_serve_resident_streams{shard}` | gauge | streams in LRU |
@@ -70,7 +72,7 @@ pub fn render_exposition(stats: &ServeStats) -> String {
     e.header(
         "dart_serve_batches_total",
         MetricKind::Counter,
-        "Batched predict_batch calls issued across all shards.",
+        "Batches served (one encode_tokens call each) across all shards.",
     );
     e.sample("dart_serve_batches_total", &[], stats.batches);
 
@@ -123,6 +125,26 @@ pub fn render_exposition(stats: &ServeStats) -> String {
         "Streams retired by dead-connection cleanup.",
     );
     e.sample("dart_serve_stream_retirements_total", &[], stats.stream_retirements);
+
+    e.header(
+        "dart_serve_token_rows_computed_total",
+        MetricKind::Counter,
+        "Token rows encoded: one per request, plus a stream's whole \
+         history on its first request after a model swap.",
+    );
+    for (id, &n) in shard_ids.iter().zip(&stats.per_shard_token_rows_computed) {
+        e.sample("dart_serve_token_rows_computed_total", &[("shard", id.as_str())], n);
+    }
+
+    e.header(
+        "dart_serve_token_rows_reused_total",
+        MetricKind::Counter,
+        "Token rows of served windows taken from a stream's ring instead \
+         of being encoded again (seq_len - 1 per warm request).",
+    );
+    for (id, &n) in shard_ids.iter().zip(&stats.per_shard_token_rows_reused) {
+        e.sample("dart_serve_token_rows_reused_total", &[("shard", id.as_str())], n);
+    }
 
     e.header("dart_serve_in_flight", MetricKind::Gauge, "Requests submitted but not yet answered.");
     e.sample("dart_serve_in_flight", &[], stats.in_flight);
@@ -195,7 +217,7 @@ pub fn render_exposition(stats: &ServeStats) -> String {
     e.header(
         "dart_serve_batch_size",
         MetricKind::Histogram,
-        "Coalesced batch-size distribution (requests per predict_batch).",
+        "Coalesced batch-size distribution (requests per served batch).",
     );
     e.histogram("dart_serve_batch_size", &[], &stats.batch_sizes);
 

@@ -150,7 +150,7 @@ pub struct ServeStats {
     pub worker_panics: Vec<(usize, String)>,
     /// Model predictions made (requests whose stream history was warm).
     pub predictions: u64,
-    /// Batched `predict_batch` calls issued across all shards.
+    /// Batches served (one `encode_tokens` call each) across all shards.
     pub batches: u64,
     /// Largest coalesced batch observed on any shard.
     pub max_batch: usize,
@@ -164,6 +164,14 @@ pub struct ServeStats {
     /// Streams explicitly retired by dead-connection cleanup
     /// ([`ServeRuntime::retire_streams_with_prefix`]), across all shards.
     pub stream_retirements: u64,
+    /// Token rows each shard encoded (`encode_tokens`): one per request,
+    /// plus a stream's whole history on its first request after a hot
+    /// swap. Against [`Self::per_shard_token_rows_reused`], warm traffic
+    /// reads about `1 : seq_len - 1`; a swap shows as a burst here.
+    pub per_shard_token_rows_computed: Vec<u64>,
+    /// Token rows of served windows each shard took from a stream's ring
+    /// instead of encoding them again.
+    pub per_shard_token_rows_reused: Vec<u64>,
     /// The active model version (the [`crate::ModelSlot`] epoch; starts
     /// at 1, bumps on every hot-swap including rollbacks). Scrapes can
     /// correlate latency shifts with promotions through this.
@@ -272,16 +280,19 @@ impl ServeRuntime {
     /// `DartPrefetcher` applies — `max_degree: 0` used to silently
     /// disable all serving-path prefetching while the sim path emitted 1.
     ///
-    /// Panics if the model and preprocessing dimensions disagree (same
-    /// contract as `DartPrefetcher`), or — here, on the caller's thread,
-    /// before any worker exists — if `DART_SIMD` or `DART_NUM_THREADS` is
-    /// malformed.
+    /// Panics if the model is inconsistent ([`TabularModel::validate`]) or
+    /// it and the preprocessing dimensions disagree (same contract as
+    /// `DartPrefetcher`), or — here, on the caller's thread, before any
+    /// worker exists — if `DART_SIMD` or `DART_NUM_THREADS` is malformed.
     pub fn start(
         model: Arc<TabularModel>,
         pre: PreprocessConfig,
         cfg: ServeConfig,
     ) -> ServeRuntime {
         assert!(cfg.shards >= 1, "need at least one shard");
+        if let Err(e) = model.validate() {
+            panic!("inconsistent model: {e}");
+        }
         assert_eq!(model.config.seq_len, pre.seq_len, "seq_len mismatch");
         assert_eq!(model.config.input_dim, pre.input_dim(), "input dim mismatch");
         assert_eq!(model.config.output_dim, pre.output_dim(), "output dim mismatch");
@@ -306,7 +317,7 @@ impl ServeRuntime {
 
         let sink = Arc::new(CompletionSink::new());
         // One kernel pool for the whole runtime: every shard's batched
-        // kernels (`predict_batch` tiles) are scheduled onto the same
+        // kernels (`encode_tokens` / `predict_tokens` tiles) run on the same
         // work-stealing pool instead of each shard spawning its own.
         let pool = cfg.pool_threads.map(|n| Arc::new(rayon::ThreadPool::new(n)));
         if pool.is_none() {
@@ -463,10 +474,11 @@ impl ServeRuntime {
     /// next batch boundary — in-flight batches finish on the version they
     /// adopted, and no request is dropped or answered by a torn model.
     /// Returns the new version id, or an error (and no state change at
-    /// all) on a dimension mismatch.
+    /// all) on an inconsistent candidate or a dimension mismatch.
     pub fn swap_model(&self, model: Arc<TabularModel>, provenance: &str) -> Result<u64, String> {
-        // Same dimension contract `start` asserts — but a hot-swap comes
-        // from a live retraining loop, so refuse instead of panicking.
+        // Same contract `start` asserts — but a hot-swap comes from a
+        // live retraining loop, so refuse instead of panicking.
+        model.validate().map_err(|e| format!("inconsistent candidate: {e}"))?;
         if model.config.seq_len != self.pre.seq_len {
             return Err(format!(
                 "candidate seq_len {} != serving seq_len {}",
@@ -741,6 +753,8 @@ impl ServeRuntime {
             stats.per_shard_streams.push(report.resident_streams);
             stats.stream_evictions += report.stream_evictions;
             stats.stream_retirements += report.stream_retirements;
+            stats.per_shard_token_rows_computed.push(report.token_rows_computed);
+            stats.per_shard_token_rows_reused.push(report.token_rows_reused);
             latency.merge(&report.latency);
             stats.batch_sizes.merge(&telem.batch_size.snapshot());
             stats.stage_queue_wait.merge(&telem.queue_wait.snapshot());

@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
+use dart_core::TokenRows;
 use dart_nn::matrix::Matrix;
 use dart_telemetry::{AtomicHistogram, Gauge, Histogram, SpanRecord, SpanRing};
 use dart_trace::PreprocessConfig;
@@ -512,6 +513,13 @@ pub(crate) struct ShardReport {
     /// Streams explicitly retired (dead-connection cleanup via
     /// [`RetireCell`]) so far.
     pub stream_retirements: u64,
+    /// Token rows this shard ran through `encode_tokens`: one per request,
+    /// plus a stream's whole history when its ring was not current (first
+    /// request after a hot swap).
+    pub token_rows_computed: u64,
+    /// Token rows of served windows that came out of a stream's ring
+    /// instead (`seq_len - 1` per warm request in steady state).
+    pub token_rows_reused: u64,
     /// Request latency (queue + inference), log2-bucketed
     /// ([`dart_telemetry::Histogram`], promoted out of this module).
     pub latency: Histogram,
@@ -527,11 +535,11 @@ pub(crate) struct ShardReport {
 pub(crate) struct ShardTelemetry {
     /// Enqueue → drained by the worker, per request, nanoseconds.
     pub queue_wait: AtomicHistogram,
-    /// Drain → feature matrix formed (stream updates + staging), per
-    /// batch, nanoseconds.
+    /// Drain → feature rows formed (one row per request), per batch,
+    /// nanoseconds.
     pub coalesce: AtomicHistogram,
-    /// Feature matrix → predictions decoded (`predict_batch` + emission),
-    /// per batch, nanoseconds.
+    /// Feature rows → predictions decoded (`encode_tokens`, stream
+    /// updates, `predict_tokens`, emission), per batch, nanoseconds.
     pub kernel: AtomicHistogram,
     /// Predictions → responses delivered to their completion lanes, per
     /// batch, nanoseconds.
@@ -586,19 +594,25 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Worker loop: drain → coalesce → `predict_batch` → respond, until the
-    /// queue shuts down.
+    /// Worker loop: drain → coalesce → encode → predict → respond, until
+    /// the queue shuts down.
+    ///
+    /// Each request contributes **one** feature row; the whole drained
+    /// batch goes through `encode_tokens` once, each resulting token row
+    /// joins its stream's ring, and the warm streams' windows — `seq_len -
+    /// 1` rows from the ring, one fresh — are stacked for one
+    /// `predict_tokens` call. Bit for bit what `predict_batch` answers on
+    /// the materialised windows ([`crate::StreamState::write_features_into`]).
     ///
     /// Statistics land in the shared `report` cell once per batch (after
     /// that batch's responses are final), so a worker that panics later
     /// loses at most the dying batch's numbers — everything it served
     /// before the panic stays counted in `ServeStats`.
     ///
-    /// The per-batch feature matrix and the stacked warm-row matrix are
-    /// built from two scratch buffers owned by the worker and recycled via
-    /// `Matrix::from_vec` / `Matrix::into_vec`, so a long-running shard
-    /// performs no steady-state allocation for feature staging regardless
-    /// of how many batches it drains.
+    /// The feature rows and the stacked windows live in buffers owned by
+    /// the worker and resized in place, so a long-running shard performs
+    /// no steady-state allocation for staging regardless of how many
+    /// batches it drains.
     pub fn run(
         mut self,
         queue: Arc<ShardQueue>,
@@ -612,15 +626,14 @@ impl ShardWorker {
         // re-warms from scratch).
         let mut streams = StreamLru::new(self.max_streams);
         // (request index in batch, anchor block) of each warm request, in
-        // feature-matrix order.
+        // stacked-window order.
         let mut warm: Vec<(usize, u64)> = Vec::new();
         let mut candidates: Vec<(f32, usize)> = Vec::new();
-        // Reused feature staging: `feat_buf` backs the per-batch feature
-        // matrix (capacity max_batch * t * di after the first full batch),
-        // `stack_buf` backs the exact-size stacked matrix handed to
-        // `predict_batch`.
         let mut feat_buf: Vec<f32> = Vec::new();
-        let mut stack_buf: Vec<f32> = Vec::new();
+        // The stacked windows handed to `predict_tokens`, shaped for the
+        // model of `windows_epoch`.
+        let mut windows_epoch = self.model.epoch();
+        let mut windows = TokenRows::zeros(self.model.current(), 0);
 
         while let Some(batch) = queue.pop_batch(self.max_batch) {
             // Dead-connection cleanup first, so this batch's new streams
@@ -648,16 +661,18 @@ impl ShardWorker {
             // swap landing mid-batch is picked up at the next boundary,
             // never torn.
             let model = Arc::clone(self.model.current());
+            let epoch = self.model.epoch();
+            if epoch != windows_epoch {
+                windows = TokenRows::zeros(&model, 0);
+                windows_epoch = epoch;
+            }
             warm.clear();
 
-            // Phase 1: update stream state in arrival order. Features are
-            // written immediately after each push, so a stream submitting
-            // several requests within one batch gets one prediction per
-            // request, each over its own history window.
+            // Phase 1: one feature row per request — a pure function of
+            // the request, so no stream state is touched yet.
             feat_buf.clear();
-            feat_buf.resize(batch.len() * t * di, 0.0);
-            let mut feats = Matrix::from_vec(batch.len() * t, di, std::mem::take(&mut feat_buf));
-            let mut responses: Vec<PrefetchResponse> = Vec::with_capacity(batch.len());
+            feat_buf.resize(batch.len() * di, 0.0);
+            let mut feats = Matrix::from_vec(batch.len(), di, std::mem::take(&mut feat_buf));
             for (i, env) in batch.iter().enumerate() {
                 if Some(env.req.stream_id) == self.panic_on_stream {
                     // The message deliberately contains a double quote, a
@@ -671,8 +686,31 @@ impl ShardWorker {
                         env.req.stream_id
                     );
                 }
+                self.pre.write_token_features(env.req.block(), env.req.pc, feats.row_mut(i));
+            }
+
+            let t_formed = Instant::now();
+
+            // Phase 2: encode every request's token once, then update
+            // stream state in arrival order. Each token row joins its
+            // stream's ring and a warm stream's window is copied out right
+            // away, so a stream submitting several requests within one
+            // batch gets one prediction per request, each over its own
+            // history window.
+            let tokens = model.encode_tokens(&feats);
+            feat_buf = feats.into_vec();
+            let (mut rows_computed, mut rows_reused) = (batch.len(), 0);
+            windows.resize_rows(batch.len() * t);
+            let mut responses: Vec<PrefetchResponse> = Vec::with_capacity(batch.len());
+            for (i, env) in batch.iter().enumerate() {
                 let state = streams.entry(env.req.stream_id, t);
-                let seq = state.push(env.req.block(), env.req.pc);
+                // Rows encoded by another model version (or none yet) are
+                // re-derived from the history, never mixed into a window.
+                let rebuilt = !state.ring_current(epoch);
+                if rebuilt {
+                    rows_computed += state.rebuild_ring(epoch, &model, &self.pre);
+                }
+                let seq = state.push_token(env.req.block(), env.req.pc, &tokens, i);
                 responses.push(PrefetchResponse {
                     stream_id: env.req.stream_id,
                     seq,
@@ -682,29 +720,26 @@ impl ShardWorker {
                     error: None,
                 });
                 if state.warm() {
-                    state.write_features_into(&self.pre, &mut feats, warm.len() * t);
-                    warm.push((i, state.last_block().unwrap()));
+                    state.write_tokens_into(&mut windows, warm.len());
+                    warm.push((i, env.req.block()));
+                    if !rebuilt {
+                        rows_reused += t - 1;
+                    }
                 }
             }
 
-            let t_formed = Instant::now();
-
-            // Phase 2: one batched prediction for every warm request.
+            // Phase 3: one batched prediction for every warm request.
             if !warm.is_empty() {
-                stack_buf.clear();
-                stack_buf.extend_from_slice(&feats.as_slice()[..warm.len() * t * di]);
-                let stacked = Matrix::from_vec(warm.len() * t, di, std::mem::take(&mut stack_buf));
-                let probs = model.predict_batch(&stacked);
-                stack_buf = stacked.into_vec();
+                windows.resize_rows(warm.len() * t);
+                let probs = model.predict_tokens(&windows);
                 for (w, &(i, anchor)) in warm.iter().enumerate() {
                     responses[i].prefetch_blocks =
                         decode_bitmap(probs.row(w), &self.pre, anchor, self.emit, &mut candidates);
                 }
             }
-            feat_buf = feats.into_vec();
             let t_predicted = Instant::now();
 
-            // Phase 3: stamp latencies, then deliver. All fallible work is
+            // Phase 4: stamp latencies, then deliver. All fallible work is
             // done; disarm before taking any lock so the guard's Drop can
             // never re-lock the sink from this thread. Commit this batch's
             // statistics only now that its responses are final: a panic
@@ -722,6 +757,8 @@ impl ShardWorker {
                 r.resident_streams = streams.len();
                 r.stream_evictions = streams.evictions();
                 r.stream_retirements = streams.retirements();
+                r.token_rows_computed += rows_computed as u64;
+                r.token_rows_reused += rows_reused as u64;
                 for resp in &responses {
                     r.latency.record(resp.latency_ns);
                 }

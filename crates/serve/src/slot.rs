@@ -122,10 +122,10 @@ impl ModelHandle {
         &self.model
     }
 
-    /// The epoch this handle last adopted. (The production observer path
-    /// reads [`ModelSlot::adopted_epochs`] instead; this accessor exists
-    /// for the protocol unit tests.)
-    #[cfg(test)]
+    /// The epoch this handle last adopted: the version of the model
+    /// [`Self::current`] last returned. Per-stream token rows are keyed by
+    /// it — rows encoded under another epoch are recomputed, never mixed
+    /// into a window. (Observers read [`ModelSlot::adopted_epochs`].)
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -2,23 +2,83 @@
 
 use std::collections::VecDeque;
 
+use dart_core::{TabularModel, TokenRing, TokenRows};
 use dart_nn::matrix::Matrix;
 use dart_trace::PreprocessConfig;
 
 /// Rolling access history of one client stream, mirroring the
 /// `DartPrefetcher` history buffer but owned by a shard worker so thousands
 /// of streams can share one model.
+///
+/// Beside the `(block, pc)` history sits a [`TokenRing`] of the same
+/// tokens' encoded rows (`T * (2D * 4 + 2 * H * C_k * 2)` bytes once the
+/// worker has served the stream), so a request encodes one token, not
+/// `T`. `history` stays the truth: rows are kept only while they were
+/// encoded under the model epoch now serving and match the history token
+/// for token; otherwise the worker re-derives them from `history`
+/// ([`Self::rebuild_ring`]).
 #[derive(Clone, Debug)]
 pub struct StreamState {
     history: VecDeque<(u64, u64)>, // (block, pc)
     seq_len: usize,
     next_seq: u64,
+    ring: TokenRing,
+    /// Model epoch the ring's rows were encoded under (0: none yet).
+    ring_epoch: u64,
 }
 
 impl StreamState {
     /// Fresh state for a model with history length `seq_len`.
     pub fn new(seq_len: usize) -> StreamState {
-        StreamState { history: VecDeque::with_capacity(seq_len), seq_len, next_seq: 0 }
+        StreamState {
+            history: VecDeque::with_capacity(seq_len),
+            seq_len,
+            next_seq: 0,
+            ring: TokenRing::default(),
+            ring_epoch: 0,
+        }
+    }
+
+    /// True when the ring holds exactly the rows of `history` as the model
+    /// of `epoch` encodes them. False after a hot swap, for a stream the
+    /// worker has not served yet, and after a bare [`Self::push`].
+    pub(crate) fn ring_current(&self, epoch: u64) -> bool {
+        self.ring_epoch == epoch && self.ring.len() == self.history.len()
+    }
+
+    /// Re-derive the ring from `history` under `model` (the version of
+    /// `epoch`); returns the rows encoded.
+    pub(crate) fn rebuild_ring(
+        &mut self,
+        epoch: u64,
+        model: &TabularModel,
+        pre: &PreprocessConfig,
+    ) -> usize {
+        self.ring.clear();
+        self.ring_epoch = epoch;
+        if self.history.is_empty() {
+            return 0;
+        }
+        let mut feats = Matrix::zeros(self.history.len(), pre.input_dim());
+        self.write_history_into(pre, &mut feats, 0);
+        let tokens = model.encode_tokens(&feats);
+        for r in 0..tokens.rows() {
+            self.ring.push(self.seq_len, &tokens, r);
+        }
+        tokens.rows()
+    }
+
+    /// [`Self::push`] together with the access's encoded token, row `r` of
+    /// `tokens` (the ring must be [`Self::ring_current`] for the epoch
+    /// that encoded it).
+    pub(crate) fn push_token(&mut self, block: u64, pc: u64, tokens: &TokenRows, r: usize) -> u64 {
+        self.ring.push(self.seq_len, tokens, r);
+        self.push(block, pc)
+    }
+
+    /// Copy the warm window's token rows into window `w` of `dst`.
+    pub(crate) fn write_tokens_into(&self, dst: &mut TokenRows, w: usize) {
+        self.ring.write_window(dst, w);
     }
 
     /// Record one access; returns the request's per-stream sequence number.
@@ -32,14 +92,15 @@ impl StreamState {
         seq
     }
 
-    /// Forget everything: clear the history window and restart the
-    /// per-stream sequence counter, keeping the history buffer's
-    /// allocation. Used by the shard LRU to recycle an evicted stream's
-    /// slot — the next occupant starts exactly as cold as a brand-new
-    /// stream.
+    /// Forget everything: clear the history window and the token ring and
+    /// restart the per-stream sequence counter, keeping their allocations.
+    /// Used by the shard LRU to recycle an evicted stream's slot — the next
+    /// occupant starts exactly as cold as a brand-new stream.
     pub fn reset(&mut self) {
         self.history.clear();
         self.next_seq = 0;
+        self.ring.clear();
+        self.ring_epoch = 0;
     }
 
     /// True once the history holds a full model window.
@@ -59,10 +120,16 @@ impl StreamState {
 
     /// Write the history window into `seq_len` stacked feature rows of
     /// `feats`, starting at `base_row` (the batched-prediction layout of
-    /// `TabularModel::predict_batch`). Panics if the stream is not
+    /// `TabularModel::predict_batch`): the materialised window the token
+    /// ring is checked against. Panics if the stream is not
     /// [`warm`](Self::warm).
     pub fn write_features_into(&self, pre: &PreprocessConfig, feats: &mut Matrix, base_row: usize) {
         assert!(self.warm(), "write_features_into on a cold stream");
+        self.write_history_into(pre, feats, base_row);
+    }
+
+    /// One feature row per history entry, oldest first, from `base_row`.
+    fn write_history_into(&self, pre: &PreprocessConfig, feats: &mut Matrix, base_row: usize) {
         for (t, &(block, pc)) in self.history.iter().enumerate() {
             pre.write_token_features(block, pc, feats.row_mut(base_row + t));
         }

@@ -34,6 +34,8 @@ fn sample_stats() -> ServeStats {
         per_shard_requests: vec![70, 50],
         per_shard_streams: vec![5, 4],
         stream_evictions: 2,
+        per_shard_token_rows_computed: vec![82, 58],
+        per_shard_token_rows_reused: vec![840, 600],
         model_version: 3,
         model_swaps: 2,
         model_rollbacks: 1,
