@@ -420,9 +420,9 @@ pub fn ablations(ctx: &ExperimentContext) -> Vec<AblationRow> {
 }
 
 /// Ablations for the design choices the paper leaves open: encoder kind
-/// (exact arg-min vs log-K hash tree), attention activation (Eq. 14
-/// sigmoid vs per-subspace softmax), and the fused single-table FFN of
-/// §VIII vs two kernels.
+/// (the default log-K hash tree vs the exact arg-min upper bound),
+/// attention activation (Eq. 14 sigmoid vs per-subspace softmax), and the
+/// fused single-table FFN of §VIII vs two kernels.
 pub(super) fn run_ablations(s: &mut Session) {
     let rows = ablations(&s.ctx);
     let mut t = Table::new(&["Ablation", "Setting", "F1 (bwaves)", "F1 (gcc)"]);
@@ -433,9 +433,11 @@ pub(super) fn run_ablations(s: &mut Session) {
     }
     print_table("Ablations: encoder, attention activation, fused FFN", &t);
     println!(
-        "\nExpected shapes: argmin >= hash-tree (accuracy), sigmoid vs softmax \
-         comparable (the fine-tuned layers absorb either), fused FFN trades \
-         accuracy for half the FFN latency."
+        "\nMeasured shapes (BENCH_22.json): the hash tree — the default, and the \
+         encoder of every row that does not say otherwise — matches exact argmin to \
+         three decimals on both workloads at quick scale, at a fifth of the latency; \
+         sigmoid vs softmax comparable (the fine-tuned layers absorb either), fused \
+         FFN trades accuracy for half the FFN latency."
     );
     record_json("ablations", &serde_json::to_value(&rows).unwrap());
 }

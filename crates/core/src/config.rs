@@ -95,7 +95,10 @@ pub struct TabularConfig {
     pub k: usize,
     /// Subspaces `C` (used for both `C_k` and `C_t`).
     pub c: usize,
-    /// Encoder used by every quantizer.
+    /// Encoder used by every quantizer — the linear kernels' and the
+    /// attention kernels' alike. Defaults to [`EncoderKind::HashTree`], the
+    /// `log2 K`-comparison encoder Eq. 22 charges for; [`EncoderKind::Argmin`]
+    /// (the exact `K * V` scan) is the ablation's accuracy upper bound.
     pub encoder: EncoderKind,
     /// Activation folded into the attention QKV tables (Eq. 14).
     pub activation: AttentionActivation,
@@ -116,7 +119,7 @@ impl Default for TabularConfig {
         TabularConfig {
             k: 128,
             c: 2,
-            encoder: EncoderKind::Argmin,
+            encoder: EncoderKind::HashTree,
             activation: AttentionActivation::SigmoidScaled,
             fine_tune_epochs: 8,
             fine_tune_lr: 1e-3,
@@ -166,6 +169,17 @@ mod tests {
         assert_eq!(cfg.ffn_dim, 128);
         assert_eq!(cfg.seq_len, 16);
         assert!(cfg.validate().is_ok());
+    }
+
+    /// What everything that says `..Default::default()` is built with: the
+    /// encoder the latency model charges for (`BENCH_22.json` is why).
+    #[test]
+    fn default_encoder_is_the_hash_tree() {
+        assert_eq!(TabularConfig::default().encoder, EncoderKind::HashTree);
+        assert_eq!(
+            TabularConfig::from_predictor(&PredictorConfig::dart_l()).encoder,
+            EncoderKind::HashTree
+        );
     }
 
     #[test]

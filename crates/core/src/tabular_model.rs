@@ -399,19 +399,28 @@ impl TabularModel {
         json
     }
 
-    /// Content fingerprint: FNV-1a over the canonical [`Self::to_json`]
-    /// serialization. Bit-identical models — e.g. a `clone` — share a
-    /// fingerprint; any table-entry or config change alters it. Used by
-    /// `dart-serve`'s model registry to distinguish a no-op hot-swap from
-    /// a real model change. This serializes the whole model, so treat it
-    /// as a registry/admin-path operation, not a serving-path one.
+    /// Content fingerprint: FNV-1a over the bytes of the canonical
+    /// [`Self::to_json`] serialization. Bit-identical models — e.g. a
+    /// `clone` — share a fingerprint; any table-entry or config change
+    /// alters it. Used by `dart-serve`'s model registry to distinguish a
+    /// no-op hot-swap from a real model change. The text is streamed
+    /// through the hash and never held or parsed back (`to_json`'s
+    /// load-back guard belongs to writing a file, not to naming a model),
+    /// but the whole model is still walked: a registry / admin-path
+    /// operation, not a serving-path one.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.to_json().into_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+        struct Fnv1a(u64);
+        impl std::fmt::Write for Fnv1a {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for &b in s.as_bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+                }
+                Ok(())
+            }
         }
-        h
+        let mut hash = Fnv1a(0xcbf29ce484222325);
+        serde_json::to_writer(&mut hash, self).expect("the hash sink accepts every write");
+        hash.0
     }
 
     /// Load a model serialized by [`Self::to_json`]. f32 entries survive
@@ -528,9 +537,14 @@ mod tests {
     use crate::tabularize::tabularize;
     use dart_nn::init::InitRng;
     use dart_nn::model::AccessPredictor;
+    use dart_pq::EncoderKind;
     use serde_json::Value;
 
     fn tiny_model() -> TabularModel {
+        tiny_model_with(TabularConfig::default().encoder)
+    }
+
+    fn tiny_model_with(encoder: EncoderKind) -> TabularModel {
         let cfg = ModelConfig {
             input_dim: 6,
             dim: 8,
@@ -543,7 +557,7 @@ mod tests {
         let student = AccessPredictor::new(cfg, 3).unwrap();
         let mut rng = InitRng::new(9);
         let x = Matrix::from_fn(40 * 4, 6, |_, _| rng.next_f32());
-        let tab = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
+        let tab = TabularConfig { k: 8, c: 2, encoder, fine_tune_epochs: 0, ..Default::default() };
         tabularize(&student, &x, &tab).0
     }
 
@@ -578,6 +592,23 @@ mod tests {
         let model = tiny_model();
         assert_eq!(model.validate(), Ok(()));
         assert_eq!(load_edited(|_| {}).unwrap().fingerprint(), model.fingerprint());
+    }
+
+    /// The fingerprint is defined by the serialized text — FNV-1a over the
+    /// bytes `to_json` returns — though computing it never builds that text.
+    #[test]
+    fn fingerprint_is_fnv1a_over_the_json_bytes() {
+        for encoder in [EncoderKind::Argmin, EncoderKind::HashTree] {
+            let model = tiny_model_with(encoder);
+            let over_text = model
+                .to_json()
+                .bytes()
+                .fold(0xcbf29ce484222325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3));
+            assert_eq!(model.fingerprint(), over_text, "{encoder:?}");
+        }
+        // The value this model had while `fingerprint` still built the text
+        // (and argmin was the default encoder): registries keep theirs.
+        assert_eq!(tiny_model_with(EncoderKind::Argmin).fingerprint(), 0xeeb5_3da8_d387_1615);
     }
 
     /// Each edit leaves every part parseable on its own — these files

@@ -54,7 +54,9 @@ pub struct AttentionTableConfig {
     /// Subspaces over the sequence dimension `T` (for `QK^T` rows and V
     /// columns), `C_t`.
     pub ct: usize,
-    /// Encoder used by every quantizer.
+    /// Encoder used by all four quantizers (Q, K, `Q̂K^T` rows, V columns).
+    /// Defaults to [`EncoderKind::HashTree`]; [`EncoderKind::Argmin`] is the
+    /// exact-scan ablation.
     pub encoder: EncoderKind,
     /// Activation folded into the QKV prototypes.
     pub activation: AttentionActivation,
@@ -68,7 +70,7 @@ impl Default for AttentionTableConfig {
             k: 16,
             ck: 2,
             ct: 2,
-            encoder: EncoderKind::Argmin,
+            encoder: EncoderKind::HashTree,
             activation: AttentionActivation::SigmoidScaled,
             seed: 0xA77,
         }
@@ -243,7 +245,8 @@ impl AttentionTable {
     /// every K row (`R x D_k` each) into `C_k` prototype codes, row-major
     /// (`q_codes[r * C_k + ci]`). A row's codes depend on that row alone,
     /// so a caller that sees the same row again (a sliding window) can keep
-    /// them. The encodes run through the process-wide argmin dispatch
+    /// them. Each encode is its quantizer's own — a hash-tree walk, or for
+    /// an argmin table the process-wide dispatched scan
     /// (`simd::nearest_dim_major`); row tiles run rayon-parallel.
     pub fn encode_qk_rows(&self, q: &Matrix, k: &Matrix, q_codes: &mut [u16], k_codes: &mut [u16]) {
         let nearest = crate::simd::nearest_dim_major();
@@ -464,12 +467,29 @@ mod tests {
         dk: usize,
         k: usize,
     ) -> (AttentionTable, Matrix, Matrix, Matrix) {
+        fit_with(AttentionTableConfig::default().encoder, samples, t, dk, k)
+    }
+
+    fn fit_with(
+        encoder: EncoderKind,
+        samples: usize,
+        t: usize,
+        dk: usize,
+        k: usize,
+    ) -> (AttentionTable, Matrix, Matrix, Matrix) {
         let q = rand_stack(samples, t, dk, 100);
         let kk = rand_stack(samples, t, dk, 200);
         let v = rand_stack(samples, t, dk, 300);
-        let cfg = AttentionTableConfig { k, ck: 2, ct: 2, ..Default::default() };
+        let cfg = AttentionTableConfig { k, ck: 2, ct: 2, encoder, ..Default::default() };
         let table = AttentionTable::fit(&q, &kk, &v, t, &cfg);
         (table, q, kk, v)
+    }
+
+    const BOTH_ENCODERS: [EncoderKind; 2] = [EncoderKind::HashTree, EncoderKind::Argmin];
+
+    #[test]
+    fn default_encoder_is_the_hash_tree() {
+        assert_eq!(AttentionTableConfig::default().encoder, EncoderKind::HashTree);
     }
 
     #[test]
@@ -481,13 +501,15 @@ mod tests {
 
     #[test]
     fn qk_table_approximates_dot_products() {
-        let (table, q, k, _) = fit_default(50, 4, 8, 64);
-        let qs = q.slice_rows(0, 4);
-        let ks = k.slice_rows(0, 4);
-        let approx = table.query_qk(&qs, &ks);
-        let exact = qs.matmul_transb(&ks);
-        let err = approx.sub(&exact).frobenius_norm() / exact.frobenius_norm().max(1e-6);
-        assert!(err < 0.6, "relative QK error {err}");
+        for encoder in BOTH_ENCODERS {
+            let (table, q, k, _) = fit_with(encoder, 50, 4, 8, 64);
+            let qs = q.slice_rows(0, 4);
+            let ks = k.slice_rows(0, 4);
+            let approx = table.query_qk(&qs, &ks);
+            let exact = qs.matmul_transb(&ks);
+            let err = approx.sub(&exact).frobenius_norm() / exact.frobenius_norm().max(1e-6);
+            assert!(err < 0.6, "{encoder:?}: relative QK error {err}");
+        }
     }
 
     #[test]
@@ -509,21 +531,23 @@ mod tests {
 
     #[test]
     fn approximates_sigmoid_attention_with_many_prototypes() {
-        let (table, q, k, v) = fit_default(100, 4, 8, 128);
-        // On training samples, the double quantization should land near the
-        // sigmoid-attention reference.
-        let mut total_rel = 0.0;
-        let trials = 10;
-        for n in 0..trials {
-            let qs = q.slice_rows(n * 4, (n + 1) * 4);
-            let ks = k.slice_rows(n * 4, (n + 1) * 4);
-            let vs = v.slice_rows(n * 4, (n + 1) * 4);
-            let approx = table.query(&qs, &ks, &vs);
-            let exact = sigmoid_attention(&qs, &ks, &vs);
-            total_rel += approx.sub(&exact).frobenius_norm() / exact.frobenius_norm().max(1e-6);
+        for encoder in BOTH_ENCODERS {
+            let (table, q, k, v) = fit_with(encoder, 100, 4, 8, 128);
+            // On training samples, the double quantization should land near
+            // the sigmoid-attention reference.
+            let mut total_rel = 0.0;
+            let trials = 10;
+            for n in 0..trials {
+                let qs = q.slice_rows(n * 4, (n + 1) * 4);
+                let ks = k.slice_rows(n * 4, (n + 1) * 4);
+                let vs = v.slice_rows(n * 4, (n + 1) * 4);
+                let approx = table.query(&qs, &ks, &vs);
+                let exact = sigmoid_attention(&qs, &ks, &vs);
+                total_rel += approx.sub(&exact).frobenius_norm() / exact.frobenius_norm().max(1e-6);
+            }
+            let mean_rel = total_rel / trials as f32;
+            assert!(mean_rel < 0.5, "{encoder:?}: mean relative error {mean_rel}");
         }
-        let mean_rel = total_rel / trials as f32;
-        assert!(mean_rel < 0.5, "mean relative error {mean_rel}");
     }
 
     #[test]

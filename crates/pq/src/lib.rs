@@ -5,9 +5,10 @@
 //! table lookups.
 //!
 //! * [`kmeans`] — k-means++ / Lloyd prototype learning (paper Eq. 5),
-//! * [`quantizer`] — per-subspace quantizers: exact arg-min encoding and a
-//!   MADDNESS-style balanced hash-tree encoder with `log2(K)` query depth
-//!   (the paper's "locality sensitive hashing \[24\]" encoder),
+//! * [`quantizer`] — per-subspace quantizers: a MADDNESS-style balanced
+//!   hash-tree encoder with `log2(K)` query depth (the paper's "locality
+//!   sensitive hashing \[24\]" encoder, and the default) and exact arg-min
+//!   encoding (the upper-bound ablation),
 //! * [`linear_table`] — the **linear kernel** (Eq. 10–11): precomputed
 //!   prototype·weight tables with the bias folded into one subspace,
 //! * [`attention_table`] — the **attention kernel** (Eq. 12–15): a QK table
@@ -18,7 +19,7 @@
 //! * [`complexity`] — the latency / storage / arithmetic-operation formulas
 //!   of Eq. 16–21 used by DART's table configurator,
 //! * [`simd`] — the exact argmin scan over a dimension-major codebook
-//!   block: one safe body, compiled for the baseline target and for AVX2
+//!   block (arg-min encodes and k-means assignment): one safe body, compiled for the baseline target and for AVX2
 //!   (chosen per process from the CPU it observes), both bit-for-bit
 //!   identical to the per-centroid strided reference.
 

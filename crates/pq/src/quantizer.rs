@@ -3,12 +3,15 @@
 //!
 //! Two encoders are provided:
 //!
-//! * [`EncoderKind::Argmin`] — exact nearest-prototype search over k-means
-//!   centroids, `O(K * V)` per encode. The accuracy upper bound.
 //! * [`EncoderKind::HashTree`] — a MADDNESS-style balanced binary decision
-//!   tree (`log2(K)` comparisons per encode). This is the paper's
-//!   "locality sensitive hashing \[24\]" encoder and the one its latency
-//!   model (`L_g = log K`) assumes. Prototypes are the leaf-bucket means.
+//!   tree (`log2(K)` comparisons per encode): the paper's "locality
+//!   sensitive hashing \[24\]" encoder, the one its latency model
+//!   (`L_g = log K`) charges for, and what `dart-core`'s `TabularConfig`
+//!   and [`crate::AttentionTableConfig`] build by default. Prototypes are
+//!   the leaf-bucket means.
+//! * [`EncoderKind::Argmin`] — exact nearest-prototype search over k-means
+//!   centroids, `O(K * V)` per encode. Selected explicitly: the ablation's
+//!   accuracy upper bound and the reference of the differential suites.
 
 use dart_nn::matrix::Matrix;
 use rayon::prelude::*;
@@ -26,9 +29,11 @@ pub const ENCODE_TILE_ROWS: usize = 64;
 /// Which encoding function `g_c` a quantizer uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EncoderKind {
-    /// Exact arg-min over k-means prototypes (`O(K*V)` per query).
+    /// Exact arg-min over k-means prototypes (`O(K*V)` per query): the
+    /// upper-bound ablation.
     Argmin,
-    /// Balanced hash tree with `log2(K)` scalar comparisons per query.
+    /// Balanced hash tree with `log2(K)` scalar comparisons per query: the
+    /// default of every model configuration.
     HashTree,
 }
 
@@ -530,6 +535,33 @@ mod tests {
         for i in 0..data.rows() {
             assert!(q.encode(data.row(i)) < 16);
         }
+    }
+
+    /// `K` = 24 is not a power of two: the depth-5 tree has 32 leaves, and
+    /// leaves 24..32 fold onto `leaf % K` — in the fit (bucket means) and
+    /// in every encode alike, so codes stay inside the table.
+    #[test]
+    fn hash_tree_with_non_power_of_two_k_stays_in_range() {
+        let data = sample_data(400, 6, 41);
+        let pq = ProductQuantizer::fit(&data, 2, 24, EncoderKind::HashTree, 7);
+        assert_eq!(pq.validate(), Ok(()));
+        let Encoder::HashTree(tree) = &pq.encoders[0] else { panic!("expected hash tree") };
+        assert_eq!((tree.depth(), tree.num_buckets()), (5, 24));
+        let mut batch = vec![0usize; data.rows() * 2];
+        pq.encode_batch_into(&data, &mut batch);
+        let mut folded = 0;
+        for i in 0..data.rows() {
+            let row = pq.encode_row(data.row(i));
+            assert!(row.iter().all(|&code| code < 24), "row {i}: {row:?}");
+            assert_eq!(row, batch[i * 2..(i + 1) * 2], "row {i}: batch vs row");
+            // The leaf before folding, from the same walk `encode` does.
+            let leaf = tree.split_dims.iter().enumerate().fold(0, |idx, (level, &dim)| {
+                2 * idx + usize::from(data.row(i)[dim] > tree.thresholds[(1 << level) - 1 + idx])
+            });
+            assert_eq!(row[0], leaf % 24);
+            folded += usize::from(leaf >= 24);
+        }
+        assert!(folded > 0, "no training row reached a folded leaf: the fallback went untested");
     }
 
     #[test]

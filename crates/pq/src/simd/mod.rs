@@ -1,15 +1,21 @@
 //! Kernel dispatch: the one primitive compiled twice.
 //!
 //! The argmin distance scan over a dimension-major `dim x K` centroid
-//! block is where an exact-argmin prediction spends most of its time, and
-//! the one inner loop whose speed depends on the vector width it is
-//! compiled for. It is one safe body ([`scalar`]'s `scan_blocks`: a
-//! 16-centroid accumulator block swept over contiguous coordinate columns,
-//! which the compiler vectorises), compiled once for the build's baseline
-//! target and once under `#[target_feature(enable = "avx2")]`; the AVX2
-//! compile is about a third faster end to end (`BENCH_20.json`). The row-accumulate / gather
-//! loops in [`scalar`] measure the same either way, so they are plain
-//! functions called directly, and only the argmin scan is dispatched.
+//! block is the encode of an [`crate::EncoderKind::Argmin`] model — the
+//! exact-scan ablation, where it is nine tenths of a prediction — and the
+//! Lloyd assignment step of every k-means fit. A model built with the
+//! default hash-tree encoder never reaches it at serve time. It is the one
+//! inner loop whose speed depends on the vector width it is compiled for:
+//! one safe body ([`scalar`]'s `scan_blocks`: a 16-centroid accumulator
+//! block swept over contiguous coordinate columns, which the compiler
+//! vectorises, then a serial select over the block, skipped when no lane
+//! beats the running minimum), compiled
+//! once for the build's baseline target and once under
+//! `#[target_feature(enable = "avx2")]`; the AVX2 compile is about a third
+//! faster end to end (`BENCH_20.json`, `BENCH_22.json`). The
+//! row-accumulate / gather loops in [`scalar`] measure the same either
+//! way, so they are plain functions called directly, and only the argmin
+//! scan is dispatched.
 //!
 //! Both compiles keep the per-centroid operation sequence of the strided
 //! reference [`scalar::nearest_strided`] (separate subtract / multiply /

@@ -8,7 +8,10 @@
 //! blocked body every dispatch level compiles.
 
 /// Centroids per accumulator block of [`scan_blocks`]: two AVX2 or four
-/// SSE2 registers. (32 measured 6 % slower than 16 on `predict_b1`.)
+/// SSE2 registers. Wider blocks (32, 64) measured slower: the select over
+/// a block is a serial compare / min / cmov chain, one link per centroid,
+/// so what a block costs beyond its distance sweep is how often it holds
+/// a new minimum — which `scan_blocks` tests before walking it.
 const BLOCK: usize = 16;
 
 /// Continue an argmin scan over centroids `from..k` of a dimension-major
@@ -50,10 +53,13 @@ pub fn nearest_strided(point: &[f32], cols: &[f32], k: usize) -> (usize, f32) {
 
 /// [`nearest_strided`], [`BLOCK`] centroids at a time: one accumulator per
 /// centroid, swept over `d = 0, 1, …` with contiguous column loads, then
-/// the same ascending strict-`<` scan over the block; the `k mod BLOCK`
-/// tail runs the strided loop. Lanes map onto centroids, never onto the
-/// reduction dimension, and subtract / multiply / add stay separate, so
-/// every distance — and therefore every index — has the reference's bits.
+/// the same ascending strict-`<` scan over the block — skipped when no
+/// lane is below the running minimum, which is most blocks after the first
+/// and skips nothing the scan would have taken (a NaN lane compares false
+/// in the test as it does in the scan); the `k mod BLOCK` tail runs the
+/// strided loop. Lanes map onto centroids, never onto the reduction
+/// dimension, and subtract / multiply / add stay separate, so every
+/// distance — and therefore every index — has the reference's bits.
 ///
 /// Used as a function pointer it is the build's baseline compile (SSE2
 /// lanes on x86-64) — the `SimdLevel::Scalar` kernel; `#[inline(always)]`
@@ -76,9 +82,13 @@ pub(super) fn scan_blocks(point: &[f32], cols: &[f32], k: usize) -> (usize, f32)
                 *a += diff * diff;
             }
         }
-        for (l, &d2) in acc.iter().enumerate() {
-            if d2 < best.1 {
-                best = (c0 + l, d2);
+        // A branch-free any-lane test (two vector compares and a mask test)
+        // in front of the 16-link dependent chain below.
+        if acc.iter().fold(false, |any, &d2| any | (d2 < best.1)) {
+            for (l, &d2) in acc.iter().enumerate() {
+                if d2 < best.1 {
+                    best = (c0 + l, d2);
+                }
             }
         }
     }

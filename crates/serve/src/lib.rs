@@ -41,7 +41,12 @@
 //!   model, and old versions are reclaimed once every shard has moved
 //!   past them. The [`shadow`] module closes the loop: replayed live
 //!   traffic is re-trained/re-tabularized in the background and promoted
-//!   through an A/B gate only if it beats the incumbent.
+//!   through an A/B gate only if it beats the incumbent. Candidates are
+//!   tabularized with [`ShadowConfig::tabular`]; left at
+//!   `TabularConfig::default()` that is the `log2 K` hash-tree encoder, so
+//!   a runtime started on an exact-argmin model serves hash-tree tables
+//!   from its first promotion on (the encoder is part of the model, and
+//!   the swap path does not care which one it is).
 //! * **Batch coalescing** — each worker drains its queue (up to
 //!   `max_batch` requests) and issues one `encode_tokens` call for the
 //!   drain's new tokens and one `predict_tokens` call for its warm

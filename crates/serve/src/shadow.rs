@@ -140,7 +140,10 @@ pub struct ShadowConfig {
     /// paper's pipeline); `None` trains the student directly with BCE
     /// (the "Stu w/o KD" shape — much cheaper, weaker).
     pub teacher: Option<(ModelConfig, DistillConfig)>,
-    /// Tabularization settings for the candidate.
+    /// Tabularization settings for the candidate. Built from
+    /// `TabularConfig::default()` like every caller's, a retrained model
+    /// uses the hash-tree encoder — whatever encoder the incumbent it
+    /// challenges was built with (a model records its own).
     pub tabular: TabularConfig,
     /// Minimum resident replay samples before a round will train.
     pub min_samples: usize,

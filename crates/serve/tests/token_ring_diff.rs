@@ -166,7 +166,15 @@ fn token_rows(stats: &ServeStats) -> (u64, u64) {
 fn served_equals_predict_batch_on_the_materialised_window() {
     let pre = pre();
     let variants = [
-        ("argmin", plain(&pre, 3)),
+        (
+            "argmin",
+            model(
+                &pre,
+                SMALL,
+                3,
+                TabularConfig { encoder: EncoderKind::Argmin, ..Default::default() },
+            ),
+        ),
         (
             "hash tree",
             model(

@@ -1,8 +1,9 @@
-//! Golden-fixture regression test: a small trained `TabularModel`
-//! (deterministic seeds, no fine-tuning) is serialized to JSON under
-//! `tests/fixtures/`, together with its predictions on a fixed synthetic
+//! Golden-fixture regression test: two small trained `TabularModel`s
+//! (deterministic seeds, no fine-tuning) — one per encoder: the default
+//! hash tree and the exact-argmin ablation — are serialized to JSON under
+//! `tests/fixtures/`, each with its predictions on a fixed synthetic
 //! trace. Future layout or serialization refactors must keep loading the
-//! fixture and reproducing those predictions — this is the backstop that
+//! fixtures and reproducing those predictions — this is the backstop that
 //! caught-in-review changes to `TableArena`/`CodebookArena`/`HashTree`
 //! serialization cannot silently slip past.
 //!
@@ -17,12 +18,36 @@ use dart::core::tabularize::tabularize;
 use dart::core::TabularModel;
 use dart::nn::matrix::Matrix;
 use dart::nn::model::{AccessPredictor, ModelConfig};
+use dart::pq::EncoderKind;
 use dart::trace::PreprocessConfig;
 
-const MODEL_FIXTURE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tabular_model.json");
-const PREDICTIONS_FIXTURE: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tabular_model_predictions.json");
+/// One golden model: its encoder and the two files that pin it.
+struct Golden {
+    encoder: EncoderKind,
+    model: &'static str,
+    predictions: &'static str,
+}
+
+macro_rules! fixture {
+    ($name:literal) => {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/", $name)
+    };
+}
+
+/// One pair per encoder. The argmin pair is also what "the exact path is
+/// bit for bit what it was" means: its bytes only change with the format.
+const GOLDEN: [Golden; 2] = [
+    Golden {
+        encoder: EncoderKind::Argmin,
+        model: fixture!("tabular_model.json"),
+        predictions: fixture!("tabular_model_predictions.json"),
+    },
+    Golden {
+        encoder: EncoderKind::HashTree,
+        model: fixture!("tabular_model_hashtree.json"),
+        predictions: fixture!("tabular_model_hashtree_predictions.json"),
+    },
+];
 
 fn golden_pre() -> PreprocessConfig {
     PreprocessConfig {
@@ -43,7 +68,7 @@ fn golden_inputs(pre: &PreprocessConfig, samples: usize) -> Matrix {
     })
 }
 
-fn build_golden_model() -> TabularModel {
+fn build_golden_model(encoder: EncoderKind) -> TabularModel {
     let pre = golden_pre();
     let cfg = ModelConfig {
         input_dim: pre.input_dim(),
@@ -56,8 +81,14 @@ fn build_golden_model() -> TabularModel {
     };
     let student = AccessPredictor::new(cfg, 0x601D).expect("valid golden config");
     let train = golden_inputs(&pre, 50);
-    let tab_cfg =
-        TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, seed: 0x601D, ..Default::default() };
+    let tab_cfg = TabularConfig {
+        k: 8,
+        c: 2,
+        encoder,
+        fine_tune_epochs: 0,
+        seed: 0x601D,
+        ..Default::default()
+    };
     tabularize(&student, &train, &tab_cfg).0
 }
 
@@ -67,36 +98,61 @@ fn golden_model_predictions_match_fixture() {
     let inputs = golden_inputs(&pre, 12);
 
     if std::env::var("DART_REGEN_FIXTURES").is_ok() {
-        let model = build_golden_model();
-        let probs = model.predict_batch(&inputs);
-        std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).unwrap();
-        std::fs::write(MODEL_FIXTURE, model.to_json()).unwrap();
-        std::fs::write(PREDICTIONS_FIXTURE, serde_json::to_string(&probs).unwrap()).unwrap();
+        std::fs::create_dir_all(fixture!("")).unwrap();
+        for golden in &GOLDEN {
+            let model = build_golden_model(golden.encoder);
+            let probs = model.predict_batch(&inputs);
+            std::fs::write(golden.model, model.to_json()).unwrap();
+            std::fs::write(golden.predictions, serde_json::to_string(&probs).unwrap()).unwrap();
+        }
         return;
     }
 
-    let json = std::fs::read_to_string(MODEL_FIXTURE)
-        .expect("fixture missing — regenerate with DART_REGEN_FIXTURES=1");
-    let model = TabularModel::from_json(&json).expect("fixture must deserialize");
-    let probs = model.predict_batch(&inputs);
+    for golden in &GOLDEN {
+        let encoder = golden.encoder;
+        let json = std::fs::read_to_string(golden.model)
+            .expect("fixture missing — regenerate with DART_REGEN_FIXTURES=1");
+        let model = TabularModel::from_json(&json).expect("fixture must deserialize");
+        let probs = model.predict_batch(&inputs);
 
-    let expected: Matrix =
-        serde_json::from_str(&std::fs::read_to_string(PREDICTIONS_FIXTURE).unwrap())
-            .expect("prediction fixture must deserialize");
-    assert_eq!(probs.shape(), expected.shape(), "prediction shape drifted");
-    // f32 values survive the JSON round trip exactly (printed as shortest
-    // roundtrip f64), and the kernels are deterministic in both debug and
-    // release. Compare raw bits, not f32 `==`: `==` would let a +0.0/-0.0
-    // flip (or a NaN) slip through the bit-exactness guarantee.
-    for (i, (got, want)) in probs.as_slice().iter().zip(expected.as_slice()).enumerate() {
-        assert_eq!(got.to_bits(), want.to_bits(), "prediction entry {i} drifted: {got} vs {want}");
+        let expected: Matrix =
+            serde_json::from_str(&std::fs::read_to_string(golden.predictions).unwrap())
+                .expect("prediction fixture must deserialize");
+        assert_eq!(probs.shape(), expected.shape(), "{encoder:?}: prediction shape drifted");
+        // f32 values survive the JSON round trip exactly (printed as
+        // shortest roundtrip f64), and the kernels are deterministic in
+        // both debug and release. Compare raw bits, not f32 `==`: `==`
+        // would let a +0.0/-0.0 flip (or a NaN) slip through the
+        // bit-exactness guarantee.
+        for (i, (got, want)) in probs.as_slice().iter().zip(expected.as_slice()).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{encoder:?}: prediction entry {i} drifted: {got} vs {want}"
+            );
+        }
     }
 }
 
-/// The model fixture's text; `None` only in a regeneration run that has
-/// not written it yet (the predictions test writes the fixture).
-fn model_fixture_json() -> Option<String> {
-    match std::fs::read_to_string(MODEL_FIXTURE) {
+/// The fixture a golden model was written to, as stored, is what building
+/// it again from its seeds serializes to: the fit itself (k-means, the
+/// hash-tree splits, table construction) is pinned, not only the query.
+#[test]
+fn golden_models_rebuild_to_their_fixture_text() {
+    for golden in &GOLDEN {
+        let Some(json) = model_fixture_json(golden) else { continue };
+        assert!(
+            build_golden_model(golden.encoder).to_json() == json,
+            "{:?}: rebuilding the golden model no longer gives the fixture's bytes",
+            golden.encoder
+        );
+    }
+}
+
+/// A model fixture's text; `None` only in a regeneration run that has
+/// not written it yet (the predictions test writes the fixtures).
+fn model_fixture_json(golden: &Golden) -> Option<String> {
+    match std::fs::read_to_string(golden.model) {
         Ok(json) => Some(json),
         Err(_) if std::env::var("DART_REGEN_FIXTURES").is_ok() => None,
         Err(e) => panic!("fixture missing ({e}) — regenerate with DART_REGEN_FIXTURES=1"),
@@ -107,14 +163,16 @@ fn model_fixture_json() -> Option<String> {
 /// lossy serde on the arena/codebook/hash-tree types.
 #[test]
 fn golden_model_json_roundtrip_is_stable() {
-    let Some(json) = model_fixture_json() else { return };
-    let model = TabularModel::from_json(&json).unwrap();
-    let reserialized = model.to_json();
-    let again = TabularModel::from_json(&reserialized).unwrap();
-    // Two serialize->deserialize trips agree on every prediction.
-    let pre = golden_pre();
-    let inputs = golden_inputs(&pre, 3);
-    assert_eq!(model.predict_batch(&inputs), again.predict_batch(&inputs));
+    for golden in &GOLDEN {
+        let Some(json) = model_fixture_json(golden) else { continue };
+        let model = TabularModel::from_json(&json).unwrap();
+        let reserialized = model.to_json();
+        let again = TabularModel::from_json(&reserialized).unwrap();
+        // Two serialize->deserialize trips agree on every prediction.
+        let pre = golden_pre();
+        let inputs = golden_inputs(&pre, 3);
+        assert_eq!(model.predict_batch(&inputs), again.predict_batch(&inputs));
+    }
 }
 
 /// A model file is untrusted input: structural damage is an `Err` from
@@ -122,23 +180,34 @@ fn golden_model_json_roundtrip_is_stable() {
 /// a kernel's shape assert on a shard worker at query time.
 #[test]
 fn damaged_model_files_are_rejected_at_load() {
-    let Some(json) = model_fixture_json() else { return };
     /// `json` minus the first array element after the first `key`.
     fn drop_first_entry(json: &str, key: &str) -> String {
         let start = json.find(key).unwrap_or_else(|| panic!("no {key} in fixture")) + key.len();
         let comma = start + json[start..].find(',').expect("array has several entries");
         format!("{}{}", &json[..start], &json[comma + 1..])
     }
-    let damaged = [
-        ("codebook entry removed", drop_first_entry(&json, "\"dim_major\":[")),
-        ("table entry removed", drop_first_entry(&json, "\"width\":8,\"data\":[")),
-        // What every model file written before the dimension-major layout
-        // looks like: same shape fields, prototype-major `data`.
-        ("prototype-major field name", json.replace("\"dim_major\":", "\"data\":")),
-        ("offsets shifted", json.replacen("\"offsets\":[0,16,32]", "\"offsets\":[0,15,32]", 1)),
-    ];
-    for (what, bad) in &damaged {
-        assert_ne!(bad, &json, "{what}: damage pattern did not apply");
-        assert!(TabularModel::from_json(bad).is_err(), "{what}: loaded");
+    for golden in &GOLDEN {
+        let Some(json) = model_fixture_json(golden) else { continue };
+        let mut damaged = vec![
+            ("codebook entry removed", drop_first_entry(&json, "\"dim_major\":[")),
+            ("table entry removed", drop_first_entry(&json, "\"width\":8,\"data\":[")),
+            // What every model file written before the dimension-major
+            // layout looks like: same shape fields, prototype-major `data`.
+            ("prototype-major field name", json.replace("\"dim_major\":", "\"data\":")),
+            ("offsets shifted", json.replacen("\"offsets\":[0,16,32]", "\"offsets\":[0,15,32]", 1)),
+        ];
+        if golden.encoder == EncoderKind::HashTree {
+            // A tree that would read outside its threshold array or its
+            // subvector is a load error, not an index panic in `encode`.
+            damaged.push(("threshold removed", drop_first_entry(&json, "\"thresholds\":[")));
+            damaged.push((
+                "split dimension out of range",
+                json.replacen("\"split_dims\":[0,0,0]", "\"split_dims\":[0,3,0]", 1),
+            ));
+        }
+        for (what, bad) in &damaged {
+            assert_ne!(bad, &json, "{:?}, {what}: damage pattern did not apply", golden.encoder);
+            assert!(TabularModel::from_json(bad).is_err(), "{:?}, {what}: loaded", golden.encoder);
+        }
     }
 }

@@ -279,23 +279,73 @@ fn predict_batch_matches_per_sample_beyond_tile_sizes() {
     let student = AccessPredictor::new(cfg, 0xD1FF).unwrap();
     let mut rng = InitRng::new(0xD1FF + 1);
     let x = Matrix::from_fn(40 * pre.seq_len, pre.input_dim(), |_, _| rng.next_f32());
-    let tab_cfg = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
-    let (model, _): (TabularModel, _) = tabularize(&student, &x, &tab_cfg);
+    for encoder in [EncoderKind::Argmin, EncoderKind::HashTree] {
+        let tab_cfg =
+            TabularConfig { k: 8, c: 2, encoder, fine_tune_epochs: 0, ..Default::default() };
+        let (model, _): (TabularModel, _) = tabularize(&student, &x, &tab_cfg);
 
-    // 64 samples x 4 tokens = 256 rows: several AGG (32) and ENCODE (64)
-    // tiles plus a ragged tail at every kernel.
-    for batch in [64usize, 33, 17] {
-        let stacked = Matrix::from_fn(batch * pre.seq_len, pre.input_dim(), |r, c| {
-            ((r * 31 + c * 7) % 17) as f32 * 0.0625
-        });
-        let batched = model.predict_batch(&stacked);
-        assert_eq!(batched.shape(), (batch, pre.output_dim()));
-        for n in 0..batch {
-            let single =
-                model.forward_probs(&stacked.slice_rows(n * pre.seq_len, (n + 1) * pre.seq_len));
-            assert_eq!(single.row(0), batched.row(n), "sample {n} of batch {batch}");
+        // 64 samples x 4 tokens = 256 rows: several AGG (32) and ENCODE (64)
+        // tiles plus a ragged tail at every kernel.
+        for batch in [64usize, 33, 17] {
+            let stacked = Matrix::from_fn(batch * pre.seq_len, pre.input_dim(), |r, c| {
+                ((r * 31 + c * 7) % 17) as f32 * 0.0625
+            });
+            let batched = model.predict_batch(&stacked);
+            assert_eq!(batched.shape(), (batch, pre.output_dim()));
+            for n in 0..batch {
+                let single = model
+                    .forward_probs(&stacked.slice_rows(n * pre.seq_len, (n + 1) * pre.seq_len));
+                assert_eq!(
+                    single.row(0),
+                    batched.row(n),
+                    "{encoder:?}: sample {n} of batch {batch}"
+                );
+            }
         }
     }
+}
+
+/// The exact path is bit for bit what it was before `scan_blocks` learned
+/// to skip blocks that hold no new minimum: a DART-shaped (`K` = 128, two
+/// subspaces — eight 16-centroid blocks per sub-encode, 8- to 64-dim
+/// subvectors) argmin model, fitted and queried through the scan, hashes to
+/// the value recorded at the commit before that change. The fit is in the
+/// hash too: Lloyd assignment runs the same scan.
+#[test]
+fn dart_shaped_argmin_model_outputs_are_pinned() {
+    let pre = PreprocessConfig {
+        seq_len: 8,
+        addr_segments: 5,
+        seg_bits: 6,
+        pc_segments: 1,
+        delta_range: 32,
+        lookforward: 20,
+    };
+    let cfg = ModelConfig {
+        input_dim: pre.input_dim(),
+        dim: 32,
+        heads: 2,
+        layers: 1,
+        ffn_dim: 128,
+        output_dim: pre.output_dim(),
+        seq_len: pre.seq_len,
+    };
+    let student = AccessPredictor::new(cfg, 0xB1).unwrap();
+    let x = rand_matrix(48 * pre.seq_len, pre.input_dim(), 0xB2);
+    let tab_cfg = TabularConfig {
+        k: 128,
+        c: 2,
+        encoder: EncoderKind::Argmin,
+        fine_tune_epochs: 0,
+        ..Default::default()
+    };
+    let (model, _): (TabularModel, _) = tabularize(&student, &x, &tab_cfg);
+    let probs = model.predict_batch(&rand_matrix(24 * pre.seq_len, pre.input_dim(), 0xB3));
+    let hash = bits_of(&probs)
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf29ce484222325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3));
+    assert_eq!(hash, 0x6b12_baab_ccc6_3f52, "got {hash:#018x}");
 }
 
 /// The empty batch is a no-op at every layer of the stack.

@@ -237,23 +237,30 @@ fn predict_batch_is_thread_count_invariant() {
     let student = AccessPredictor::new(cfg, 0xD1FF).unwrap();
     let mut rng = InitRng::new(0xD1FF + 1);
     let x = Matrix::from_fn(40 * pre.seq_len, pre.input_dim(), |_, _| rng.next_f32());
-    let tab_cfg = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
-    let (model, _): (TabularModel, _) = tabularize(&student, &x, &tab_cfg);
+    for encoder in [EncoderKind::Argmin, EncoderKind::HashTree] {
+        let tab_cfg =
+            TabularConfig { k: 8, c: 2, encoder, fine_tune_epochs: 0, ..Default::default() };
+        let (model, _): (TabularModel, _) = tabularize(&student, &x, &tab_cfg);
 
-    for batch in [64usize, 33, 17, 1] {
-        let stacked = Matrix::from_fn(batch * pre.seq_len, pre.input_dim(), |r, c| {
-            ((r * 31 + c * 7) % 17) as f32 * 0.0625
-        });
-        let batched_bits = invariant_across_pools(
-            || bits(&model.predict_batch(&stacked)),
-            &format!("predict_batch({batch})"),
-        );
-        let batched = model.predict_batch(&stacked);
-        assert_eq!(bits(&batched), batched_bits);
-        for n in 0..batch {
-            let single =
-                model.forward_probs(&stacked.slice_rows(n * pre.seq_len, (n + 1) * pre.seq_len));
-            assert_eq!(single.row(0), batched.row(n), "sample {n} of batch {batch}");
+        for batch in [64usize, 33, 17, 1] {
+            let stacked = Matrix::from_fn(batch * pre.seq_len, pre.input_dim(), |r, c| {
+                ((r * 31 + c * 7) % 17) as f32 * 0.0625
+            });
+            let batched_bits = invariant_across_pools(
+                || bits(&model.predict_batch(&stacked)),
+                &format!("{encoder:?} predict_batch({batch})"),
+            );
+            let batched = model.predict_batch(&stacked);
+            assert_eq!(bits(&batched), batched_bits);
+            for n in 0..batch {
+                let single = model
+                    .forward_probs(&stacked.slice_rows(n * pre.seq_len, (n + 1) * pre.seq_len));
+                assert_eq!(
+                    single.row(0),
+                    batched.row(n),
+                    "{encoder:?}: sample {n} of batch {batch}"
+                );
+            }
         }
     }
 }

@@ -114,7 +114,10 @@ fn through_materialised_windows(
 fn ring_windows_equal_materialised_windows_bit_for_bit() {
     let pre = pre();
     let variants = [
-        ("argmin", model(&pre, 1, TabularConfig::default())),
+        (
+            "argmin",
+            model(&pre, 1, TabularConfig { encoder: EncoderKind::Argmin, ..Default::default() }),
+        ),
         (
             "hash tree",
             model(&pre, 1, TabularConfig { encoder: EncoderKind::HashTree, ..Default::default() }),
