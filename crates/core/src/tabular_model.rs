@@ -8,6 +8,10 @@ use dart_nn::model::ModelConfig;
 use dart_pq::{AttentionTable, FusedFfnTable, LinearTable, SigmoidLut};
 use serde::{Deserialize, Serialize};
 
+/// Rows [`ExactLayerNorm::apply`] normalises together: enough independent
+/// sums in flight to cover a float add's latency.
+const LN_ROWS: usize = 8;
+
 /// Exact LayerNorm parameters copied from the neural model (Algorithm 1
 /// line 18 keeps LayerNorm as plain arithmetic).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -31,21 +35,61 @@ impl ExactLayerNorm {
     }
 
     /// Apply row-wise.
+    ///
+    /// A row's mean and variance are two serial `dim`-long float sums, so
+    /// one row at a time is bound by add latency. Rows are taken
+    /// `LN_ROWS` (8) at a time instead: each sum runs column-outer over the
+    /// block, one independent chain per row, every row still adding its own
+    /// columns left to right from `iter().sum()`'s identity — bit for bit
+    /// what `apply_row`, which handles the tail rows, computes.
     pub fn apply(&self, x: &Matrix) -> Matrix {
         let dim = self.gamma.len();
         assert_eq!(x.cols(), dim, "LayerNorm dim mismatch");
         let mut out = Matrix::zeros(x.rows(), dim);
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / dim as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / dim as f32;
-            let inv = 1.0 / (var + self.eps).sqrt();
-            let orow = out.row_mut(r);
+        // Whatever `iter().sum()` starts a row from (`-0.0` on current
+        // toolchains, `0.0` on older ones): the block sums start there too.
+        let identity: f32 = std::iter::empty::<f32>().sum();
+        let mut r = 0;
+        while r + LN_ROWS <= x.rows() {
+            let rows: [&[f32]; LN_ROWS] = std::array::from_fn(|l| x.row(r + l));
+            let mut sum = [identity; LN_ROWS];
             for c in 0..dim {
-                orow[c] = self.gamma[c] * (row[c] - mean) * inv + self.beta[c];
+                for (s, row) in sum.iter_mut().zip(rows) {
+                    *s += row[c];
+                }
             }
+            let mean = sum.map(|s| s / dim as f32);
+            let mut sq = [identity; LN_ROWS];
+            for c in 0..dim {
+                for ((s, row), m) in sq.iter_mut().zip(rows).zip(mean) {
+                    *s += (row[c] - m) * (row[c] - m);
+                }
+            }
+            let inv = sq.map(|s| 1.0 / (s / dim as f32 + self.eps).sqrt());
+            for (l, row) in rows.into_iter().enumerate() {
+                self.normalise_row(row, mean[l], inv[l], out.row_mut(r + l));
+            }
+            r += LN_ROWS;
+        }
+        for r in r..x.rows() {
+            self.apply_row(x.row(r), out.row_mut(r));
         }
         out
+    }
+
+    /// One row on its own: the definition [`Self::apply`]'s blocks must
+    /// reproduce, and its path for the rows past the last whole block.
+    fn apply_row(&self, row: &[f32], orow: &mut [f32]) {
+        let dim = row.len() as f32;
+        let mean = row.iter().sum::<f32>() / dim;
+        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / dim;
+        self.normalise_row(row, mean, 1.0 / (var + self.eps).sqrt(), orow);
+    }
+
+    fn normalise_row(&self, row: &[f32], mean: f32, inv: f32, orow: &mut [f32]) {
+        for (((o, &v), &g), &b) in orow.iter_mut().zip(row).zip(&self.gamma).zip(&self.beta) {
+            *o = g * (v - mean) * inv + b;
+        }
     }
 
     /// Parameter storage in bytes.
@@ -585,6 +629,50 @@ mod tests {
         let mut json: Value = serde_json::from_str(&tiny_model().to_json()).unwrap();
         edit(&mut json);
         TabularModel::from_json(&serde_json::to_string(&json).unwrap()).map_err(|e| e.0)
+    }
+
+    /// `ExactLayerNorm::apply` on 1..=17 rows — no block, one block, two
+    /// blocks, each with and without tail rows — is, bit for bit, the
+    /// per-row formula: two `iter().sum()` folds and the affine map.
+    /// Planted rows: all `-0.0` (the sum's identity shows in the mean's
+    /// sign), one NaN (must poison its own row only), a constant row
+    /// (variance 0: `inv` is `1 / sqrt(eps)`).
+    #[test]
+    fn layer_norm_blocks_equal_the_per_row_formula() {
+        let dim = 32;
+        let mut rng = InitRng::new(0x17);
+        let ln = ExactLayerNorm {
+            gamma: (0..dim).map(|_| rng.normal()).collect(),
+            // A `-0.0` shift keeps the sign of a zero product visible.
+            beta: (0..dim).map(|c| if c % 5 == 0 { -0.0 } else { rng.normal() }).collect(),
+            eps: 1e-5,
+        };
+        for rows in 1..=17usize {
+            let mut x = Matrix::from_fn(rows, dim, |_, _| rng.normal() * 3.0);
+            for (r, plant) in [(0, -0.0f32), (8, 2.5)] {
+                if r < rows {
+                    x.row_mut(r).fill(plant);
+                }
+            }
+            if rows > 3 {
+                x.set(rows - 2, 7, f32::NAN);
+            }
+            let got = ln.apply(&x);
+            for r in 0..rows {
+                let row = x.row(r);
+                let mean = row.iter().sum::<f32>() / dim as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / dim as f32;
+                let inv = 1.0 / (var + ln.eps).sqrt();
+                for (c, ((&v, &g), &b)) in row.iter().zip(&ln.gamma).zip(&ln.beta).enumerate() {
+                    let want = g * (v - mean) * inv + b;
+                    assert_eq!(got.get(r, c).to_bits(), want.to_bits(), "{rows} rows: ({r}, {c})");
+                }
+            }
+            if rows > 3 {
+                assert!(got.row(rows - 2).iter().all(|v| v.is_nan()));
+                assert!(got.row(rows - 3).iter().all(|v| !v.is_nan()), "NaN left its row");
+            }
+        }
     }
 
     #[test]

@@ -245,9 +245,10 @@ impl AttentionTable {
     /// every K row (`R x D_k` each) into `C_k` prototype codes, row-major
     /// (`q_codes[r * C_k + ci]`). A row's codes depend on that row alone,
     /// so a caller that sees the same row again (a sliding window) can keep
-    /// them. Each encode is its quantizer's own — a hash-tree walk, or for
-    /// an argmin table the process-wide dispatched scan
-    /// (`simd::nearest_dim_major`); row tiles run rayon-parallel.
+    /// them. Each encode is its quantizer's own — hash-tree walks in lane
+    /// blocks (`ProductQuantizer::encode_run`), or for an argmin table
+    /// the process-wide dispatched scan (`simd::nearest_dim_major`); row
+    /// tiles run rayon-parallel.
     pub fn encode_qk_rows(&self, q: &Matrix, k: &Matrix, q_codes: &mut [u16], k_codes: &mut [u16]) {
         let nearest = crate::simd::nearest_dim_major();
         let ck = self.qk_subspaces();
@@ -261,12 +262,16 @@ impl AttentionTable {
         q_codes.par_chunks_mut(tile).zip(k_codes.par_chunks_mut(tile)).enumerate().for_each(
             |(t, (qc, kc))| {
                 let r0 = t * ENCODE_TILE_ROWS;
-                for (rr, (qrow, krow)) in qc.chunks_mut(ck).zip(kc.chunks_mut(ck)).enumerate() {
-                    let (qr, kr) = (q.row(r0 + rr), k.row(r0 + rr));
-                    let bounds = self.q_pq.bounds().iter().zip(self.k_pq.bounds());
-                    for (ci, (&(qlo, qhi), &(klo, khi))) in bounds.enumerate() {
-                        qrow[ci] = self.q_pq.encode_sub_with(ci, &qr[qlo..qhi], nearest) as u16;
-                        krow[ci] = self.k_pq.encode_sub_with(ci, &kr[klo..khi], nearest) as u16;
+                let rows = qc.len() / ck;
+                for (pq, x, codes) in [(&self.q_pq, q, qc), (&self.k_pq, k, kc)] {
+                    for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
+                        pq.encode_run(
+                            ci,
+                            rows,
+                            nearest,
+                            |rr| &x.row(r0 + rr)[lo..hi],
+                            |rr, code| codes[rr * ck + ci] = code as u16,
+                        );
                     }
                 }
             },
@@ -278,7 +283,14 @@ impl AttentionTable {
     /// written by [`Self::encode_qk_rows`], `(B*T) x C_k`; `v` is
     /// `(B*T) x D_k`). Tiled by [`ATTN_TILE_SAMPLES`]; tiles run
     /// rayon-parallel over disjoint output rows, each on its own slice of
-    /// two per-call scratch buffers.
+    /// two per-call scratch buffers (floats and codes).
+    ///
+    /// Each sample's V block is transposed once into the tile scratch
+    /// (`D_k x T`), so its columns are contiguous subvectors and both of
+    /// this half's encodes — V columns and Q̂K^T rows — are
+    /// `ProductQuantizer::encode_run`s over a stride-`T` block; a Q̂K^T
+    /// row's code is consumed where it is produced (its QKV-table row is
+    /// gathered into the output row at once).
     ///
     /// K-row and V-column codes are staged **subspace-major** as `i32`
     /// (`codes_t[ci * lanes + lane]`), so each `(t1, ci)` / `(t1, c)` pass
@@ -303,11 +315,12 @@ impl AttentionTable {
         let mut out = Matrix::zeros(v.rows(), dk);
         let sample_span = t * dk;
         // Per-tile scratch, one slice of each buffer per tile. Floats:
-        // the `T x T` Q̂K^T block, then one V column. Codes, subspace-major
+        // the `T x T` Q̂K^T block, then the sample's V block transposed
+        // (`D_k x T`: column `o` at `o * t`). Codes, subspace-major
         // `i32`: K rows (row `t2` under subspace `ci` at `ci * t + t2`),
         // then V columns (column `o` under subspace `c` at `c * dk + o`).
         let tiles = out.len().div_ceil(ATTN_TILE_SAMPLES * sample_span);
-        let (tile_floats, tile_codes) = (t * t + t, ck * t + ct * dk);
+        let (tile_floats, tile_codes) = (t * t + dk * t, ck * t + ct * dk);
         let mut floats = vec![0.0f32; tiles * tile_floats];
         let mut codes = vec![0i32; tiles * tile_codes];
         out.as_mut_slice()
@@ -317,7 +330,7 @@ impl AttentionTable {
             .enumerate()
             .for_each(|(tile, ((ochunk, floats), codes))| {
                 let n0 = tile * ATTN_TILE_SAMPLES;
-                let (qkt, vcol) = floats.split_at_mut(t * t);
+                let (qkt, v_t) = floats.split_at_mut(t * t);
                 let (k_codes_t, col_codes_t) = codes.split_at_mut(ck * t);
 
                 for (s, osample) in ochunk.chunks_mut(sample_span).enumerate() {
@@ -343,29 +356,42 @@ impl AttentionTable {
                         }
                     }
 
-                    // Stage 2: encode Q̂K^T rows and V columns; aggregate
-                    // the QKV table (Eq. 15).
-                    for o in 0..dk {
-                        for (tt, slot) in vcol.iter_mut().enumerate() {
-                            *slot = v.get(base + tt, o);
-                        }
-                        for (c, &(lo, hi)) in self.v_pq.bounds().iter().enumerate() {
-                            col_codes_t[c * dk + o] =
-                                self.v_pq.encode_sub_with(c, &vcol[lo..hi], nearest) as i32;
+                    // Stage 2: encode V columns, then Q̂K^T rows, each row's
+                    // code aggregating the QKV table as it appears (Eq. 15).
+                    // Subspace-outer: an output row still accumulates in
+                    // subspace order 0, 1, ….
+                    for tt in 0..t {
+                        for (o, &x) in v.row(base + tt).iter().enumerate() {
+                            v_t[o * t + tt] = x;
                         }
                     }
-                    for (qkt_row, orow) in qkt.chunks(t).zip(osample.chunks_mut(dk)) {
-                        for (c, &(lo, hi)) in self.qkt_pq.bounds().iter().enumerate() {
-                            let rcode = self.qkt_pq.encode_sub_with(c, &qkt_row[lo..hi], nearest);
-                            let trow =
-                                &self.qkv.subtable(c)[rcode * qkv_width..(rcode + 1) * qkv_width];
-                            let idx = &col_codes_t[c * dk..(c + 1) * dk];
-                            if c == 0 {
-                                gather_init(orow, trow, idx);
-                            } else {
-                                gather_add(orow, trow, idx);
-                            }
-                        }
+                    for (c, &(lo, hi)) in self.v_pq.bounds().iter().enumerate() {
+                        self.v_pq.encode_run(
+                            c,
+                            dk,
+                            nearest,
+                            |o| &v_t[o * t + lo..o * t + hi],
+                            |o, code| col_codes_t[c * dk + o] = code as i32,
+                        );
+                    }
+                    for (c, &(lo, hi)) in self.qkt_pq.bounds().iter().enumerate() {
+                        let idx = &col_codes_t[c * dk..(c + 1) * dk];
+                        self.qkt_pq.encode_run(
+                            c,
+                            t,
+                            nearest,
+                            |t1| &qkt[t1 * t + lo..t1 * t + hi],
+                            |t1, rcode| {
+                                let orow = &mut osample[t1 * dk..(t1 + 1) * dk];
+                                let trow = &self.qkv.subtable(c)
+                                    [rcode * qkv_width..(rcode + 1) * qkv_width];
+                                if c == 0 {
+                                    gather_init(orow, trow, idx);
+                                } else {
+                                    gather_add(orow, trow, idx);
+                                }
+                            },
+                        );
                     }
                 }
             });
@@ -590,6 +616,72 @@ mod tests {
         let table = AttentionTable::fit(&q, &k, &v, 4, &cfg);
         let out = table.query(&q.slice_rows(0, 4), &k.slice_rows(0, 4), &v.slice_rows(0, 4));
         assert!(out.as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    /// One sample with every encode walked alone (`encode_row`) and every
+    /// output one `acc += table.get(..)` chain in subspace order: what the
+    /// tiled, lane-blocked [`AttentionTable::query_batch`] must reproduce.
+    fn reference_query(table: &AttentionTable, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        let (t, dk) = (table.seq_len, table.dk);
+        let qkt = lookup_qk(&table.q_pq, &table.k_pq, &table.qk, q, k);
+        let col_codes: Vec<Vec<usize>> = (0..dk)
+            .map(|o| {
+                let col: Vec<f32> = (0..t).map(|tt| v.get(tt, o)).collect();
+                table.v_pq.encode_row(&col)
+            })
+            .collect();
+        let mut out = Matrix::zeros(t, dk);
+        for t1 in 0..t {
+            let row_codes = table.qkt_pq.encode_row(qkt.row(t1));
+            for (o, col) in col_codes.iter().enumerate() {
+                let mut acc = 0.0f32;
+                for (c, (&rc, &cc)) in row_codes.iter().zip(col).enumerate() {
+                    acc += table.qkv.get(c, rc, cc);
+                }
+                out.set(t1, o, acc);
+            }
+        }
+        out
+    }
+
+    /// The lane blocks against the lone-walk reference, bit for bit, at the
+    /// shapes where blocks and tails trade places: `D_k` < 8 (V columns are
+    /// all tail), `D_k` = 8 (DART-S: exactly one block), `D_k` = 17 (two
+    /// blocks and a tail), and `T` below, at and off a multiple of 8 for
+    /// the Q / K / Q̂K^T-row runs.
+    #[test]
+    fn lane_blocks_match_lone_walks_at_block_and_tail_shapes() {
+        for encoder in BOTH_ENCODERS {
+            for (t, dk) in [(4, 6), (16, 8), (11, 8), (9, 5), (12, 17)] {
+                let q = rand_stack(24, t, dk, 11);
+                let kk = rand_stack(24, t, dk, 12);
+                let v = rand_stack(24, t, dk, 13);
+                let cfg =
+                    AttentionTableConfig { k: 16, ck: 2, ct: 3, encoder, ..Default::default() };
+                let table = AttentionTable::fit(&q, &kk, &v, t, &cfg);
+                let samples = 3;
+                let qs = rand_stack(samples, t, dk, 21);
+                let ks = rand_stack(samples, t, dk, 22);
+                let vs = rand_stack(samples, t, dk, 23);
+                let batch = table.query_batch(&qs, &ks, &vs);
+                for n in 0..samples {
+                    let (lo, hi) = (n * t, (n + 1) * t);
+                    let want = reference_query(
+                        &table,
+                        &qs.slice_rows(lo, hi),
+                        &ks.slice_rows(lo, hi),
+                        &vs.slice_rows(lo, hi),
+                    );
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&batch.slice_rows(lo, hi)),
+                        bits(&want),
+                        "{encoder:?} T {t} D_k {dk} sample {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -108,16 +108,18 @@ impl FusedFfnTable {
         out
     }
 
-    /// Batched multi-row query into a caller buffer (same two-phase scheme
-    /// as `LinearTable::query_batch_into`; bit-for-bit equal to
-    /// row-at-a-time [`Self::query_row_into`]).
+    /// Batched multi-row query into a caller buffer (the same fused
+    /// encode → aggregate pass as `LinearTable::query_batch_into`;
+    /// bit-for-bit equal to row-at-a-time [`Self::query_row_into`]).
     pub fn query_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
         assert_eq!(out.shape(), (x.rows(), self.out_dim), "output shape mismatch");
         crate::linear_table::aggregate_codes_batch(&self.pq, &self.table, x, out);
     }
 
-    /// Single-row query.
+    /// Single-row query: the row-at-a-time reference the differential
+    /// suites compare [`Self::query_batch_into`] against (see
+    /// `LinearTable::query_row_into`).
     pub fn query_row_into(&self, row: &[f32], out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.out_dim);
         out.fill(0.0);

@@ -41,6 +41,6 @@ pub use attention_table::{
 pub use fused::FusedFfnTable;
 pub use linear_table::{LinearTable, ProtoTransform, AGG_TILE_ROWS};
 pub use profile::profile_kernel;
-pub use quantizer::{EncoderKind, ProductQuantizer, Quantizer, ENCODE_TILE_ROWS};
+pub use quantizer::{EncoderKind, ProductQuantizer, Quantizer, ENCODE_LANES, ENCODE_TILE_ROWS};
 pub use sigmoid_lut::SigmoidLut;
 pub use simd::SimdLevel;

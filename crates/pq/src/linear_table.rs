@@ -18,11 +18,11 @@ use crate::arena::TableArena;
 use crate::quantizer::{EncoderKind, ProductQuantizer};
 use crate::simd::scalar::{add_assign, init_row};
 
-/// Rows per tile of the tiled batch aggregation: the loop runs
-/// subspace-outer over a tile of output rows, so one sub-table block of the
-/// arena stays cache-resident for the whole tile pass while the tile's
-/// output rows (`AGG_TILE_ROWS x D_O` floats) stay L1/L2-resident. Tiles
-/// are also the unit of rayon parallelism.
+/// Rows per tile of the linear kernels' fused encode → aggregate loop: the
+/// loop runs subspace-outer over a tile of rows, so one subspace's encoder
+/// and one sub-table block of the arena stay cache-resident for the whole
+/// tile pass while the tile's output rows (`AGG_TILE_ROWS x D_O` floats)
+/// stay L1/L2-resident. Tiles are also the unit of rayon parallelism.
 pub const AGG_TILE_ROWS: usize = 32;
 
 /// Element-wise transform folded into the table at construction time
@@ -167,10 +167,11 @@ impl LinearTable {
 
     /// Batched multi-row query into a caller buffer (the serving hot path).
     ///
-    /// Phase 1 encodes every row with the tiled subspace-major encoder;
-    /// phase 2 aggregates tiles of rows per sub-table pass (see
-    /// [`aggregate_codes_batch`]). Per-row accumulation order is identical
-    /// to [`Self::query_row_into`] — subspace 0, 1, … — so results are
+    /// One fused pass (see [`aggregate_codes_batch`]): per tile of rows and
+    /// per subspace, a block of rows is encoded and their table rows are
+    /// added where the codes are produced — no codes buffer, and nothing
+    /// allocated. Per-row accumulation order is identical to
+    /// [`Self::query_row_into`] — subspace 0, 1, … — so results are
     /// bit-for-bit equal to row-at-a-time queries.
     pub fn query_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
@@ -179,8 +180,10 @@ impl LinearTable {
     }
 
     /// Single-row query into a caller buffer: the row-at-a-time reference
-    /// for [`Self::query_batch_into`]. (Nothing on a serving path calls it —
-    /// `DartPrefetcher` and `dart-serve` go through the batch kernels.)
+    /// the differential suites compare [`Self::query_batch_into`] against —
+    /// one lone encode and one table row per subspace, no tiles, no lane
+    /// blocks. Kept for that; nothing on a serving path calls it
+    /// (`DartPrefetcher` and `dart-serve` go through the batch kernels).
     #[inline]
     pub fn query_row_into(&self, row: &[f32], out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.out_dim);
@@ -222,50 +225,60 @@ pub(crate) fn validate_table(
     Ok(())
 }
 
-/// Shared tiled batch aggregation used by [`LinearTable`] and
-/// [`crate::FusedFfnTable`]: encode all rows of `x` (tiled subspace-major),
-/// then sum each row's per-subspace table rows into `out`.
+/// The linear kernel's batch query, shared by [`LinearTable`] and
+/// [`crate::FusedFfnTable`]: encode the rows of `x` and sum each row's
+/// per-subspace table rows into `out`, in one pass.
 ///
-/// Aggregation is tiled over [`AGG_TILE_ROWS`]-row blocks of the output:
-/// within a tile the subspace loop is **outer**, so one contiguous
-/// sub-table block of the arena is swept across the whole tile before the
-/// next sub-table is touched. Per-`(row, output)` accumulation still runs
-/// in subspace order 0, 1, …, so results match the single-row query paths
-/// bit for bit; tiles write disjoint output rows and run rayon-parallel.
+/// Tiled over [`AGG_TILE_ROWS`]-row blocks of the output; within a tile the
+/// subspace loop is **outer**, and each subspace hands the tile's rows to
+/// [`ProductQuantizer::encode_run`], whose codes are consumed as they are
+/// produced: a lane block of rows is encoded, then their table rows — all
+/// from the one contiguous sub-table block being swept — are added to their
+/// output rows. No code is ever stored. Per-`(row, output)` accumulation
+/// still runs in subspace order 0, 1, …, so results match the single-row
+/// query paths bit for bit; tiles write disjoint output rows and run
+/// rayon-parallel.
 ///
-/// Only the encode is dispatched ([`ProductQuantizer::encode_batch_into`]);
-/// the row-accumulate inner loops are the plain [`init_row`] /
-/// [`add_assign`] bodies, which the compiler vectorizes across the `D_O`
-/// output-column lanes.
+/// One function, two kernel names: it reports the batch under
+/// `encode_batch` *and* under `aggregate_codes` (see [`crate::profile`]),
+/// as the separate encode call it replaced did. Only the encode is
+/// dispatched (the argmin scan); the row-accumulate inner loops are the
+/// plain [`init_row`] / [`add_assign`] bodies, which the compiler
+/// vectorizes across the `D_O` output-column lanes.
 pub(crate) fn aggregate_codes_batch(
     pq: &ProductQuantizer,
     table: &TableArena,
     x: &Matrix,
     out: &mut Matrix,
 ) {
-    let c = pq.num_subspaces();
+    let nearest = crate::simd::nearest_dim_major();
     let out_dim = out.cols();
     crate::profile::profile_kernel("aggregate_codes", x.rows() as u64);
-    let mut codes = vec![0usize; x.rows() * c];
-    pq.encode_batch_into(x, &mut codes);
-    let codes = &codes;
+    crate::profile::profile_kernel("encode_batch", x.rows() as u64);
     out.as_mut_slice().par_chunks_mut(AGG_TILE_ROWS * out_dim).enumerate().for_each(
         |(tile, orows)| {
             let r0 = tile * AGG_TILE_ROWS;
-            for ci in 0..c {
+            let rows = orows.len() / out_dim;
+            for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
                 let sub = table.subtable(ci);
-                for (rr, orow) in orows.chunks_exact_mut(out_dim).enumerate() {
-                    let code = codes[(r0 + rr) * c + ci];
-                    let trow = &sub[code * out_dim..(code + 1) * out_dim];
-                    if ci == 0 {
-                        // First pass initializes the tile: `0.0 + t` (not a
-                        // copy) keeps the accumulation bit-identical to the
-                        // fill-then-add scalar path, including -0.0 entries.
-                        init_row(orow, trow);
-                    } else {
-                        add_assign(orow, trow);
-                    }
-                }
+                pq.encode_run(
+                    ci,
+                    rows,
+                    nearest,
+                    |rr| &x.row(r0 + rr)[lo..hi],
+                    |rr, code| {
+                        let orow = &mut orows[rr * out_dim..(rr + 1) * out_dim];
+                        let trow = &sub[code * out_dim..(code + 1) * out_dim];
+                        if ci == 0 {
+                            // First pass initializes the tile: `0.0 + t` (not a
+                            // copy) keeps the accumulation bit-identical to the
+                            // fill-then-add scalar path, including -0.0 entries.
+                            init_row(orow, trow);
+                        } else {
+                            add_assign(orow, trow);
+                        }
+                    },
+                );
             }
         },
     );

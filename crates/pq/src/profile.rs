@@ -1,7 +1,13 @@
 //! Per-kernel invocation/row counters.
 //!
 //! Each hot kernel calls [`profile_kernel`] once per batch with its name
-//! and the number of rows it processed. The counts land in the
+//! and the number of rows it processed — except the linear kernel
+//! (`linear_table::aggregate_codes_batch`), which encodes and aggregates
+//! in one fused pass and so reports each batch under two names from one
+//! function, `encode_batch` and `aggregate_codes`: it does both kernels'
+//! work, and the `/metrics` series keep the meaning they had while a
+//! separate `encode_batch_into` call made the first report (rows encoded,
+//! rows aggregated). The counts land in the
 //! process-wide [`dart_telemetry::global()`] registry as two counter
 //! families (two relaxed atomic adds per batch call):
 //!

@@ -21,10 +21,21 @@ use crate::arena::CodebookArena;
 use crate::kmeans::{kmeans, nearest_centroid, KMeansConfig};
 use crate::simd::{self, NearestFn};
 
-/// Rows per tile of the tiled batch encoder: a tile of input rows stays
-/// L1-resident while the per-subspace codebooks (or hash trees) are swept
-/// over it, and tiles are the unit of rayon parallelism.
+/// Rows per tile of the code-producing batch encoders
+/// ([`ProductQuantizer::encode_batch_into`],
+/// [`crate::AttentionTable::encode_qk_rows`]): the unit of rayon
+/// parallelism, and the run of rows each subspace's encoder is handed at
+/// once. (The linear kernels do not go through it: they encode inside
+/// their own [`crate::AGG_TILE_ROWS`] tile loop.)
 pub const ENCODE_TILE_ROWS: usize = 64;
+
+/// Hash-tree walks advanced together by every batch encode: one walk is
+/// `log2 K` *dependent* load → compare → index links, so a lone walk
+/// leaves the core idle for most of each link's latency, while
+/// `ENCODE_LANES` independent walks stepped level by level fill it. A
+/// constant, not a knob: 4 and 8 lanes trade a percent or two between
+/// batch 1 and batch 64 (`BENCH_23.json`), and 16 is no better than either.
+pub const ENCODE_LANES: usize = 8;
 
 /// Which encoding function `g_c` a quantizer uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,19 +75,33 @@ impl HashTree {
         self.k
     }
 
-    /// Route a subvector to its bucket.
+    /// Route a subvector to its bucket: [`Self::encode_lanes`] with one
+    /// lane.
     #[inline]
     pub fn encode(&self, sub: &[f32]) -> usize {
-        let mut idx = 0usize;
+        self.encode_lanes([sub])[0]
+    }
+
+    /// Route `N` subvectors to their buckets, level-major: each level
+    /// reads its split dimension and its slice of the threshold heap once,
+    /// then advances every lane one step (`idx = 2 * idx + (x > thr[idx])`).
+    /// The lanes are independent, so their load → compare → index chains
+    /// overlap; lane `i`'s bucket is exactly what a lone walk of `subs[i]`
+    /// reaches (a NaN coordinate compares false and goes left in both).
+    /// Leaves beyond `K` fold onto `leaf % K` after the last level.
+    #[inline]
+    pub fn encode_lanes<const N: usize>(&self, subs: [&[f32]; N]) -> [usize; N] {
+        let mut idx = [0usize; N];
+        let mut level_start = 0usize;
         for (level, &dim) in self.split_dims.iter().enumerate() {
-            let go_right = sub[dim] > self.thresholds[(1 << level) - 1 + idx];
-            idx = 2 * idx + usize::from(go_right);
+            let nodes = 1usize << level;
+            let thresholds = &self.thresholds[level_start..level_start + nodes];
+            for (i, sub) in idx.iter_mut().zip(subs) {
+                *i = 2 * *i + usize::from(sub[dim] > thresholds[*i]);
+            }
+            level_start += nodes;
         }
-        if idx >= self.k {
-            idx % self.k
-        } else {
-            idx
-        }
+        idx.map(|leaf| if leaf >= self.k { leaf % self.k } else { leaf })
     }
 
     /// Check that every index [`Self::encode`] forms stays inside a
@@ -387,11 +412,12 @@ impl ProductQuantizer {
     }
 
     /// [`Self::encode_sub`] with the argmin distance scan over the
-    /// codebook arena running through `nearest`, which loops fetch once
-    /// instead of per subvector (the hash tree's `log2 K` comparisons have
-    /// no width dimension to vectorize and ignore it). Codes are identical
-    /// whichever scan is passed — every level's distances are bit-exact,
-    /// so the strict-`<` argmin picks the same prototype.
+    /// codebook arena running through `nearest`, which callers resolve once
+    /// per call instead of once per subvector (a hash tree ignores it).
+    /// Codes are identical whichever scan is passed — every level's
+    /// distances are bit-exact, so the strict-`<` argmin picks the same
+    /// prototype. The one-subvector step of [`Self::encode_run`]; batch
+    /// kernels go through that, not through a loop over this.
     #[inline]
     pub(crate) fn encode_sub_with(&self, ci: usize, sub: &[f32], nearest: NearestFn) -> usize {
         match &self.encoders[ci] {
@@ -399,6 +425,42 @@ impl ProductQuantizer {
                 nearest(sub, self.codebook.subspace(ci), self.codebook.num_protos()).0
             }
             Encoder::HashTree(tree) => tree.encode(sub),
+        }
+    }
+
+    /// The block-encode primitive every batch kernel encodes through:
+    /// subspace `ci`'s codes of the `n` subvectors `sub(0) .. sub(n - 1)`,
+    /// handed to `emit(i, code)` in index order, where the caller consumes
+    /// them (stores them, or adds the table row they name).
+    ///
+    /// A hash tree walks whole blocks of [`ENCODE_LANES`] subvectors
+    /// level-major ([`HashTree::encode_lanes`]) and the remaining
+    /// `n % ENCODE_LANES` singly, so a one-row call pays for one walk. An
+    /// argmin quantizer has its width inside the scan already and takes the
+    /// single-subvector step for all `n`. Either way `emit` sees exactly
+    /// the codes of [`Self::encode_sub_with`] per subvector.
+    #[inline]
+    pub(crate) fn encode_run<'a>(
+        &self,
+        ci: usize,
+        n: usize,
+        nearest: NearestFn,
+        sub: impl Fn(usize) -> &'a [f32],
+        mut emit: impl FnMut(usize, usize),
+    ) {
+        let mut done = 0;
+        if let Encoder::HashTree(tree) = &self.encoders[ci] {
+            while done + ENCODE_LANES <= n {
+                let codes =
+                    tree.encode_lanes::<ENCODE_LANES>(std::array::from_fn(|l| sub(done + l)));
+                for (l, code) in codes.into_iter().enumerate() {
+                    emit(done + l, code);
+                }
+                done += ENCODE_LANES;
+            }
+        }
+        for i in done..n {
+            emit(i, self.encode_sub_with(ci, sub(i), nearest));
         }
     }
 
@@ -424,11 +486,11 @@ impl ProductQuantizer {
     /// code of row `r`, subspace `c` lands at `out[r * C + c]`).
     ///
     /// Tiled: rows are processed in blocks of [`ENCODE_TILE_ROWS`]; within
-    /// a tile the loop runs subspace-major so each subspace's codebook
-    /// block (or hash tree) is swept across cache-resident input rows.
-    /// Tiles are independent, so they run rayon-parallel; codes are
-    /// identical to calling [`Self::encode_row_into`] per row. The argmin
-    /// distance scans run through the process-wide dispatch
+    /// a tile the loop runs subspace-major, each subspace encoding the
+    /// tile's rows as one `encode_run` (hash trees [`ENCODE_LANES`]
+    /// rows at a time). Tiles are independent, so they run rayon-parallel;
+    /// codes are identical to calling [`Self::encode_row_into`] per row.
+    /// The argmin distance scans run through the process-wide dispatch
     /// (`simd::nearest_dim_major`) without changing any code.
     pub fn encode_batch_into(&self, x: &Matrix, out: &mut [usize]) {
         self.encode_batch_into_with(x, out, simd::nearest_dim_major());
@@ -450,9 +512,13 @@ impl ProductQuantizer {
             let r0 = tile * ENCODE_TILE_ROWS;
             let rows = chunk.len() / c;
             for (ci, &(lo, hi)) in self.bounds.iter().enumerate() {
-                for rr in 0..rows {
-                    chunk[rr * c + ci] = self.encode_sub_with(ci, &x.row(r0 + rr)[lo..hi], nearest);
-                }
+                self.encode_run(
+                    ci,
+                    rows,
+                    nearest,
+                    |rr| &x.row(r0 + rr)[lo..hi],
+                    |rr, code| chunk[rr * c + ci] = code,
+                );
             }
         });
     }
@@ -554,14 +620,93 @@ mod tests {
             let row = pq.encode_row(data.row(i));
             assert!(row.iter().all(|&code| code < 24), "row {i}: {row:?}");
             assert_eq!(row, batch[i * 2..(i + 1) * 2], "row {i}: batch vs row");
-            // The leaf before folding, from the same walk `encode` does.
-            let leaf = tree.split_dims.iter().enumerate().fold(0, |idx, (level, &dim)| {
-                2 * idx + usize::from(data.row(i)[dim] > tree.thresholds[(1 << level) - 1 + idx])
-            });
+            let leaf = lone_leaf(tree, &data.row(i)[..3]);
             assert_eq!(row[0], leaf % 24);
             folded += usize::from(leaf >= 24);
         }
         assert!(folded > 0, "no training row reached a folded leaf: the fallback went untested");
+    }
+
+    /// The leaf one subvector reaches before folding, walked alone down
+    /// the threshold heap: the reference the lane walk is held to.
+    fn lone_leaf(tree: &HashTree, sub: &[f32]) -> usize {
+        tree.split_dims.iter().enumerate().fold(0, |idx, (level, &dim)| {
+            2 * idx + usize::from(sub[dim] > tree.thresholds[(1 << level) - 1 + idx])
+        })
+    }
+
+    /// `encode_lanes::<8>` is eight lone walks: at `K` = 24 (depth 5,
+    /// leaves 24..32 fold) and `K` = 256 (depth 8, DART-L), on training
+    /// rows and on subvectors holding NaN, ±inf and every threshold value
+    /// itself (`x > thr` is false at equality and for NaN: both go left).
+    #[test]
+    fn encode_lanes_equals_eight_lone_walks() {
+        let data = sample_data(400, 6, 41);
+        for (k, depth) in [(24usize, 5usize), (256, 8)] {
+            let pq = ProductQuantizer::fit(&data, 2, k, EncoderKind::HashTree, 7);
+            let Encoder::HashTree(tree) = &pq.encoders[0] else { panic!("expected hash tree") };
+            assert_eq!((tree.depth(), tree.num_buckets()), (depth, k));
+            let mut probes: Vec<Vec<f32>> =
+                (0..data.rows()).map(|i| data.row(i)[..3].to_vec()).collect();
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for d in 0..3 {
+                    let mut p = probes[d * 7].clone();
+                    p[d] = special;
+                    probes.push(p);
+                }
+                probes.push(vec![special; 3]);
+            }
+            for i in 0..tree.thresholds.len() {
+                // On the path of training row `i`, one coordinate moved
+                // onto a threshold; and the threshold in every coordinate.
+                let mut p = probes[i % data.rows()].clone();
+                p[i % 3] = tree.thresholds[i];
+                probes.push(p);
+                probes.push(vec![tree.thresholds[i]; 3]);
+            }
+            let mut folded = 0;
+            for block in probes.chunks_exact(ENCODE_LANES) {
+                let lanes =
+                    tree.encode_lanes::<ENCODE_LANES>(std::array::from_fn(|l| &block[l][..]));
+                for (l, sub) in block.iter().enumerate() {
+                    let leaf = lone_leaf(tree, sub);
+                    assert_eq!(lanes[l], leaf % k, "K {k} lane {l}: {sub:?}");
+                    assert_eq!(tree.encode(sub), leaf % k, "K {k} one lane: {sub:?}");
+                    folded += usize::from(leaf >= k);
+                }
+            }
+            assert_eq!(folded > 0, k == 24, "K {k}: {folded} probes reached a folded leaf");
+        }
+    }
+
+    /// `encode_run` hands out every index once, in order, with the code of
+    /// a lone encode — whole lane blocks and the sub-block tail alike, for
+    /// both encoders (an argmin quantizer is all tail).
+    #[test]
+    fn encode_run_covers_blocks_and_tail() {
+        let data = sample_data(120, 6, 43);
+        for kind in [EncoderKind::HashTree, EncoderKind::Argmin] {
+            let pq = ProductQuantizer::fit(&data, 2, 16, kind, 3);
+            let nearest = simd::nearest_dim_major();
+            for n in [0, 1, ENCODE_LANES - 1, ENCODE_LANES, ENCODE_LANES + 1, 2 * ENCODE_LANES + 3]
+            {
+                for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
+                    let mut seen = Vec::new();
+                    pq.encode_run(
+                        ci,
+                        n,
+                        nearest,
+                        |i| &data.row(i)[lo..hi],
+                        |i, code| {
+                            seen.push((i, code));
+                        },
+                    );
+                    let want: Vec<(usize, usize)> =
+                        (0..n).map(|i| (i, pq.encode_sub(ci, &data.row(i)[lo..hi]))).collect();
+                    assert_eq!(seen, want, "{kind:?} n {n} subspace {ci}");
+                }
+            }
+        }
     }
 
     #[test]

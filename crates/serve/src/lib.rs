@@ -86,7 +86,7 @@ pub use loadgen::{generate_requests, run_load, LoadGenConfig, LoadReport};
 pub use lru::StreamLru;
 pub use metrics::render_exposition;
 pub use registry::{
-    ModelRegistry, ModelVersion, RegistryCounters, RejectedCandidate, VersionState,
+    ModelRegistry, ModelVersion, RegistryCounters, RejectedCandidate, RejectionCause, VersionState,
 };
 pub use request::{PrefetchRequest, PrefetchResponse};
 pub use router::StreamRouter;

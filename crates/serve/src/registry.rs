@@ -57,10 +57,50 @@ pub struct ModelVersion {
 pub struct RejectedCandidate {
     /// Where the candidate came from.
     pub provenance: String,
-    /// The candidate's held-out F1.
-    pub eval_f1: f64,
-    /// The incumbent's F1 on the same held-out set (what it had to beat).
-    pub incumbent_f1: f64,
+    /// Why it was refused.
+    pub cause: RejectionCause,
+}
+
+/// Why the A/B gate refused a candidate.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RejectionCause {
+    /// Evaluated, and did not beat the incumbent by more than the margin.
+    LostGate {
+        /// The candidate's held-out F1.
+        eval_f1: f64,
+        /// The incumbent's F1 on the same held-out set (what it had to beat).
+        incumbent_f1: f64,
+    },
+    /// Never evaluated — inconsistent, or not shaped like the traffic being
+    /// served (what `swap_model` refuses too) — so it has no F1.
+    Invalid {
+        /// What does not fit.
+        reason: String,
+    },
+}
+
+/// What every path that publishes a model checks first: the candidate is
+/// internally consistent ([`TabularModel::validate`]) and has the
+/// `(seq_len, input_dim, output_dim)` of the traffic being served — the
+/// three dimensions the shard workers' feature rows, token rings and
+/// bitmap decode are sized by. An `Err` says which check failed.
+pub(crate) fn check_candidate(
+    model: &TabularModel,
+    serving: (usize, usize, usize),
+) -> Result<(), String> {
+    model.validate().map_err(|e| format!("inconsistent candidate: {e}"))?;
+    let c = &model.config;
+    let dims = [
+        ("seq_len", c.seq_len, serving.0),
+        ("input_dim", c.input_dim, serving.1),
+        ("output_dim", c.output_dim, serving.2),
+    ];
+    match dims.into_iter().find(|(_, candidate, serving)| candidate != serving) {
+        Some((name, candidate, serving)) => {
+            Err(format!("candidate {name} {candidate} != serving {name} {serving}"))
+        }
+        None => Ok(()),
+    }
 }
 
 /// Monotone swap/rollback/rejection counters (surfaced in `ServeStats`
@@ -218,13 +258,9 @@ impl ModelRegistry {
 
     /// Record a candidate the A/B gate refused (it never touched the
     /// slot; see [`crate::shadow`]).
-    pub fn record_rejection(&self, provenance: &str, eval_f1: f64, incumbent_f1: f64) {
+    pub fn record_rejection(&self, provenance: &str, cause: RejectionCause) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.rejected.push(RejectedCandidate {
-            provenance: provenance.to_string(),
-            eval_f1,
-            incumbent_f1,
-        });
+        inner.rejected.push(RejectedCandidate { provenance: provenance.to_string(), cause });
         inner.counters.rejections += 1;
     }
 

@@ -9,7 +9,7 @@ use dart_core::TabularModel;
 use dart_telemetry::{Histogram, SpanRecord, SpanRing};
 use dart_trace::PreprocessConfig;
 
-use crate::registry::ModelRegistry;
+use crate::registry::{check_candidate, ModelRegistry};
 use crate::request::{PrefetchRequest, PrefetchResponse};
 use crate::router::StreamRouter;
 use crate::shadow::ReplaySampler;
@@ -478,27 +478,8 @@ impl ServeRuntime {
     pub fn swap_model(&self, model: Arc<TabularModel>, provenance: &str) -> Result<u64, String> {
         // Same contract `start` asserts — but a hot-swap comes from a
         // live retraining loop, so refuse instead of panicking.
-        model.validate().map_err(|e| format!("inconsistent candidate: {e}"))?;
-        if model.config.seq_len != self.pre.seq_len {
-            return Err(format!(
-                "candidate seq_len {} != serving seq_len {}",
-                model.config.seq_len, self.pre.seq_len
-            ));
-        }
-        if model.config.input_dim != self.pre.input_dim() {
-            return Err(format!(
-                "candidate input_dim {} != serving input_dim {}",
-                model.config.input_dim,
-                self.pre.input_dim()
-            ));
-        }
-        if model.config.output_dim != self.pre.output_dim() {
-            return Err(format!(
-                "candidate output_dim {} != serving output_dim {}",
-                model.config.output_dim,
-                self.pre.output_dim()
-            ));
-        }
+        let pre = &self.pre;
+        check_candidate(&model, (pre.seq_len, pre.input_dim(), pre.output_dim()))?;
         Ok(self.registry.publish(model, provenance, None, None))
     }
 

@@ -43,7 +43,7 @@ use dart_nn::model::{AccessPredictor, ModelConfig};
 use dart_nn::train::{train_bce, Dataset, TrainConfig};
 use dart_trace::{build_dataset, PreprocessConfig, TraceRecord};
 
-use crate::registry::ModelRegistry;
+use crate::registry::{check_candidate, ModelRegistry, RejectionCause};
 
 /// One sampled access from the live serving path.
 #[derive(Clone, Copy, Debug)]
@@ -185,13 +185,23 @@ pub enum ShadowOutcome {
         /// Incumbent held-out F1 it failed to beat.
         incumbent_f1: f64,
     },
+    /// The candidate is inconsistent, or not shaped like the incumbent: it
+    /// was never evaluated (so there is no F1), counted as a registry
+    /// rejection; serving untouched.
+    Invalid {
+        /// What does not fit.
+        reason: String,
+    },
 }
 
 /// The A/B gate, exposed on its own so tests (and operators promoting a
 /// hand-built model) can drive it without a training round: evaluate
 /// `candidate` and the incumbent on the same `holdout`, publish the
 /// candidate IFF it wins by more than `margin`, record the rejection
-/// otherwise.
+/// otherwise. A candidate that fails [`TabularModel::validate`] or differs
+/// from the incumbent in `seq_len` / `input_dim` / `output_dim` — what
+/// [`crate::ServeRuntime::swap_model`] refuses — is rejected before it is
+/// run on anything ([`ShadowOutcome::Invalid`]).
 pub fn gate_candidate(
     registry: &ModelRegistry,
     candidate: Arc<TabularModel>,
@@ -201,14 +211,24 @@ pub fn gate_candidate(
     training_window: Option<(u64, u64)>,
     eval_batch: usize,
 ) -> ShadowOutcome {
-    let candidate_f1 = evaluate_tabular_f1(&candidate, holdout, eval_batch);
     let (_, incumbent) = registry.active();
+    let serving = &incumbent.config;
+    if let Err(reason) =
+        check_candidate(&candidate, (serving.seq_len, serving.input_dim, serving.output_dim))
+    {
+        registry.record_rejection(provenance, RejectionCause::Invalid { reason: reason.clone() });
+        return ShadowOutcome::Invalid { reason };
+    }
+    let candidate_f1 = evaluate_tabular_f1(&candidate, holdout, eval_batch);
     let incumbent_f1 = evaluate_tabular_f1(&incumbent, holdout, eval_batch);
     if candidate_f1 > incumbent_f1 + margin {
         let version = registry.publish(candidate, provenance, training_window, Some(candidate_f1));
         ShadowOutcome::Promoted { version, candidate_f1, incumbent_f1 }
     } else {
-        registry.record_rejection(provenance, candidate_f1, incumbent_f1);
+        registry.record_rejection(
+            provenance,
+            RejectionCause::LostGate { eval_f1: candidate_f1, incumbent_f1 },
+        );
         ShadowOutcome::Rejected { candidate_f1, incumbent_f1 }
     }
 }

@@ -30,7 +30,8 @@ use dart_nn::model::{AccessPredictor, ModelConfig};
 use dart_nn::train::{train_bce, Dataset, TrainConfig};
 use dart_serve::{
     gate_candidate, generate_requests, LoadGenConfig, ModelRegistry, ModelSlot, PrefetchRequest,
-    ServeConfig, ServeRuntime, ShadowConfig, ShadowOutcome, ShadowTrainer, VersionState,
+    RejectionCause, ServeConfig, ServeRuntime, ShadowConfig, ShadowOutcome, ShadowTrainer,
+    VersionState,
 };
 use dart_trace::PreprocessConfig;
 
@@ -377,6 +378,51 @@ fn gate_promotes_better_and_rejects_worse_deterministically() {
     assert_eq!(registry.active_version(), 1);
 }
 
+/// The gate validates before it evaluates: a candidate shaped for other
+/// traffic, and one whose parts do not fit together, used to panic the
+/// caller inside `evaluate_tabular_f1` (or, had it scored well, reach the
+/// shard workers). Both are counted rejections that say why, carry no F1,
+/// and leave the active version alone.
+#[test]
+fn ab_gate_refuses_invalid_candidates_without_evaluating_them() {
+    let pre = tiny_pre();
+    let incumbent = tiny_model(&pre, 3);
+    let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&incumbent), 1)));
+    let mut rng = InitRng::new(77);
+    let holdout = Dataset::new(
+        Matrix::from_fn(6 * pre.seq_len, pre.input_dim(), |_, _| rng.next_f32()),
+        Matrix::zeros(6, pre.output_dim()),
+        pre.seq_len,
+    );
+
+    // A bitmap twice as wide: consistent in itself, wrong for this traffic.
+    let wide = tiny_model(&PreprocessConfig { delta_range: 2 * pre.delta_range, ..pre }, 3);
+    assert_eq!(wide.validate(), Ok(()));
+    // input_linear's quantizer splits its 4 input dims 2 + 2; the file
+    // says 1 + 3 over codebook blocks that are still 2-dimensional.
+    let json = incumbent.to_json();
+    let torn_json = json.replacen("\"bounds\":[[0,2],[2,4]]", "\"bounds\":[[0,1],[1,4]]", 1);
+    assert_ne!(torn_json, json, "fixture drifted");
+    let torn: TabularModel = serde_json::from_str(&torn_json).unwrap();
+
+    for (candidate, name, says) in
+        [(wide, "wide bitmap", "output_dim"), (Arc::new(torn), "torn quantizer", "codebook")]
+    {
+        let outcome = gate_candidate(&registry, candidate, &holdout, 0.0, name, None, 64);
+        let ShadowOutcome::Invalid { reason } = outcome else {
+            panic!("{name} must be refused as invalid, got {outcome:?}")
+        };
+        assert!(reason.contains(says), "{name}: {reason}");
+        let recorded = registry.rejected().pop().unwrap();
+        assert_eq!(recorded.provenance, name);
+        assert_eq!(recorded.cause, RejectionCause::Invalid { reason });
+    }
+    assert_eq!(registry.counters().rejections, 2);
+    assert_eq!(registry.counters().swaps, 0);
+    assert_eq!(registry.active_version(), 1);
+    assert_eq!(registry.versions().len(), 1);
+}
+
 /// Rollback restores the predecessor's model under a NEW forward
 /// version id (epochs never move backwards), demotes the abandoned
 /// version to `RolledBack`, and counts in both swap and rollback
@@ -537,6 +583,9 @@ fn shadow_round_trains_on_live_replay_and_updates_the_registry() {
         }
         ShadowOutcome::NotEnoughSamples { resident } => {
             panic!("{resident} resident samples must be enough to train")
+        }
+        ShadowOutcome::Invalid { reason } => {
+            panic!("a retrained candidate is shaped like its incumbent: {reason}")
         }
     }
 

@@ -9,7 +9,10 @@
 //! `forward_probs`): per-`(row, output)` accumulation runs in the same
 //! subspace order, so no ULP tolerance is needed — every assertion below is
 //! exact. Batch sizes deliberately straddle the tile boundaries (empty, 1,
-//! tile - 1, tile, tile + 1, several tiles, non-multiples).
+//! tile - 1, tile, tile + 1, several tiles, non-multiples) and the
+//! hash-tree lane block inside a tile (`ENCODE_LANES` - 1, one block, one
+//! block + a one-row tail, two blocks + 3): the references walk every
+//! subvector alone, the batch kernels walk `ENCODE_LANES` at a time.
 //!
 //! Every encode — batch or row-at-a-time — runs the dispatched argmin scan
 //! (the AVX2 compile of the 16-centroid block body where the CPU has it);
@@ -29,7 +32,7 @@ use dart::nn::matrix::Matrix;
 use dart::nn::model::{AccessPredictor, ModelConfig};
 use dart::pq::{
     AttentionTable, AttentionTableConfig, EncoderKind, FusedFfnTable, LinearTable,
-    ProductQuantizer, AGG_TILE_ROWS, ATTN_TILE_SAMPLES, ENCODE_TILE_ROWS,
+    ProductQuantizer, AGG_TILE_ROWS, ATTN_TILE_SAMPLES, ENCODE_LANES, ENCODE_TILE_ROWS,
 };
 use dart::trace::PreprocessConfig;
 use proptest::prelude::*;
@@ -39,12 +42,17 @@ fn rand_matrix(r: usize, c: usize, seed: u64) -> Matrix {
     Matrix::from_fn(r, c, |_, _| rng.normal())
 }
 
-/// Batch sizes that exercise both tile boundaries: empty, one row, one
-/// under/at/over each tile size, and a non-multiple several tiles long.
+/// Batch sizes that exercise both tile boundaries and the lane block:
+/// empty, one row, one under/at/over the block and each tile size, and
+/// non-multiples several blocks and several tiles long.
 fn boundary_batches() -> Vec<usize> {
     vec![
         0,
         1,
+        ENCODE_LANES - 1,
+        ENCODE_LANES,
+        ENCODE_LANES + 1,
+        2 * ENCODE_LANES + 3,
         AGG_TILE_ROWS - 1,
         AGG_TILE_ROWS,
         AGG_TILE_ROWS + 3,
@@ -80,7 +88,7 @@ proptest! {
         k in (1usize..26).prop_map(|k| if k == 25 { 40 } else { k }),
         c in 1usize..5,
         dim in 2usize..10,
-        size_idx in 0usize..9,
+        size_idx in 0usize..13,
         tree in proptest::bool::ANY,
     ) {
         let rows = boundary_batches()[size_idx];
@@ -114,7 +122,7 @@ proptest! {
         // 1..20 output columns: straddles the auto-vectorised loops' lane
         // widths (sub-lane, exact multiples, and ragged tails).
         dout in 1usize..20,
-        size_idx in 0usize..9,
+        size_idx in 0usize..13,
         tree in proptest::bool::ANY,
     ) {
         let rows = boundary_batches()[size_idx];
@@ -145,7 +153,7 @@ proptest! {
         seed in 0u64..5_000,
         k in 2usize..16,
         c in 1usize..4,
-        size_idx in 0usize..9,
+        size_idx in 0usize..13,
         tree in proptest::bool::ANY,
     ) {
         let rows = boundary_batches()[size_idx];

@@ -11,7 +11,8 @@
 //! and this suite is what keeps it true as kernels evolve.
 //!
 //! Batch sizes straddle every tile boundary (empty, 1, tile ± 1,
-//! non-multiples), same discipline as the scalar diff suite.
+//! non-multiples) and the hash-tree lane block (`ENCODE_LANES` ± 1, two
+//! blocks + 3), same discipline as the scalar diff suite.
 //!
 //! On a CPU with AVX2 the same assertions also pin the vector argmin scan:
 //! the pooled batch encodes dispatch to it while the row-at-a-time
@@ -27,7 +28,7 @@ use dart::nn::matrix::Matrix;
 use dart::nn::model::{AccessPredictor, ModelConfig};
 use dart::pq::{
     AttentionTable, AttentionTableConfig, EncoderKind, FusedFfnTable, LinearTable,
-    ProductQuantizer, AGG_TILE_ROWS, ATTN_TILE_SAMPLES, ENCODE_TILE_ROWS,
+    ProductQuantizer, AGG_TILE_ROWS, ATTN_TILE_SAMPLES, ENCODE_LANES, ENCODE_TILE_ROWS,
 };
 use dart::trace::PreprocessConfig;
 use proptest::prelude::*;
@@ -86,11 +87,20 @@ proptest! {
         seed in 0u64..5_000,
         k in 2usize..16,
         c in 1usize..4,
-        rows_idx in 0usize..5,
+        rows_idx in 0usize..9,
         tree in proptest::bool::ANY,
     ) {
-        let rows = [0, 1, ENCODE_TILE_ROWS - 1, ENCODE_TILE_ROWS + 1, 2 * ENCODE_TILE_ROWS + 7]
-            [rows_idx];
+        let rows = [
+            0,
+            1,
+            ENCODE_LANES - 1,
+            ENCODE_LANES,
+            ENCODE_LANES + 1,
+            2 * ENCODE_LANES + 3,
+            ENCODE_TILE_ROWS - 1,
+            ENCODE_TILE_ROWS + 1,
+            2 * ENCODE_TILE_ROWS + 7,
+        ][rows_idx];
         let dim = 6usize;
         let train = rand_matrix(60, dim, seed);
         let pq = ProductQuantizer::fit(&train, c, k, encoder_of(tree), seed);
@@ -122,10 +132,20 @@ proptest! {
         seed in 0u64..5_000,
         k in 2usize..16,
         c in 1usize..4,
-        rows_idx in 0usize..5,
+        rows_idx in 0usize..9,
         tree in proptest::bool::ANY,
     ) {
-        let rows = [0, 1, AGG_TILE_ROWS - 1, AGG_TILE_ROWS + 3, 3 * AGG_TILE_ROWS + 5][rows_idx];
+        let rows = [
+            0,
+            1,
+            ENCODE_LANES - 1,
+            ENCODE_LANES,
+            ENCODE_LANES + 1,
+            2 * ENCODE_LANES + 3,
+            AGG_TILE_ROWS - 1,
+            AGG_TILE_ROWS + 3,
+            3 * AGG_TILE_ROWS + 5,
+        ][rows_idx];
         let (din, dh, dout) = (6usize, 8usize, 5usize);
         let train = rand_matrix(70, din, seed);
         let w = rand_matrix(dout, din, seed ^ 0x11);
@@ -209,6 +229,48 @@ proptest! {
                     "sample {} step {} vs per-sample", n, step
                 );
             }
+        }
+    }
+}
+
+/// The lane-block boundaries, every one of them for both encoders (the
+/// proptests above only sample their lists): around `ENCODE_LANES` rows the
+/// batch encode and the fused encode → aggregate kernels are identical at
+/// every thread count and equal to the references that walk each subvector
+/// alone.
+#[test]
+fn lane_block_boundaries_are_thread_count_invariant() {
+    let (din, dh, dout) = (6usize, 8usize, 5usize);
+    let train = rand_matrix(80, din, 0x1A);
+    let w = rand_matrix(dout, din, 0x1B);
+    let b: Vec<f32> = (0..dout).map(|o| o as f32 * 0.25 - 0.5).collect();
+    let (wh, wo) = (rand_matrix(dh, din, 0x1C), rand_matrix(dout, dh, 0x1D));
+    for encoder in [EncoderKind::HashTree, EncoderKind::Argmin] {
+        let linear = LinearTable::fit(&train, &w, &b, 2, 16, encoder, 3);
+        let fused = FusedFfnTable::fit(&train, &wh, &[0.05; 8], &wo, &[-0.1; 5], 2, 16, encoder, 3);
+        let pq = linear.quantizer();
+        for rows in [ENCODE_LANES - 1, ENCODE_LANES, ENCODE_LANES + 1, 2 * ENCODE_LANES + 3] {
+            let x = rand_matrix(rows, din, 0x20 + rows as u64);
+            let (codes, lin_bits, fused_bits) = invariant_across_pools(
+                || {
+                    let mut codes = vec![0usize; rows * pq.num_subspaces()];
+                    pq.encode_batch_into(&x, &mut codes);
+                    (codes, bits(&linear.query(&x)), bits(&fused.query(&x)))
+                },
+                &format!("{encoder:?}, {rows} rows"),
+            );
+            let (mut want_codes, mut want_lin, mut want_fused) = (vec![], vec![], vec![]);
+            let mut single = vec![0.0f32; dout];
+            for r in 0..rows {
+                want_codes.extend(pq.encode_row(x.row(r)));
+                linear.query_row_into(x.row(r), &mut single);
+                want_lin.extend(single.iter().map(|f| f.to_bits()));
+                fused.query_row_into(x.row(r), &mut single);
+                want_fused.extend(single.iter().map(|f| f.to_bits()));
+            }
+            assert_eq!(codes, want_codes, "{encoder:?}, {rows} rows: codes");
+            assert_eq!(lin_bits, want_lin, "{encoder:?}, {rows} rows: linear");
+            assert_eq!(fused_bits, want_fused, "{encoder:?}, {rows} rows: fused");
         }
     }
 }
