@@ -15,18 +15,6 @@ pub fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
-/// Read a `usize` knob. Unset → `default`; set but unparseable or zero →
-/// print a diagnostic and exit with status 2.
-pub fn env_usize_strict(name: &str, default: usize) -> usize {
-    or_exit(match std::env::var(name) {
-        Err(_) => Ok(default),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("{name}={raw:?} is not a valid value (expected an integer >= 1)")),
-        },
-    })
-}
-
 /// Interpret a `DART_WORKLOADS` value: how many of the eight Table IV
 /// workloads the training-heavy experiments cover. Unset → all 8;
 /// anything but an integer in `1..=8` is an error.

@@ -8,8 +8,10 @@
 //!   table in the paper's row/series format next to the paper's reported
 //!   values and writes a machine-readable record under
 //!   `target/experiments/`; `exp list` is the per-experiment index.
-//! * `loadgen` drives the serving runtime, in process or over TCP, and
-//!   exits non-zero on any lost or failed response.
+//! * `loadgen [--streams N] [--accesses N] [--shards N] [--swap-at N]
+//!   [--tcp ADDR [--conns N]]` drives the serving runtime with the drill
+//!   kit (`dart_serve::loadgen`), in process or over TCP, and exits 1 on
+//!   any lost or failed response (2 on bad usage).
 //!
 //! `DART_SCALE` selects `quick` (default — minutes, reduced model/trace
 //! sizes) or `full` (paper-faithful sizes; expect an hour-plus on a
@@ -25,5 +27,5 @@ pub mod report;
 pub mod zoo;
 
 pub use context::{ExperimentContext, Scale};
-pub use env::{announce_threads, env_usize_strict};
+pub use env::announce_threads;
 pub use report::{print_table, record_json, Table};

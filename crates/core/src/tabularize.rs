@@ -116,17 +116,24 @@ pub fn tabularize(
             activation: cfg.activation,
             seed: next_seed(),
         };
+        // Each head is queried once, batched, on the slices it was fitted
+        // on; its columns of the tabular attention output are copied out.
         let mut head_tables = Vec::with_capacity(heads);
+        let mut concat_approx = Matrix::zeros(qkv_approx.rows(), dim);
         for h in 0..heads {
             let (lo, hi) = (h * dh, (h + 1) * dh);
             let q_a = qkv_approx.slice_cols(lo, hi);
             let k_a = qkv_approx.slice_cols(dim + lo, dim + hi);
             let v_a = qkv_approx.slice_cols(2 * dim + lo, 2 * dim + hi);
-            head_tables.push(AttentionTable::fit(&q_a, &k_a, &v_a, t, &attn_cfg));
+            let head = AttentionTable::fit(&q_a, &k_a, &v_a, t, &attn_cfg);
+            let y = head.query_batch(&q_a, &k_a, &v_a);
+            for r in 0..y.rows() {
+                concat_approx.row_mut(r)[lo..hi].copy_from_slice(y.row(r));
+            }
+            head_tables.push(head);
         }
 
-        // Attention outputs: tabular (query) and exact (softmax reference).
-        let concat_approx = attention_concat_tabular(&head_tables, &qkv_approx, t, dim, dh);
+        // The exact softmax reference for the same stage.
         let concat_exact = attention_concat_exact(&qkv_target, t, dim, dh);
         report.record(format!("block{bi}.attn"), &concat_approx, &concat_exact);
 
@@ -257,32 +264,6 @@ fn fine_tune_linear(
     }
     let b = lin.b.value.as_slice().to_vec();
     (lin.w.value, b)
-}
-
-/// Tabular attention for all samples/heads: query each head's tables and
-/// concatenate outputs (`(N*T) x D`).
-fn attention_concat_tabular(
-    heads: &[AttentionTable],
-    qkv: &Matrix,
-    t: usize,
-    dim: usize,
-    dh: usize,
-) -> Matrix {
-    let batch = qkv.rows() / t;
-    let mut concat = Matrix::zeros(qkv.rows(), dim);
-    for n in 0..batch {
-        for (h, head) in heads.iter().enumerate() {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qs = qkv.slice_rows(n * t, (n + 1) * t).slice_cols(lo, hi);
-            let ks = qkv.slice_rows(n * t, (n + 1) * t).slice_cols(dim + lo, dim + hi);
-            let vs = qkv.slice_rows(n * t, (n + 1) * t).slice_cols(2 * dim + lo, 2 * dim + hi);
-            let y = head.query(&qs, &ks, &vs);
-            for step in 0..t {
-                concat.row_mut(n * t + step)[lo..hi].copy_from_slice(y.row(step));
-            }
-        }
-    }
-    concat
 }
 
 /// Exact softmax attention (the neural reference) from a stacked QKV matrix.

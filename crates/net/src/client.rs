@@ -1,12 +1,8 @@
 //! A small blocking client for the wire protocol — what the TCP load
 //! generator and the integration tests speak to the server with.
 
-use dart_telemetry::lockcheck::{named_mutex, Mutex};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use crate::wire::{
@@ -94,107 +90,6 @@ impl NetClient {
                 ));
             }
             self.decoder.extend(&self.read_buf[..n]);
-        }
-    }
-}
-
-/// A reusable pool of [`NetClient`] connections to one server address.
-///
-/// [`ClientPool::get`] hands out an idle pooled connection (or dials a
-/// fresh one); dropping the returned [`PooledClient`] checks the
-/// connection back in for the next caller. With server-side idle
-/// timeouts and per-conn stream state, connection churn is no longer
-/// free — reusing sockets keeps the server's accept/reap machinery and
-/// the shard LRU maps out of the request path.
-///
-/// A connection that hit an error must NOT be returned to the pool (the
-/// decoder may hold a torn frame): call [`PooledClient::discard`].
-pub struct ClientPool {
-    addr: String,
-    idle: Mutex<Vec<NetClient>>,
-    max_idle: usize,
-    created: AtomicU64,
-}
-
-impl ClientPool {
-    /// A pool dialing `addr`, keeping at most `max_idle` parked
-    /// connections (excess check-ins just close the socket).
-    pub fn new(addr: impl Into<String>, max_idle: usize) -> Arc<ClientPool> {
-        Arc::new(ClientPool {
-            addr: addr.into(),
-            idle: named_mutex("net.client_idle", Vec::new()),
-            max_idle,
-            created: AtomicU64::new(0),
-        })
-    }
-
-    /// Check out a connection: a parked one if available, else a fresh
-    /// dial. The guard returns it on drop.
-    pub fn get(self: &Arc<ClientPool>) -> io::Result<PooledClient> {
-        let parked = self.idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let client = match parked {
-            Some(c) => c,
-            None => {
-                self.created.fetch_add(1, Ordering::Relaxed);
-                NetClient::connect(&self.addr)?
-            }
-        };
-        Ok(PooledClient { pool: Arc::clone(self), client: Some(client), discard: false })
-    }
-
-    /// Connections dialed so far (reuse keeps this below checkout count).
-    pub fn created(&self) -> u64 {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently parked.
-    pub fn idle(&self) -> usize {
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-
-    fn check_in(&self, client: NetClient) {
-        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-        if idle.len() < self.max_idle {
-            idle.push(client);
-        }
-    }
-}
-
-/// A checked-out pool connection; derefs to [`NetClient`]. Returns to
-/// the pool on drop unless [`PooledClient::discard`] was called.
-pub struct PooledClient {
-    pool: Arc<ClientPool>,
-    client: Option<NetClient>,
-    discard: bool,
-}
-
-impl PooledClient {
-    /// Drop this connection on check-in instead of recycling it — call
-    /// after any IO error, when the stream state is no longer trusted.
-    pub fn discard(&mut self) {
-        self.discard = true;
-    }
-}
-
-impl Deref for PooledClient {
-    type Target = NetClient;
-    fn deref(&self) -> &NetClient {
-        self.client.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledClient {
-    fn deref_mut(&mut self) -> &mut NetClient {
-        self.client.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledClient {
-    fn drop(&mut self) {
-        if let Some(client) = self.client.take() {
-            if !self.discard {
-                self.pool.check_in(client);
-            }
         }
     }
 }

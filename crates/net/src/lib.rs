@@ -36,10 +36,13 @@
 //! connections can be reaped ([`NetConfig::idle_timeout_ms`]), and a
 //! reaped conn's per-stream state is retired from the shard LRU maps.
 //!
-//! [`run_tcp_load`] is the matching load generator — tens of thousands
-//! of concurrent streams over many connections, verifying the front-end
-//! contract: **every request is answered exactly once** (a response or a
-//! NACK), under load, across shards, with the accounting to prove it.
+//! [`run_tcp_load`] is the matching drill driver: it deals a
+//! [`dart_serve::generate_requests`] list across many connections by
+//! stream id — tens of thousands of concurrent streams — and verifies the
+//! front-end contract, **every request is answered exactly once** (a
+//! response or a NACK), under load, across shards, with the accounting to
+//! prove it in the same [`dart_serve::LoadReport`] the in-process drill
+//! returns.
 
 pub mod client;
 mod conn;
@@ -50,7 +53,7 @@ pub mod sys;
 pub mod tcp_load;
 pub mod wire;
 
-pub use client::{fetch_metrics, ClientEvent, ClientPool, NetClient, PooledClient};
+pub use client::{fetch_metrics, ClientEvent, NetClient};
 pub use server::{NetConfig, NetServer};
-pub use tcp_load::{run_tcp_load, TcpLoadConfig, TcpLoadReport};
+pub use tcp_load::run_tcp_load;
 pub use wire::{Frame, FrameDecoder, NackFrame, RequestFrame, ResponseFrame, WireError};

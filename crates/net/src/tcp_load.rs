@@ -1,200 +1,160 @@
-//! A TCP load generator: many connections, each multiplexing many
-//! streams, verifying **exactly one answer per request** end to end.
+//! The TCP drill driver: a request list from
+//! [`dart_serve::generate_requests`] sent over many connections, each
+//! multiplexing many streams, verifying **exactly one answer per request**
+//! end to end.
 //!
-//! Each connection runs on its own thread with a bounded in-flight
-//! window: it sends request frames until `window` are unanswered, then
-//! reads answers before sending more. Every sent request must come back
-//! as exactly one response *or* one NACK; anything still unanswered at
-//! the read timeout is counted as `lost` (and fails
-//! [`TcpLoadReport::is_ok`]).
+//! Requests are dealt to connections by stream id ([`split_by_connection`]).
+//! Each connection runs on its own thread with a bounded in-flight window:
+//! it sends frames until `window` are unanswered, then reads answers before
+//! sending more. Every sent request must come back as exactly one response
+//! *or* one NACK; anything still unanswered after [`READ_TIMEOUT`] without
+//! progress is counted as `lost` (and fails [`LoadReport::is_ok`]).
 
 use std::io;
 use std::time::{Duration, Instant};
 
+use dart_serve::{LoadReport, PrefetchRequest};
+
 use crate::client::{ClientEvent, NetClient};
+use crate::wire::RequestFrame;
 
-/// Load shape. Total concurrent streams = `connections × streams_per_conn`;
-/// total requests = streams × `accesses_per_stream`.
-#[derive(Clone, Debug)]
-pub struct TcpLoadConfig {
-    /// Server address, e.g. the string form of
-    /// [`crate::NetServer::local_addr`].
-    pub addr: String,
-    /// Client connections (one thread each).
-    pub connections: usize,
-    /// Streams multiplexed per connection (wire stream ids
-    /// `0..streams_per_conn`).
-    pub streams_per_conn: u32,
-    /// Requests per stream.
-    pub accesses_per_stream: u32,
-    /// Per-connection unanswered-frame window (clamped ≥ 1). Keep at or
-    /// below the server's `max_inflight_per_conn` to avoid admission
-    /// NACKs; above it to provoke them.
-    pub window: u64,
-    /// Give up on missing answers after this long without progress.
-    pub read_timeout_ms: u64,
-    /// Varies the synthetic access pattern across runs.
-    pub seed: u64,
-}
+/// How long a connection waits for its next answer before it gives up and
+/// books everything still unanswered as lost.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl Default for TcpLoadConfig {
-    fn default() -> Self {
-        TcpLoadConfig {
-            addr: String::new(),
-            connections: 8,
-            streams_per_conn: 64,
-            accesses_per_stream: 32,
-            window: 256,
-            read_timeout_ms: 10_000,
-            seed: 1,
-        }
+/// Deal `requests` to `connections` (clamped ≥ 1) connections: stream `id`
+/// travels on connection `id % connections` as wire stream
+/// `id / connections`, so a stream stays on one connection, no two streams
+/// share a wire id, and each connection's list keeps the order `requests`
+/// had — per-stream order included.
+pub fn split_by_connection(
+    requests: &[PrefetchRequest],
+    connections: usize,
+) -> Vec<Vec<RequestFrame>> {
+    let connections = connections.max(1) as u64;
+    let mut per_conn = vec![Vec::new(); connections as usize];
+    for r in requests {
+        let stream = u32::try_from(r.stream_id / connections).expect("wire stream ids are 32-bit");
+        per_conn[(r.stream_id % connections) as usize].push(RequestFrame {
+            stream,
+            pc: r.pc,
+            addr: r.addr,
+        });
     }
+    per_conn
 }
 
-/// Aggregated verdict over every connection.
-#[derive(Clone, Debug, Default)]
-pub struct TcpLoadReport {
-    /// Request frames sent.
-    pub submitted: u64,
-    /// Response frames received (served requests).
-    pub responses: u64,
-    /// NACK frames received (refused requests — accounted, not lost).
-    pub nacks: u64,
-    /// Responses that carried the failure flag.
-    pub failed_responses: u64,
-    /// Requests with **no** answer by the deadline, plus answers for
-    /// streams this connection never used. Non-zero means the
-    /// exactly-once contract broke.
-    pub lost: u64,
-    /// Wall-clock seconds for the whole run.
-    pub elapsed_s: f64,
+/// One connection's books: the running report plus per-stream counts, so
+/// the exactly-once contract is pinned per stream — aggregate totals can
+/// mask a duplicate on one stream paired with a drop on another.
+struct Books {
+    report: LoadReport,
+    sent: Vec<u64>,
+    answered: Vec<u64>,
+    inflight: u64,
 }
 
-impl TcpLoadReport {
-    /// Every request accounted (answered or NACKed) and no failure
-    /// responses.
-    pub fn is_ok(&self) -> bool {
-        self.lost == 0
-            && self.failed_responses == 0
-            && self.responses + self.nacks == self.submitted
-    }
-
-    fn absorb(&mut self, other: &TcpLoadReport) {
-        self.submitted += other.submitted;
-        self.responses += other.responses;
-        self.nacks += other.nacks;
-        self.failed_responses += other.failed_responses;
-        self.lost += other.lost;
-    }
-}
-
-/// Drive one connection's streams through their accesses.
-fn run_connection(cfg: &TcpLoadConfig, conn_index: usize) -> io::Result<TcpLoadReport> {
-    let mut client = NetClient::connect(&cfg.addr)?;
-    client.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
-    let window = cfg.window.max(1);
-    let mut report = TcpLoadReport::default();
-    // Per-stream answers seen, to pin the exactly-once contract per
-    // stream rather than only in aggregate.
-    let mut answered = vec![0u64; cfg.streams_per_conn as usize];
-    let mut inflight = 0u64;
-
-    let recv_one = |client: &mut NetClient,
-                    report: &mut TcpLoadReport,
-                    answered: &mut [u64]|
-     -> io::Result<bool> {
-        match client.recv_event() {
-            Ok(event) => {
-                let stream = match &event {
-                    ClientEvent::Response(r) => {
-                        report.responses += 1;
-                        if r.failed {
-                            report.failed_responses += 1;
-                        }
-                        r.stream
+impl Books {
+    /// Read and book answers until at most `keep` frames are unanswered.
+    /// `false` when a read timed out: what was in flight is booked as lost.
+    fn drain_to(&mut self, client: &mut NetClient, keep: u64) -> io::Result<bool> {
+        while self.inflight > keep {
+            let stream = match client.recv_event() {
+                Ok(ClientEvent::Response(r)) => {
+                    self.report.responses += 1;
+                    if r.failed {
+                        self.report.failures += 1;
+                        self.report.note("response carried the failure flag");
                     }
-                    ClientEvent::Nack(n) => {
-                        report.nacks += 1;
-                        n.stream
-                    }
-                };
-                match answered.get_mut(stream as usize) {
-                    Some(count) => *count += 1,
-                    // An answer for a stream we never sent on.
-                    None => report.lost += 1,
+                    r.stream
                 }
-                Ok(true)
+                Ok(ClientEvent::Nack(n)) => {
+                    self.report.nacks += 1;
+                    n.stream
+                }
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    self.report.lost += self.inflight;
+                    self.report.note("no answer within the read timeout");
+                    return Ok(false);
+                }
+                Err(e) => return Err(e),
+            };
+            self.inflight -= 1;
+            match self.answered.get_mut(stream as usize) {
+                Some(count) => *count += 1,
+                None => {
+                    self.report.lost += 1;
+                    self.report.note("answer for a stream this connection never sent on");
+                }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(false)
-            }
-            Err(e) => Err(e),
         }
+        Ok(true)
+    }
+}
+
+/// Send one connection's frames in order, never more than `window`
+/// unanswered, then read the rest and compare every stream's two counts.
+fn run_connection(addr: &str, frames: &[RequestFrame], window: u64) -> io::Result<LoadReport> {
+    let mut client = NetClient::connect(addr)?;
+    client.set_read_timeout(Some(READ_TIMEOUT))?;
+    let streams = frames.iter().map(|f| f.stream as usize + 1).max().unwrap_or(0);
+    let mut books = Books {
+        report: LoadReport::default(),
+        sent: vec![0; streams],
+        answered: vec![0; streams],
+        inflight: 0,
     };
-
-    // Interleave streams round-robin so the window keeps every stream's
-    // shard busy, the way concurrent hardware contexts would.
-    for access in 0..cfg.accesses_per_stream {
-        for stream in 0..cfg.streams_per_conn {
-            // A strided walk with a per-stream base: enough structure for
-            // warm streams to predict on, cheap to generate.
-            let base = (cfg.seed << 24) ^ ((conn_index as u64) << 40) ^ ((stream as u64 + 1) << 22);
-            let addr = base + access as u64 * 64;
-            let pc = 0x40_0000 + (stream as u64 % 16) * 4;
-            client.send_request(stream, pc, addr);
-            report.submitted += 1;
-            inflight += 1;
-            while inflight >= window {
-                if recv_one(&mut client, &mut report, &mut answered)? {
-                    inflight -= 1;
-                } else {
-                    // Window never drained within the timeout.
-                    report.lost += inflight;
-                    return Ok(report);
-                }
+    for frame in frames {
+        client.send_request(frame.stream, frame.pc, frame.addr);
+        books.sent[frame.stream as usize] += 1;
+        books.report.submitted += 1;
+        books.inflight += 1;
+        if !books.drain_to(&mut client, window.max(1) - 1)? {
+            return Ok(books.report);
+        }
+    }
+    if books.drain_to(&mut client, 0)? {
+        for (sent, answered) in books.sent.iter().zip(&books.answered) {
+            if sent != answered {
+                books.report.lost += sent.abs_diff(*answered);
+                books.report.note("a stream's answers do not match its requests");
             }
         }
     }
-    client.flush()?;
-    while inflight > 0 {
-        if recv_one(&mut client, &mut report, &mut answered)? {
-            inflight -= 1;
-        } else {
-            report.lost += inflight;
-            return Ok(report);
-        }
-    }
-    for (stream, &count) in answered.iter().enumerate() {
-        if count != cfg.accesses_per_stream as u64 {
-            // Duplicates or drops within one stream: aggregate totals can
-            // mask a duplicate-on-one / lost-on-another pair; this can't.
-            report.lost += count.abs_diff(cfg.accesses_per_stream as u64);
-            let _ = stream;
-        }
-    }
-    Ok(report)
+    Ok(books.report)
 }
 
-/// Run the full load: one thread per connection, aggregate verdict.
-pub fn run_tcp_load(cfg: &TcpLoadConfig) -> io::Result<TcpLoadReport> {
+/// Drive the server at `addr` with `requests` over `connections` sockets
+/// (one thread each), at most `window` unanswered frames per connection —
+/// keep it at or below the server's `max_inflight_per_conn` to avoid
+/// admission NACKs, above it to provoke them. Returns the first connection
+/// IO error, else the aggregate verdict.
+pub fn run_tcp_load(
+    addr: &str,
+    requests: &[PrefetchRequest],
+    connections: usize,
+    window: u64,
+) -> io::Result<LoadReport> {
     let start = Instant::now();
-    let mut handles = Vec::new();
-    for conn_index in 0..cfg.connections.max(1) {
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || run_connection(&cfg, conn_index)));
-    }
-    let mut report = TcpLoadReport::default();
-    let mut first_err: Option<io::Error> = None;
-    for handle in handles {
-        match handle.join().expect("load connection thread panicked") {
-            Ok(conn_report) => report.absorb(&conn_report),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
+    let per_conn = split_by_connection(requests, connections);
+    let results: Vec<io::Result<LoadReport>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = per_conn
+            .iter()
+            .map(|frames| scope.spawn(move || run_connection(addr, frames, window)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("load connection thread panicked")).collect()
+    });
+    let mut report = LoadReport::default();
+    for conn in results {
+        let conn = conn?;
+        report.submitted += conn.submitted;
+        report.responses += conn.responses;
+        report.nacks += conn.nacks;
+        report.failures += conn.failures;
+        report.lost += conn.lost;
+        conn.failure_reasons.iter().for_each(|r| report.note(r));
     }
     report.elapsed_s = start.elapsed().as_secs_f64();
     Ok(report)

@@ -14,14 +14,17 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use dart_net::{
-    fetch_metrics, run_tcp_load, ClientEvent, ClientPool, NetClient, NetConfig, NetServer,
-    TcpLoadConfig,
-};
-use dart_serve::ServeConfig;
+use dart_net::tcp_load::split_by_connection;
+use dart_net::{fetch_metrics, run_tcp_load, ClientEvent, NetClient, NetConfig, NetServer};
+use dart_serve::{generate_requests, LoadGenConfig, PrefetchRequest, ServeConfig};
 
 fn serve_cfg(shards: usize) -> ServeConfig {
     ServeConfig { shards, max_batch: 16, threshold: 0.0, ..ServeConfig::default() }
+}
+
+/// `streams` drill streams of `accesses` requests each, interleaved.
+fn drill_requests(streams: usize, accesses: usize) -> Vec<PrefetchRequest> {
+    generate_requests(&LoadGenConfig { streams, accesses_per_stream: accesses, seed: 1 })
 }
 
 /// The stream id the runtime sees for wire stream `stream` on the n-th
@@ -302,23 +305,15 @@ fn batched_response_path_answers_every_request_exactly_once() {
     // Deep windows make the IO threads coalesce many responses per conn
     // per pass. The wire contract (exactly one answer per request,
     // per-stream accounting) must hold regardless: batching is a
-    // transport optimization, not a semantic. (This used to run once per
-    // dispatcher mode; there is one response path now.)
+    // transport optimization, not a semantic.
     let runtime = common::start_runtime(serve_cfg(2));
     let server = NetServer::start(runtime, NetConfig::default()).unwrap();
     assert_eq!(server.thread_count(), NetConfig::default().io_threads, "IO threads, no others");
-    let report = run_tcp_load(&TcpLoadConfig {
-        addr: server.local_addr().to_string(),
-        connections: 4,
-        streams_per_conn: 64,
-        accesses_per_stream: 8,
-        window: 256,
-        ..TcpLoadConfig::default()
-    })
-    .unwrap();
+    let reqs = drill_requests(4 * 64, 8);
+    let report = run_tcp_load(&server.local_addr().to_string(), &reqs, 4, 256).unwrap();
     assert_eq!(report.submitted, 4 * 64 * 8);
     assert_eq!(report.lost, 0, "{report:?}");
-    assert_eq!(report.failed_responses, 0, "{report:?}");
+    assert_eq!(report.failures, 0, "{report:?}");
     assert_eq!(report.responses + report.nacks, report.submitted);
     server.shutdown();
 }
@@ -366,34 +361,6 @@ fn dead_connection_streams_are_retired_from_the_shards() {
 }
 
 #[test]
-fn client_pool_reuses_connections_and_discards_broken_ones() {
-    let runtime = common::start_runtime(serve_cfg(1));
-    let server = NetServer::start(runtime, NetConfig::default()).unwrap();
-    let pool = ClientPool::new(server.local_addr().to_string(), 4);
-
-    for round in 0..3u64 {
-        let mut client = pool.get().unwrap();
-        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        client.send_request(0, 0x400, 0x1000 + round * 64);
-        match client.recv_event().unwrap() {
-            ClientEvent::Response(r) => assert_eq!(r.seq, round),
-            ClientEvent::Nack(n) => panic!("unexpected NACK {n:?}"),
-        }
-    }
-    assert_eq!(pool.created(), 1, "three sequential checkouts reuse one socket");
-    assert_eq!(pool.idle(), 1);
-
-    // A discarded connection is not recycled; the next checkout dials.
-    let mut broken = pool.get().unwrap();
-    broken.discard();
-    drop(broken);
-    assert_eq!(pool.idle(), 0);
-    let _fresh = pool.get().unwrap();
-    assert_eq!(pool.created(), 2);
-    server.shutdown();
-}
-
-#[test]
 fn tcp_load_accounts_every_request_across_many_streams() {
     let runtime = common::start_runtime(serve_cfg(4));
     let server =
@@ -401,19 +368,61 @@ fn tcp_load_accounts_every_request_across_many_streams() {
 
     // 8 connections × 128 streams = 1024 concurrent streams (the CI
     // smoke run scales this to 12k+ in release).
-    let report = run_tcp_load(&TcpLoadConfig {
-        addr: server.local_addr().to_string(),
-        connections: 8,
-        streams_per_conn: 128,
-        accesses_per_stream: 8,
-        window: 256,
-        ..TcpLoadConfig::default()
-    })
-    .unwrap();
+    let reqs = drill_requests(8 * 128, 8);
+    let report = run_tcp_load(&server.local_addr().to_string(), &reqs, 8, 256).unwrap();
     assert_eq!(report.submitted, 8 * 128 * 8);
     assert_eq!(report.lost, 0, "{report:?}");
-    assert_eq!(report.failed_responses, 0, "{report:?}");
+    assert_eq!(report.failures, 0, "{report:?}");
     assert_eq!(report.responses + report.nacks, report.submitted, "{report:?}");
     assert!(report.is_ok(), "{report:?}");
     server.shutdown();
+}
+
+#[test]
+fn a_window_above_the_admission_cap_is_nacked_and_still_fully_accounted() {
+    // One shard stalled on its first request and a 4-deep admission cap:
+    // a client window of 64 must see admission NACKs, and every request
+    // is still answered exactly once, by a response or by a NACK.
+    let runtime = common::start_runtime(ServeConfig {
+        stall_on_stream: Some(global_id(1, 0)),
+        stall_ms: 100,
+        ..serve_cfg(1)
+    });
+    let server =
+        NetServer::start(runtime, NetConfig { max_inflight_per_conn: 4, ..NetConfig::default() })
+            .unwrap();
+    let reqs = drill_requests(8, 16);
+    let report = run_tcp_load(&server.local_addr().to_string(), &reqs, 1, 64).unwrap();
+    assert_eq!(report.submitted, 8 * 16);
+    assert!(report.nacks > 0, "{report:?}");
+    assert_eq!(report.lost, 0, "{report:?}");
+    assert_eq!(report.responses + report.nacks, report.submitted, "{report:?}");
+    assert!(report.is_ok(), "a NACK is an answer, not a loss: {report:?}");
+    server.shutdown();
+}
+
+#[test]
+fn the_per_connection_split_keeps_every_stream_whole_and_in_order() {
+    let (streams, accesses, conns) = (10usize, 7usize, 4usize);
+    let reqs = drill_requests(streams, accesses);
+    let per_conn = split_by_connection(&reqs, conns);
+    assert_eq!(per_conn.len(), conns);
+    assert_eq!(per_conn.iter().map(Vec::len).sum::<usize>(), reqs.len());
+    for id in 0..streams as u64 {
+        let asked: Vec<(u64, u64)> =
+            reqs.iter().filter(|r| r.stream_id == id).map(|r| (r.pc, r.addr)).collect();
+        let wire = (id / conns as u64) as u32;
+        let sent: Vec<(u64, u64)> = per_conn[id as usize % conns]
+            .iter()
+            .filter(|f| f.stream == wire)
+            .map(|f| (f.pc, f.addr))
+            .collect();
+        assert_eq!(asked.len(), accesses);
+        assert_eq!(
+            sent,
+            asked,
+            "stream {id} on connection {} as wire stream {wire}",
+            id as usize % conns
+        );
+    }
 }

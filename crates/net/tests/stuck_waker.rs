@@ -27,8 +27,8 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use dart_net::{run_tcp_load, ClientEvent, NetClient, NetConfig, NetServer, TcpLoadConfig};
-use dart_serve::ServeConfig;
+use dart_net::{run_tcp_load, ClientEvent, NetClient, NetConfig, NetServer};
+use dart_serve::{generate_requests, LoadGenConfig, ServeConfig};
 
 const ROUND_TRIPS: usize = 20;
 
@@ -89,16 +89,9 @@ fn idle_round_trip_stays_event_driven_after_a_pipelined_burst() {
     // 2 connections x 100 streams x 1024 accesses = 204,800 frames, 512
     // in flight per connection: two shard workers completing batches
     // into the IO thread as fast as it can route them.
-    let report = run_tcp_load(&TcpLoadConfig {
-        addr: addr.to_string(),
-        connections: 2,
-        streams_per_conn: 100,
-        accesses_per_stream: 1024,
-        window: 512,
-        read_timeout_ms: 30_000,
-        ..TcpLoadConfig::default()
-    })
-    .unwrap();
+    let burst =
+        generate_requests(&LoadGenConfig { streams: 200, accesses_per_stream: 1024, seed: 1 });
+    let report = run_tcp_load(&addr.to_string(), &burst, 2, 512).unwrap();
     assert!(report.submitted >= 200_000);
     assert!(report.is_ok(), "the burst itself must be answered exactly once: {report:?}");
 

@@ -65,6 +65,11 @@
 //!   built-in default lane, or one a front-end opened for itself — so
 //!   each consumer takes only its own, with one lock per served batch.
 //!
+//! [`loadgen`] is the drill kit every serving drill shares — one request
+//! source ([`generate_requests`]), one tiny model ([`drill_model`]), one
+//! in-process driver ([`run_load`]; `dart_net::run_tcp_load` is its socket
+//! counterpart) and one verdict ([`LoadReport`]).
+//!
 //! See `examples/serve_quickstart.rs` for an end-to-end tour,
 //! `cargo run --release -p dart-bench --bin loadgen` for the pass/fail
 //! serving drill, and `perf/` (`serve_inproc` against `predict_b1`) for
@@ -82,7 +87,7 @@ pub mod shard;
 pub mod slot;
 pub mod stream;
 
-pub use loadgen::{generate_requests, run_load, LoadGenConfig, LoadReport};
+pub use loadgen::{drill_model, drill_pre, generate_requests, run_load, LoadGenConfig, LoadReport};
 pub use lru::StreamLru;
 pub use metrics::render_exposition;
 pub use registry::{

@@ -1,17 +1,27 @@
-//! Synthetic multi-stream load generation, reusing the `dart-trace`
-//! synthetic SPEC-like workload patterns: stream `i` replays workload
-//! `i % 8` with its own seed, and streams are interleaved round-robin so
-//! every shard sees concurrent traffic.
+//! The drill kit: the one request source, the one tiny model and the one
+//! report every serving drill shares — this crate's and `dart-net`'s test
+//! suites, `dart_net::run_tcp_load` and the `loadgen` binary.
 //!
-//! [`run_load`] drives a started [`ServeRuntime`] with a request sequence
-//! under bounded back-pressure and reports throughput, latency
-//! percentiles from the runtime's shared latency histogram, and failure
-//! accounting — the one verdict function behind the `loadgen` binary's
-//! exit code.
+//! [`generate_requests`] replays the `dart-trace` synthetic SPEC-like
+//! workload patterns — the PC + address-delta streams the models are built
+//! for: stream `i` replays workload `i % 8` with its own seed, and streams
+//! are interleaved round-robin so every shard sees concurrent traffic.
+//! [`drill_pre`] / [`drill_model`] build the untrained tiny tables the
+//! drills serve. [`run_load`] drives a started [`ServeRuntime`] in process
+//! under bounded back-pressure; its [`LoadReport`] is the one verdict
+//! (`is_ok`) behind the `loadgen` binary's exit code, whichever way the
+//! requests travelled.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use dart_trace::spec_workloads;
+use dart_core::config::TabularConfig;
+use dart_core::tabularize::tabularize;
+use dart_core::TabularModel;
+use dart_nn::init::InitRng;
+use dart_nn::matrix::Matrix;
+use dart_nn::model::{AccessPredictor, ModelConfig};
+use dart_trace::{spec_workloads, PreprocessConfig};
 
 use crate::request::PrefetchRequest;
 use crate::runtime::ServeRuntime;
@@ -25,12 +35,6 @@ pub struct LoadGenConfig {
     pub accesses_per_stream: usize,
     /// Base seed; stream `i` uses `seed + i`.
     pub seed: u64,
-}
-
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig { streams: 32, accesses_per_stream: 256, seed: 0x5EED }
-    }
 }
 
 /// Generate the interleaved request sequence.
@@ -59,64 +63,88 @@ pub fn generate_requests(cfg: &LoadGenConfig) -> Vec<PrefetchRequest> {
     out
 }
 
-/// Outcome of one [`run_load`] drive: delivery accounting plus the
-/// latency/batching numbers of the runtime's live stats snapshot.
-#[derive(Clone, Debug)]
+/// The serving drills' preprocessing: a 4-token window over 3 address
+/// segments and 1 PC segment — every dimension small, so [`drill_model`]
+/// fits in milliseconds.
+pub fn drill_pre() -> PreprocessConfig {
+    PreprocessConfig {
+        seq_len: 4,
+        addr_segments: 3,
+        seg_bits: 4,
+        pc_segments: 1,
+        delta_range: 4,
+        lookforward: 4,
+    }
+}
+
+/// The serving drills' model: tables fitted to an *untrained* one-block
+/// student of `pre`'s shape on seeded noise (serving behaviour does not
+/// depend on predictive quality). Different `seed`s give different tables.
+pub fn drill_model(pre: &PreprocessConfig, seed: u64) -> Arc<TabularModel> {
+    let cfg = ModelConfig {
+        input_dim: pre.input_dim(),
+        dim: 8,
+        heads: 2,
+        layers: 1,
+        ffn_dim: 16,
+        output_dim: pre.output_dim(),
+        seq_len: pre.seq_len,
+    };
+    let student = AccessPredictor::new(cfg, seed).expect("valid drill model config");
+    let mut rng = InitRng::new(seed ^ 0x9E37);
+    let x = Matrix::from_fn(40 * pre.seq_len, pre.input_dim(), |_, _| rng.next_f32());
+    let tab_cfg = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
+    Arc::new(tabularize(&student, &x, &tab_cfg).0)
+}
+
+/// Delivery accounting of one drill, in process ([`run_load`]) or over
+/// sockets (`dart_net::run_tcp_load`). Latency and batch shape are not
+/// here: read them from [`ServeRuntime::stats_snapshot`].
+#[derive(Clone, Debug, Default)]
 pub struct LoadReport {
-    /// Requests submitted to the runtime.
-    pub submitted: usize,
-    /// Responses drained back (delivery accounting says this equals
-    /// `submitted` unless a worker died).
-    pub responses: usize,
-    /// Responses that carried `error: Some(_)`.
-    pub failures: usize,
-    /// Up to 8 distinct failure reasons, in first-seen order.
+    /// Requests sent.
+    pub submitted: u64,
+    /// Responses received (served, or failed by the runtime).
+    pub responses: u64,
+    /// Requests refused with a NACK — accounted, not lost (TCP only).
+    pub nacks: u64,
+    /// Responses that carried an error.
+    pub failures: u64,
+    /// Requests with no answer at all, plus answers nobody asked for.
+    /// Non-zero means the exactly-one-answer contract broke.
+    pub lost: u64,
+    /// Up to 8 distinct reasons behind `failures` / `lost`, first seen first.
     pub failure_reasons: Vec<String>,
-    /// Warm-stream predictions made (from the stats snapshot).
-    pub predictions: u64,
-    /// Wall-clock seconds from first submit to idle.
+    /// Wall-clock seconds from the first send to the last answer.
     pub elapsed_s: f64,
-    /// p50 request latency in nanoseconds, from the shared histogram.
-    pub p50_latency_ns: u64,
-    /// p99 request latency in nanoseconds, from the shared histogram.
-    pub p99_latency_ns: u64,
-    /// Mean coalesced batch size.
-    pub mean_batch: f64,
 }
 
 impl LoadReport {
-    /// Responses delivered per wall-clock second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.responses as f64 / self.elapsed_s
-        } else {
-            0.0
+    /// Every request answered exactly once (a response or a NACK) and no
+    /// response failed — the `loadgen` binary exits 1 when this is false.
+    pub fn is_ok(&self) -> bool {
+        self.lost == 0 && self.failures == 0 && self.responses + self.nacks == self.submitted
+    }
+
+    /// Remember `reason` unless it is already listed or the list is full.
+    pub fn note(&mut self, reason: &str) {
+        if self.failure_reasons.len() < 8 && !self.failure_reasons.iter().any(|r| r == reason) {
+            self.failure_reasons.push(reason.to_string());
         }
     }
 
-    /// True when every submitted request came back and none failed — the
-    /// `loadgen` binary exits non-zero when this is false.
-    pub fn is_ok(&self) -> bool {
-        self.failures == 0 && self.responses == self.submitted
-    }
-
-    /// One-paragraph human summary (used by the `loadgen` binary).
+    /// One-paragraph human summary (what the `loadgen` binary prints).
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "{} requests in {:.3}s ({:.0} resp/s), {} predictions, \
-             p50 {:.1}us p99 {:.1}us, mean batch {:.1}, {} failure(s)",
+            "{} submitted, {} responses, {} nacks, {} failed, {} lost in {:.3}s ({:.0} req/s)",
             self.submitted,
-            self.elapsed_s,
-            self.throughput_rps(),
-            self.predictions,
-            self.p50_latency_ns as f64 / 1_000.0,
-            self.p99_latency_ns as f64 / 1_000.0,
-            self.mean_batch,
+            self.responses,
+            self.nacks,
             self.failures,
+            self.lost,
+            self.elapsed_s,
+            self.submitted as f64 / self.elapsed_s.max(1e-9),
         );
-        if self.responses != self.submitted {
-            s.push_str(&format!(" [LOST {} response(s)]", self.submitted - self.responses));
-        }
         for reason in &self.failure_reasons {
             s.push_str(&format!("\n  failure: {reason}"));
         }
@@ -128,10 +156,6 @@ impl LoadReport {
 /// per round — the generator's natural interleave) under bounded
 /// back-pressure, wait for it to go idle, then drain every response and
 /// report.
-///
-/// Latency percentiles, prediction counts and batch sizes come from
-/// [`ServeRuntime::stats_snapshot`] — the same shared histogram the
-/// metrics exposition renders, not a loadgen-private measurement.
 pub fn run_load(runtime: &ServeRuntime, reqs: &[PrefetchRequest], streams: usize) -> LoadReport {
     let streams = streams.max(1);
     let high_watermark = (streams * 4).max(1024) as u64;
@@ -146,29 +170,19 @@ pub fn run_load(runtime: &ServeRuntime, reqs: &[PrefetchRequest], streams: usize
     let elapsed_s = started.elapsed().as_secs_f64();
 
     let responses = runtime.drain_completed();
-    let mut failures = 0usize;
-    let mut failure_reasons: Vec<String> = Vec::new();
-    for resp in &responses {
-        if let Some(err) = &resp.error {
-            failures += 1;
-            if failure_reasons.len() < 8 && !failure_reasons.iter().any(|r| r == err) {
-                failure_reasons.push(err.clone());
-            }
-        }
-    }
-
-    let stats = runtime.stats_snapshot();
-    LoadReport {
-        submitted: reqs.len(),
-        responses: responses.len(),
-        failures,
-        failure_reasons,
-        predictions: stats.predictions,
+    let submitted = reqs.len() as u64;
+    let mut report = LoadReport {
+        submitted,
+        responses: responses.len() as u64,
+        lost: submitted.abs_diff(responses.len() as u64),
         elapsed_s,
-        p50_latency_ns: stats.p50_latency_ns,
-        p99_latency_ns: stats.p99_latency_ns,
-        mean_batch: stats.mean_batch(),
+        ..LoadReport::default()
+    };
+    for err in responses.iter().filter_map(|r| r.error.as_deref()) {
+        report.failures += 1;
+        report.note(err);
     }
+    report
 }
 
 #[cfg(test)]

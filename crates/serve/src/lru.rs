@@ -1,10 +1,8 @@
 //! Bounded LRU map for per-stream history state.
 //!
-//! The fix for the serving layer's one unbounded memory consumer: each
-//! shard used to hold `HashMap<u64, StreamState>` that grew with every
-//! stream id it had *ever* seen, so stream-id churn (sessions coming and
-//! going, the north-star "millions of user streams" case) leaked memory
-//! without bound. [`StreamLru`] caps resident streams at
+//! A shard sees every stream id ever routed to it, so under stream-id
+//! churn (sessions coming and going, the "millions of user streams" case)
+//! an unbounded map is a leak. [`StreamLru`] caps resident streams at
 //! `ServeConfig::max_streams_per_shard`, evicting the least-recently-seen
 //! stream when a new one arrives at capacity.
 //!

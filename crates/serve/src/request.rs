@@ -4,8 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cache-block shift (64-byte blocks), re-exported from `dart-core` —
 /// the same definition `dart-trace` preprocessing uses, so the serving
-/// path's block arithmetic cannot drift from the training labels (it
-/// used to be a duplicated constant tied to trace only by a comment).
+/// path's block arithmetic cannot drift from the training labels.
 pub use dart_core::BLOCK_BITS;
 
 /// One memory access from one client stream.

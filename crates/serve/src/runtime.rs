@@ -44,15 +44,13 @@ pub struct ServeConfig {
     /// Bitmap probability threshold for emitting a prefetch.
     pub threshold: f32,
     /// Maximum prefetches emitted per prediction (variable degree cap).
-    /// Clamped to at least 1 at [`ServeRuntime::start`], matching
-    /// `DartPrefetcher` — `max_degree: 0` used to silently disable all
-    /// serving-path prefetching while the sim path emitted 1.
+    /// Clamped to at least 1 at [`ServeRuntime::start`], so the serving
+    /// path and `DartPrefetcher` (the sim path) apply one emission rule.
     pub max_degree: usize,
     /// Resident-stream cap **per shard**: each shard's stream-state map
     /// holds at most this many streams, evicting the least-recently-seen
     /// beyond it (clamped to at least 1). Bounds shard memory under
-    /// stream-id churn — the map used to grow with every stream id ever
-    /// routed to the shard. An evicted stream that returns re-warms from
+    /// stream-id churn. An evicted stream that returns re-warms from
     /// scratch (cold responses for its first `seq_len - 1` accesses, seq
     /// restarting at 0) rather than predicting on a stale window.
     pub max_streams_per_shard: usize,
@@ -277,8 +275,7 @@ impl ServeRuntime {
     ///
     /// Validates the emission rule here, once, for the whole runtime:
     /// `max_degree` is clamped to at least 1, the same rule
-    /// `DartPrefetcher` applies — `max_degree: 0` used to silently
-    /// disable all serving-path prefetching while the sim path emitted 1.
+    /// `DartPrefetcher` applies.
     ///
     /// Panics if the model is inconsistent ([`TabularModel::validate`]) or
     /// it and the preprocessing dimensions disagree (same contract as

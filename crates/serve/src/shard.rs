@@ -37,7 +37,7 @@ pub(crate) struct ShardQueue {
     /// for space. Woken by `pop_batch` (space freed) AND by
     /// `shutdown`/`poison` — a producer parked on a full queue whose
     /// worker dies must wake and fail fast with the worker's panic
-    /// message, never sleep forever (the wakeup-on-death bugfix).
+    /// message, never sleep forever.
     space: Condvar,
     /// Maximum queued envelopes (`usize::MAX` = unbounded).
     capacity: usize,
@@ -220,11 +220,10 @@ impl ShardQueue {
     /// pushes with `reason` and hand back everything still queued so the
     /// caller can fail those envelopes.
     ///
-    /// Wakes producers parked on the full queue too — a submitter blocked
-    /// inside `ServeRuntime::submit`'s full-queue wait used to sleep
-    /// forever when the shard's worker died, because nothing ever freed
-    /// space again. Now it wakes, sees the death reason, and the submit
-    /// fails fast with the worker's panic message.
+    /// Wakes producers parked on the full queue too: a dead worker never
+    /// frees space again, so a submitter blocked in
+    /// `ServeRuntime::submit`'s full-queue wait must wake, see the death
+    /// reason, and fail fast with the worker's panic message.
     pub fn poison(&self, reason: &str) -> Vec<Envelope> {
         let mut inner = self.lock();
         inner.shutdown = true;
@@ -867,9 +866,8 @@ mod tests {
 
     #[test]
     fn envelopes_queued_at_shutdown_still_drain() {
-        // Regression (shutdown-path audit): requests that were already
-        // queued when `shutdown()` landed must keep draining — the worker
-        // answers them before `pop_batch` reports `None`.
+        // Requests already queued when `shutdown()` lands keep draining:
+        // the worker answers them before `pop_batch` reports `None`.
         let q = ShardQueue::new(usize::MAX);
         for i in 0..7u64 {
             assert!(q.push(env_for(i)).is_ok());
@@ -885,9 +883,9 @@ mod tests {
 
     #[test]
     fn push_after_shutdown_is_rejected_not_dropped() {
-        // Regression: a push after shutdown used to enqueue silently even
-        // though no worker would ever drain it again — the envelope (and
-        // its in-flight slot) just vanished.
+        // No worker will ever drain a push that lands after shutdown, so
+        // it must come back to the caller: an envelope (and its in-flight
+        // slot) may never just vanish.
         let q = ShardQueue::new(usize::MAX);
         q.shutdown();
         let (rejected, reason) = q.push(env_for(9)).expect_err("push must be rejected");

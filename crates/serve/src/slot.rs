@@ -144,39 +144,18 @@ impl ModelHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dart_core::config::TabularConfig;
-    use dart_core::tabularize::tabularize;
-    use dart_nn::init::InitRng;
-    use dart_nn::matrix::Matrix;
-    use dart_nn::model::{AccessPredictor, ModelConfig};
-
-    fn tiny_model(seed: u64) -> Arc<TabularModel> {
-        let cfg = ModelConfig {
-            input_dim: 4,
-            dim: 8,
-            heads: 2,
-            layers: 1,
-            ffn_dim: 16,
-            output_dim: 6,
-            seq_len: 4,
-        };
-        let student = AccessPredictor::new(cfg, seed).unwrap();
-        let mut rng = InitRng::new(seed ^ 0x9E37);
-        let x = Matrix::from_fn(16 * 4, 4, |_, _| rng.next_f32());
-        let tab = TabularConfig { k: 4, c: 2, fine_tune_epochs: 0, ..Default::default() };
-        Arc::new(tabularize(&student, &x, &tab).0)
-    }
+    use crate::loadgen::{drill_model, drill_pre};
 
     #[test]
     fn install_bumps_epoch_and_handle_adopts_at_boundary() {
-        let m1 = tiny_model(1);
+        let m1 = drill_model(&drill_pre(), 1);
         let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 2));
         assert_eq!(slot.epoch(), 1);
         let mut h = slot.handle(0);
         assert_eq!(h.epoch(), 1);
         assert!(Arc::ptr_eq(h.current(), &m1), "handle must serve the installed model");
 
-        let m2 = tiny_model(2);
+        let m2 = drill_model(&drill_pre(), 2);
         let e2 = slot.install(Arc::clone(&m2));
         assert_eq!(e2, 2);
         assert_eq!(slot.epoch(), 2);
@@ -189,11 +168,11 @@ mod tests {
 
     #[test]
     fn old_version_is_reclaimed_once_every_handle_moves() {
-        let m1 = tiny_model(3);
+        let m1 = drill_model(&drill_pre(), 3);
         let slot = Arc::new(ModelSlot::new(Arc::clone(&m1), 2));
         let mut h0 = slot.handle(0);
         let mut h1 = slot.handle(1);
-        slot.install(tiny_model(4));
+        slot.install(drill_model(&drill_pre(), 4));
         h0.current();
         assert!(Arc::strong_count(&m1) > 1, "shard 1 still holds version 1");
         h1.current();

@@ -6,40 +6,11 @@
 //! line of the document still parses as `name{labels} value`, and
 //! (b) un-escaping the `reason` label recovers the exact panic message.
 
-use std::sync::Arc;
-
-use dart_core::config::TabularConfig;
-use dart_core::tabularize::tabularize;
-use dart_nn::init::InitRng;
-use dart_nn::matrix::Matrix;
-use dart_nn::model::{AccessPredictor, ModelConfig};
-use dart_serve::{PrefetchRequest, ServeConfig, ServeRuntime};
-use dart_trace::PreprocessConfig;
+use dart_serve::{drill_model, drill_pre, PrefetchRequest, ServeConfig, ServeRuntime};
 
 fn tiny_runtime(cfg: ServeConfig) -> ServeRuntime {
-    let pre = PreprocessConfig {
-        seq_len: 4,
-        addr_segments: 3,
-        seg_bits: 4,
-        pc_segments: 1,
-        delta_range: 4,
-        lookforward: 4,
-    };
-    let mcfg = ModelConfig {
-        input_dim: pre.input_dim(),
-        dim: 8,
-        heads: 2,
-        layers: 1,
-        ffn_dim: 16,
-        output_dim: pre.output_dim(),
-        seq_len: pre.seq_len,
-    };
-    let student = AccessPredictor::new(mcfg, 3).unwrap();
-    let mut rng = InitRng::new(9);
-    let x = Matrix::from_fn(40 * 4, pre.input_dim(), |_, _| rng.next_f32());
-    let tab_cfg = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
-    let (model, _) = tabularize(&student, &x, &tab_cfg);
-    ServeRuntime::start(Arc::new(model), pre, cfg)
+    let pre = drill_pre();
+    ServeRuntime::start(drill_model(&pre, 3), pre, cfg)
 }
 
 /// One parsed sample line.

@@ -8,43 +8,10 @@ use std::collections::HashSet;
 use std::process::Command;
 use std::sync::Arc;
 
-use dart_core::config::TabularConfig;
-use dart_core::tabularize::tabularize;
 use dart_core::TabularModel;
-use dart_nn::init::InitRng;
-use dart_nn::matrix::Matrix;
-use dart_nn::model::{AccessPredictor, ModelConfig};
-use dart_serve::{generate_requests, LoadGenConfig, ServeConfig, ServeRuntime};
-use dart_trace::PreprocessConfig;
-
-fn tiny_pre() -> PreprocessConfig {
-    PreprocessConfig {
-        seq_len: 4,
-        addr_segments: 3,
-        seg_bits: 4,
-        pc_segments: 1,
-        delta_range: 4,
-        lookforward: 4,
-    }
-}
-
-/// A tiny tabularized model (fast to fit).
-fn tiny_model(pre: &PreprocessConfig) -> TabularModel {
-    let cfg = ModelConfig {
-        input_dim: pre.input_dim(),
-        dim: 8,
-        heads: 2,
-        layers: 1,
-        ffn_dim: 16,
-        output_dim: pre.output_dim(),
-        seq_len: pre.seq_len,
-    };
-    let student = AccessPredictor::new(cfg, 3).unwrap();
-    let mut rng = InitRng::new(9);
-    let x = Matrix::from_fn(40 * 4, pre.input_dim(), |_, _| rng.next_f32());
-    let tab_cfg = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
-    tabularize(&student, &x, &tab_cfg).0
-}
+use dart_serve::{
+    drill_model, drill_pre, generate_requests, LoadGenConfig, ServeConfig, ServeRuntime,
+};
 
 /// Value of the sample line starting with `series` in an exposition.
 fn sample(doc: &str, series: &str) -> u64 {
@@ -57,8 +24,8 @@ fn sample(doc: &str, series: &str) -> u64 {
 
 #[test]
 fn tracing_is_live_on_the_default_build() {
-    let pre = tiny_pre();
-    let model = Arc::new(tiny_model(&pre));
+    let pre = drill_pre();
+    let model = drill_model(&pre, 3);
     let reqs = generate_requests(&LoadGenConfig { streams: 8, accesses_per_stream: 20, seed: 1 });
     let n = reqs.len();
     // One ring smaller than the traffic, one larger: `min(N, capacity)`.
@@ -128,7 +95,7 @@ const CHILD_MARKER: &str = "start rejected DART_SIMD on the calling thread";
 /// worker (the parent commit's behaviour) would let `start` return.
 #[test]
 fn malformed_dart_simd_fails_start_on_the_calling_thread() {
-    let pre = tiny_pre();
+    let pre = drill_pre();
     if let Some(path) = std::env::var_os(CHILD_MODEL_ENV) {
         let json = std::fs::read_to_string(path).expect("child reads the model file");
         let model = Arc::new(TabularModel::from_json(&json).expect("model JSON"));
@@ -148,7 +115,7 @@ fn malformed_dart_simd_fails_start_on_the_calling_thread() {
     }
 
     let path = std::env::temp_dir().join(format!("dart-serve-simd-{}.json", std::process::id()));
-    std::fs::write(&path, tiny_model(&pre).to_json()).expect("write model file");
+    std::fs::write(&path, drill_model(&pre, 3).to_json()).expect("write model file");
     let child = Command::new(std::env::current_exe().expect("test binary path"))
         .args([
             "--exact",

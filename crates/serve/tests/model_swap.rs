@@ -29,22 +29,11 @@ use dart_nn::matrix::Matrix;
 use dart_nn::model::{AccessPredictor, ModelConfig};
 use dart_nn::train::{train_bce, Dataset, TrainConfig};
 use dart_serve::{
-    gate_candidate, generate_requests, LoadGenConfig, ModelRegistry, ModelSlot, PrefetchRequest,
-    RejectionCause, ServeConfig, ServeRuntime, ShadowConfig, ShadowOutcome, ShadowTrainer,
-    VersionState,
+    drill_model, drill_pre, gate_candidate, generate_requests, LoadGenConfig, ModelRegistry,
+    ModelSlot, PrefetchRequest, RejectionCause, ServeConfig, ServeRuntime, ShadowConfig,
+    ShadowOutcome, ShadowTrainer, VersionState,
 };
 use dart_trace::PreprocessConfig;
-
-fn tiny_pre() -> PreprocessConfig {
-    PreprocessConfig {
-        seq_len: 4,
-        addr_segments: 3,
-        seg_bits: 4,
-        pc_segments: 1,
-        delta_range: 4,
-        lookforward: 4,
-    }
-}
 
 fn model_cfg(pre: &PreprocessConfig) -> ModelConfig {
     ModelConfig {
@@ -56,17 +45,6 @@ fn model_cfg(pre: &PreprocessConfig) -> ModelConfig {
         output_dim: pre.output_dim(),
         seq_len: pre.seq_len,
     }
-}
-
-/// A tiny tabularized model; different `seed`s give genuinely different
-/// tables (asserted via fingerprint where it matters).
-fn tiny_model(pre: &PreprocessConfig, seed: u64) -> Arc<TabularModel> {
-    let student = AccessPredictor::new(model_cfg(pre), seed).unwrap();
-    let mut rng = InitRng::new(seed ^ 0x9E37);
-    let x = Matrix::from_fn(40 * pre.seq_len, pre.input_dim(), |_, _| rng.next_f32());
-    let tab_cfg = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..Default::default() };
-    let (model, _) = tabularize(&student, &x, &tab_cfg);
-    Arc::new(model)
 }
 
 fn serve_cfg(shards: usize) -> ServeConfig {
@@ -106,8 +84,8 @@ fn serial_predict(
 /// swapped, with exactly one response per request and zero failures.
 #[test]
 fn bit_identical_swap_mid_load_changes_no_response() {
-    let pre = tiny_pre();
-    let model = tiny_model(&pre, 3);
+    let pre = drill_pre();
+    let model = drill_model(&pre, 3);
     let reqs = generate_requests(&LoadGenConfig { streams: 24, accesses_per_stream: 40, seed: 7 });
     let total = reqs.len();
 
@@ -167,9 +145,9 @@ fn bit_identical_swap_mid_load_changes_no_response() {
 /// prediction's window still includes pre-swap accesses.
 #[test]
 fn swapped_model_takes_effect_and_stream_state_survives() {
-    let pre = tiny_pre();
-    let model_a = tiny_model(&pre, 3);
-    let model_b = tiny_model(&pre, 99);
+    let pre = drill_pre();
+    let model_a = drill_model(&pre, 3);
+    let model_b = drill_model(&pre, 99);
     assert_ne!(
         model_a.fingerprint(),
         model_b.fingerprint(),
@@ -235,12 +213,12 @@ fn swapped_model_takes_effect_and_stream_state_survives() {
 /// the incumbent.
 #[test]
 fn dimension_mismatched_candidate_is_refused_without_state_change() {
-    let pre = tiny_pre();
-    let runtime = ServeRuntime::start(tiny_model(&pre, 3), pre, serve_cfg(1));
+    let pre = drill_pre();
+    let runtime = ServeRuntime::start(drill_model(&pre, 3), pre, serve_cfg(1));
 
-    let mut wrong_pre = tiny_pre();
+    let mut wrong_pre = drill_pre();
     wrong_pre.seq_len = 5;
-    let wrong = tiny_model(&wrong_pre, 3);
+    let wrong = drill_model(&wrong_pre, 3);
     let err = runtime.swap_model(wrong, "bad candidate").unwrap_err();
     assert!(err.contains("seq_len"), "error must name the mismatched dimension: {err}");
     assert_eq!(runtime.model_version(), 1, "a refused candidate must not bump the version");
@@ -385,8 +363,8 @@ fn gate_promotes_better_and_rejects_worse_deterministically() {
 /// and leave the active version alone.
 #[test]
 fn ab_gate_refuses_invalid_candidates_without_evaluating_them() {
-    let pre = tiny_pre();
-    let incumbent = tiny_model(&pre, 3);
+    let pre = drill_pre();
+    let incumbent = drill_model(&pre, 3);
     let registry = ModelRegistry::new(Arc::new(ModelSlot::new(Arc::clone(&incumbent), 1)));
     let mut rng = InitRng::new(77);
     let holdout = Dataset::new(
@@ -396,7 +374,7 @@ fn ab_gate_refuses_invalid_candidates_without_evaluating_them() {
     );
 
     // A bitmap twice as wide: consistent in itself, wrong for this traffic.
-    let wide = tiny_model(&PreprocessConfig { delta_range: 2 * pre.delta_range, ..pre }, 3);
+    let wide = drill_model(&PreprocessConfig { delta_range: 2 * pre.delta_range, ..pre }, 3);
     assert_eq!(wide.validate(), Ok(()));
     // input_linear's quantizer splits its 4 input dims 2 + 2; the file
     // says 1 + 3 over codebook blocks that are still 2-dimensional.
@@ -429,9 +407,9 @@ fn ab_gate_refuses_invalid_candidates_without_evaluating_them() {
 /// counters — all visible in `ServeStats`.
 #[test]
 fn rollback_restores_previous_model_as_a_new_version() {
-    let pre = tiny_pre();
-    let model_a = tiny_model(&pre, 3);
-    let model_b = tiny_model(&pre, 99);
+    let pre = drill_pre();
+    let model_a = drill_model(&pre, 3);
+    let model_b = drill_model(&pre, 99);
     let runtime = ServeRuntime::start(Arc::clone(&model_a), pre, serve_cfg(1));
     let registry = Arc::clone(runtime.registry());
 
@@ -474,8 +452,8 @@ fn rollback_restores_previous_model_as_a_new_version() {
 /// published to a dead shard must not hang anything.
 #[test]
 fn worker_panic_during_swap_keeps_exactly_one_response_accounting() {
-    let pre = tiny_pre();
-    let model = tiny_model(&pre, 3);
+    let pre = drill_pre();
+    let model = drill_model(&pre, 3);
     let mut cfg = serve_cfg(1);
     cfg.panic_on_stream = Some(3);
     let runtime = ServeRuntime::start(Arc::clone(&model), pre, cfg);
@@ -534,10 +512,10 @@ fn shadow_cfg(pre: PreprocessConfig, min_samples: usize) -> ShadowConfig {
 /// answering.
 #[test]
 fn shadow_round_trains_on_live_replay_and_updates_the_registry() {
-    let pre = tiny_pre();
+    let pre = drill_pre();
     let mut cfg = serve_cfg(2);
     cfg.replay_capacity = 4096;
-    let runtime = ServeRuntime::start(tiny_model(&pre, 3), pre, cfg);
+    let runtime = ServeRuntime::start(drill_model(&pre, 3), pre, cfg);
 
     // Not-enough-samples first: an empty ring trains nothing.
     let trainer = ShadowTrainer::new(shadow_cfg(pre, 64));
@@ -603,10 +581,10 @@ fn shadow_round_trains_on_live_replay_and_updates_the_registry() {
 /// stop() joins it deterministically, returning every round's outcome.
 #[test]
 fn background_shadow_loop_stops_cleanly_and_reports_outcomes() {
-    let pre = tiny_pre();
+    let pre = drill_pre();
     let mut cfg = serve_cfg(1);
     cfg.replay_capacity = 256;
-    let runtime = ServeRuntime::start(tiny_model(&pre, 3), pre, cfg);
+    let runtime = ServeRuntime::start(drill_model(&pre, 3), pre, cfg);
     let sampler = Arc::clone(runtime.replay().unwrap());
 
     // min_samples is unreachably high, so every round is a cheap

@@ -23,19 +23,10 @@ use dart_nn::init::InitRng;
 use dart_nn::matrix::Matrix;
 use dart_nn::model::{AccessPredictor, ModelConfig};
 use dart_pq::EncoderKind;
-use dart_serve::{PrefetchRequest, ServeConfig, ServeRuntime, ServeStats, StreamLru};
+use dart_serve::{
+    drill_model, drill_pre, PrefetchRequest, ServeConfig, ServeRuntime, ServeStats, StreamLru,
+};
 use dart_trace::PreprocessConfig;
-
-fn pre() -> PreprocessConfig {
-    PreprocessConfig {
-        seq_len: 4,
-        addr_segments: 3,
-        seg_bits: 4,
-        pc_segments: 1,
-        delta_range: 4,
-        lookforward: 4,
-    }
-}
 
 struct Shape {
     dim: usize,
@@ -60,10 +51,6 @@ fn model(pre: &PreprocessConfig, shape: Shape, seed: u64, tab: TabularConfig) ->
     let x = Matrix::from_fn(40 * pre.seq_len, pre.input_dim(), |_, _| rng.next_f32());
     let tab = TabularConfig { k: 8, c: 2, fine_tune_epochs: 0, ..tab };
     Arc::new(tabularize(&student, &x, &tab).0)
-}
-
-fn plain(pre: &PreprocessConfig, seed: u64) -> Arc<TabularModel> {
-    model(pre, SMALL, seed, TabularConfig::default())
 }
 
 /// `count` accesses of each of `streams`, interleaved round-robin; every
@@ -164,7 +151,7 @@ fn token_rows(stats: &ServeStats) -> (u64, u64) {
 /// `max_batch` 64 a drained batch holds a dozen requests of each stream.
 #[test]
 fn served_equals_predict_batch_on_the_materialised_window() {
-    let pre = pre();
+    let pre = drill_pre();
     let variants = [
         (
             "argmin",
@@ -219,8 +206,8 @@ fn served_equals_predict_batch_on_the_materialised_window() {
 /// slot and its buffers are recycled by whoever evicted it).
 #[test]
 fn eviction_then_rewarm_matches_the_reference() {
-    let pre = pre();
-    let model = plain(&pre, 4);
+    let pre = drill_pre();
+    let model = drill_model(&pre, 4);
     let cfg = cfg(16, 1, 3);
     let rt = ServeRuntime::start(Arc::clone(&model), pre, cfg);
     let mut reference = Reference::new(&model, pre, cfg);
@@ -237,8 +224,8 @@ fn eviction_then_rewarm_matches_the_reference() {
 
 #[test]
 fn retired_streams_restart_cold() {
-    let pre = pre();
-    let model = plain(&pre, 5);
+    let pre = drill_pre();
+    let model = drill_model(&pre, 5);
     let cfg = cfg(64, 1, 64);
     let rt = ServeRuntime::start(Arc::clone(&model), pre, cfg);
     let mut reference = Reference::new(&model, pre, cfg);
@@ -259,8 +246,8 @@ fn retired_streams_restart_cold() {
 /// bit-identical clone must change no answer.
 #[test]
 fn hot_swaps_rederive_rows_from_the_history() {
-    let pre = pre();
-    let first = plain(&pre, 6);
+    let pre = drill_pre();
+    let first = drill_model(&pre, 6);
     let cfg = cfg(64, 1, 64);
     let rt = ServeRuntime::start(Arc::clone(&first), pre, cfg);
     let mut reference = Reference::new(&first, pre, cfg);
@@ -278,7 +265,7 @@ fn hot_swaps_rederive_rows_from_the_history() {
     assert_eq!((computed, reused), (10 * n, (10 - (t - 1)) * n * (t - 1)));
 
     let swaps = [
-        ("other weights", plain(&pre, 7)),
+        ("other weights", drill_model(&pre, 7)),
         (
             "other shape",
             model(&pre, Shape { dim: 16, heads: 4, layers: 1 }, 8, TabularConfig::default()),
@@ -312,15 +299,15 @@ fn hot_swaps_rederive_rows_from_the_history() {
 /// instead of panicking a shard worker on its first batch.
 #[test]
 fn inconsistent_models_are_refused_at_the_door() {
-    let pre = pre();
-    let good = plain(&pre, 9);
+    let pre = drill_pre();
+    let good = drill_model(&pre, 9);
     let rt = ServeRuntime::start(Arc::clone(&good), pre, cfg(8, 1, 8));
 
     // Heads built for another window length: every part parses and every
     // preprocessing dimension matches, but no ring can be sized for it.
     let other = PreprocessConfig { seq_len: 6, ..pre };
     let mut torn = TabularModel::clone(&good);
-    torn.blocks[0].heads = plain(&other, 9).blocks[0].heads.clone();
+    torn.blocks[0].heads = drill_model(&other, 9).blocks[0].heads.clone();
     let err = rt.swap_model(Arc::new(torn.clone()), "torn").unwrap_err();
     assert!(err.contains("seq_len"), "{err}");
     assert_eq!(rt.model_version(), 1, "a refused candidate must change nothing");
