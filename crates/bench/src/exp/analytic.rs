@@ -4,9 +4,7 @@
 //! the tests at the bottom pin against the paper.
 
 use dart_core::config::{DesignConstraints, PredictorConfig};
-use dart_core::configurator::{
-    model_cost, model_latency, model_storage_bytes, ModelCost, ShapeParams,
-};
+use dart_core::configurator::{model_cost, model_latency, model_storage_bytes, ShapeParams};
 use dart_core::TableConfigurator;
 use dart_nn::cost::{attention_model_cost, CostReport};
 use dart_nn::model::ModelConfig;
@@ -69,7 +67,7 @@ pub struct Table5 {
     /// The distilled student `(1, 32, 2)`.
     pub student: CostReport,
     /// The tabularized student `(1, 32, 2, 128, 2)`, Eq. 20–23.
-    pub dart: ModelCost,
+    pub dart: CostReport,
 }
 
 impl Table5 {
@@ -181,7 +179,7 @@ pub struct Table8Pick {
     /// The `(L, D, H, K, C)` the greedy search chose.
     pub config: PredictorConfig,
     /// Its Eq. 20–23 cost.
-    pub cost: ModelCost,
+    pub cost: CostReport,
 }
 
 /// Run the table configurator under the paper's three constraint pairs.

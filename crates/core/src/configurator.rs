@@ -1,31 +1,61 @@
-//! The table configurator (paper §VI-C): whole-model latency and storage
-//! formulas (Eq. 22–23) and the latency-major greedy search over a
-//! pre-defined design space.
+//! The table configurator (paper §V-C, §VI-C): the whole tabular cost
+//! model — the kernel formulas of Eq. 16–21 composed into the model's
+//! latency, storage and operations (Eq. 20–23) in one walk over its
+//! components — and the latency-major greedy search over a pre-defined
+//! design space.
 
-use dart_pq::complexity::{
-    attention_latency, attention_ops, attention_storage_bits, linear_latency, linear_ops,
-    linear_storage_bits,
-};
+use std::cmp::Reverse;
+
+use dart_nn::cost::{log2_ceil, CostReport, LN_LATENCY, SIGMOID_LATENCY};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DesignConstraints, PredictorConfig};
 
-/// Eq. 22's `L_ln` and `L_σ` (cycles): one definition, shared with the
-/// neural predictors' cost model.
-pub use dart_nn::cost::{LN_LATENCY, SIGMOID_LATENCY};
-
 /// Table-entry precision `d` in bits (f32 entries).
 pub const DATA_BITS: usize = 32;
 
-/// Whole-model cost of a tabularized predictor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ModelCost {
-    /// Eq. 22 latency in cycles.
-    pub latency_cycles: u64,
-    /// Eq. 23 storage in bytes.
-    pub storage_bytes: u64,
-    /// Eq. 20–21 arithmetic operations.
-    pub ops: u64,
+/// Eq. 16 — linear kernel latency: `log(K) + log(C) + 1`.
+fn linear_latency(k: usize, c: usize) -> u64 {
+    log2_ceil(k) + log2_ceil(c) + 1
+}
+
+/// Eq. 17 — attention kernel latency:
+/// `2 log(K) + log(C_k) + log(C_t) + 2`.
+fn attention_latency(k: usize, ck: usize, ct: usize) -> u64 {
+    2 * log2_ceil(k) + log2_ceil(ck) + log2_ceil(ct) + 2
+}
+
+/// Eq. 18 — linear kernel storage (bits):
+/// `T*C*log(K)` (encoded indices) `+ D_O*K*C*d` (table entries).
+fn linear_storage_bits(t: usize, d_o: usize, k: usize, c: usize, d_bits: usize) -> u64 {
+    (t * c) as u64 * log2_ceil(k) + (d_o * k * c * d_bits) as u64
+}
+
+/// Eq. 19 — attention kernel storage (bits):
+/// `(2*T*C_k + T*C_t + D_k*C_t) * log(K) + K^2 * (C_k + C_t) * d`.
+fn attention_storage_bits(
+    t: usize,
+    d_k: usize,
+    k: usize,
+    ck: usize,
+    ct: usize,
+    d_bits: usize,
+) -> u64 {
+    ((2 * t * ck + t * ct + d_k * ct) as u64) * log2_ceil(k) + (k * k * (ck + ct) * d_bits) as u64
+}
+
+/// Eq. 20 — linear kernel arithmetic operations:
+/// `T*C*log(K)` (encoding) `+ T*D_O*log(C)` (aggregation).
+fn linear_ops(t: usize, d_o: usize, k: usize, c: usize) -> u64 {
+    (t * c) as u64 * log2_ceil(k) + (t * d_o) as u64 * log2_ceil(c).max(1)
+}
+
+/// Eq. 21 — attention kernel arithmetic operations:
+/// `(2*T*C_k + T*C_t + D_k*C_t) * log(K) + T^2*log(C_k) + D_k^2*log(C_t)`.
+fn attention_ops(t: usize, d_k: usize, k: usize, ck: usize, ct: usize) -> u64 {
+    ((2 * t * ck + t * ct + d_k * ct) as u64) * log2_ceil(k)
+        + (t * t) as u64 * log2_ceil(ck).max(1)
+        + (d_k * d_k) as u64 * log2_ceil(ct).max(1)
 }
 
 /// Workload-shape parameters needed by Eq. 22–23 beyond the predictor
@@ -44,66 +74,62 @@ impl Default for ShapeParams {
     }
 }
 
-/// Eq. 22 — tabularized model latency.
+/// The cost of a tabularized predictor: Eq. 22 latency, Eq. 23 storage and
+/// Eq. 20–21 operations, summed over one `(cycles, bits, ops)` line per
+/// component. Storage is summed in bits and rounded up to bytes once.
+pub fn model_cost(cfg: &PredictorConfig, shape: &ShapeParams) -> CostReport {
+    let (t, d, k, c) = (shape.seq_len, cfg.dim, cfg.k, cfg.c);
+    let linear = |d_o: usize| {
+        (
+            linear_latency(k, c),
+            linear_storage_bits(t, d_o, k, c, DATA_BITS),
+            linear_ops(t, d_o, k, c),
+        )
+    };
+    let attention = (
+        attention_latency(k, c, c),
+        attention_storage_bits(t, d, k, c, c, DATA_BITS),
+        attention_ops(t, d, k, c, c),
+    );
+    // LayerNorm: `L_ln` cycles and `S_ln` bits (gamma + beta); no ops.
+    let s_ln = (2 * d * DATA_BITS) as u64;
+    let ln = (LN_LATENCY, s_ln, 0);
+    let (in_cycles, in_bits, in_ops) = linear(d);
+    let encoder_layer = [
+        ln,            // LN1
+        linear(3 * d), // QKV
+        attention,     // attention kernel
+        linear(d),     // attention output
+        // LN2: Eq. 23 stores three `S_ln` per layer, Eq. 22 waits two `L_ln`.
+        (LN_LATENCY, 2 * s_ln, 0),
+        linear(cfg.ffn_dim()), // FFN hidden
+        linear(d),             // FFN out
+    ];
+    let components = [
+        // Input linear: Eq. 23 stores one for the address and one for the PC
+        // token stream, Eq. 22 and Eq. 20 charge one.
+        (in_cycles, 2 * in_bits, in_ops),
+        ln, // input LayerNorm
+    ]
+    .into_iter()
+    .chain(std::iter::repeat_n(encoder_layer, cfg.layers).flatten())
+    .chain([
+        linear(shape.output_dim),                        // output linear
+        (SIGMOID_LATENCY, (1024 * DATA_BITS) as u64, 0), // sigmoid LUT, 1024 entries
+    ]);
+    let (cycles, bits, ops) =
+        components.fold((0, 0, 0), |(l, s, o), (dl, ds, dops)| (l + dl, s + ds, o + dops));
+    CostReport { latency_cycles: cycles, storage_bytes: bits.div_ceil(8), ops }
+}
+
+/// Eq. 22 — tabularized model latency (independent of the shape).
 pub fn model_latency(cfg: &PredictorConfig) -> u64 {
-    let ll = linear_latency(cfg.k, cfg.c);
-    let la = attention_latency(cfg.k, cfg.c, cfg.c);
-    let encoder = 2 * LN_LATENCY + 2 * ll + la + 2 * ll;
-    ll + LN_LATENCY + ll + SIGMOID_LATENCY + cfg.layers as u64 * encoder
+    model_cost(cfg, &ShapeParams::default()).latency_cycles
 }
 
 /// Eq. 23 — tabularized model storage in bytes.
 pub fn model_storage_bytes(cfg: &PredictorConfig, shape: &ShapeParams) -> u64 {
-    let t = shape.seq_len;
-    let d = cfg.dim;
-    let (k, c) = (cfg.k, cfg.c);
-    // LayerNorm parameters (gamma + beta) and the sigmoid LUT.
-    let s_ln = (2 * d * DATA_BITS) as u64;
-    let s_sigma = (1024 * DATA_BITS) as u64;
-
-    let mut bits = 0u64;
-    // Input linear (the paper's leading factor 2 accounts the address and PC
-    // token streams separately).
-    bits += 2 * linear_storage_bits(t, d, k, c, DATA_BITS);
-    bits += s_ln;
-    // Output linear + sigmoid.
-    bits += linear_storage_bits(t, shape.output_dim, k, c, DATA_BITS) + s_sigma;
-    // Encoder layers.
-    let per_layer = 2 * s_ln
-        + linear_storage_bits(t, 3 * cfg.heads * (d / cfg.heads.max(1)), k, c, DATA_BITS)
-        + attention_storage_bits(t, d, k, c, c, DATA_BITS)
-        + linear_storage_bits(t, d, k, c, DATA_BITS)
-        + s_ln
-        + linear_storage_bits(t, cfg.ffn_dim(), k, c, DATA_BITS)
-        + linear_storage_bits(t, d, k, c, DATA_BITS);
-    bits += cfg.layers as u64 * per_layer;
-    bits.div_ceil(8)
-}
-
-/// Eq. 20–21 composed over the whole model: arithmetic operations per query.
-pub fn model_ops(cfg: &PredictorConfig, shape: &ShapeParams) -> u64 {
-    let t = shape.seq_len;
-    let d = cfg.dim;
-    let (k, c) = (cfg.k, cfg.c);
-    let mut ops = 0u64;
-    ops += linear_ops(t, d, k, c); // input linear
-    ops += linear_ops(t, shape.output_dim, k, c); // output linear
-    let per_layer = linear_ops(t, 3 * d, k, c)
-        + attention_ops(t, d, k, c, c)
-        + linear_ops(t, d, k, c)
-        + linear_ops(t, cfg.ffn_dim(), k, c)
-        + linear_ops(t, d, k, c);
-    ops += cfg.layers as u64 * per_layer;
-    ops
-}
-
-/// Full cost report for a configuration.
-pub fn model_cost(cfg: &PredictorConfig, shape: &ShapeParams) -> ModelCost {
-    ModelCost {
-        latency_cycles: model_latency(cfg),
-        storage_bytes: model_storage_bytes(cfg, shape),
-        ops: model_ops(cfg, shape),
-    }
+    model_cost(cfg, shape).storage_bytes
 }
 
 /// The configurator's pre-defined design space (paper §VI-C2).
@@ -138,7 +164,7 @@ impl Default for TableConfigurator {
 
 impl TableConfigurator {
     /// Enumerate every valid candidate with its cost.
-    pub fn candidates(&self) -> Vec<(PredictorConfig, ModelCost)> {
+    pub fn candidates(&self) -> Vec<(PredictorConfig, CostReport)> {
         let mut out = Vec::new();
         for &layers in &self.layers {
             for &dim in &self.dims {
@@ -158,49 +184,30 @@ impl TableConfigurator {
         out
     }
 
-    /// Latency-major greedy selection (paper §VI-C2): among configurations
-    /// with the **highest** latency not exceeding `τ`, pick the one with the
-    /// **maximum** storage not exceeding `s`; if none qualifies, fall back to
-    /// the next-lower latency tier, and so on.
+    /// Latency-major greedy selection (paper §VI-C2): among the candidates
+    /// within both `τ` and `s`, the **highest** latency, then the
+    /// **maximum** storage. The earliest candidate wins a tie — the cost
+    /// ignores `H`, so equal costs are common.
     pub fn configure(
         &self,
         constraints: &DesignConstraints,
-    ) -> Option<(PredictorConfig, ModelCost)> {
-        let mut cands: Vec<(PredictorConfig, ModelCost)> = self
-            .candidates()
+    ) -> Option<(PredictorConfig, CostReport)> {
+        self.candidates()
             .into_iter()
-            .filter(|(_, cost)| cost.latency_cycles <= constraints.latency_cycles)
-            .collect();
-        // Sort by latency descending; iterate latency tiers.
-        cands.sort_by_key(|(_, cost)| std::cmp::Reverse(cost.latency_cycles));
-        let mut idx = 0;
-        while idx < cands.len() {
-            let tier = cands[idx].1.latency_cycles;
-            let mut best: Option<(PredictorConfig, ModelCost)> = None;
-            while idx < cands.len() && cands[idx].1.latency_cycles == tier {
-                let (cfg, cost) = cands[idx];
-                if cost.storage_bytes <= constraints.storage_bytes {
-                    let better = match &best {
-                        None => true,
-                        Some((_, b)) => cost.storage_bytes > b.storage_bytes,
-                    };
-                    if better {
-                        best = Some((cfg, cost));
-                    }
-                }
-                idx += 1;
-            }
-            if best.is_some() {
-                return best;
-            }
-        }
-        None
+            .filter(|(_, cost)| {
+                cost.latency_cycles <= constraints.latency_cycles
+                    && cost.storage_bytes <= constraints.storage_bytes
+            })
+            // `min_by_key` keeps the first of equal keys.
+            .min_by_key(|(_, cost)| Reverse((cost.latency_cycles, cost.storage_bytes)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dart_nn::cost::{attention_model_cost, lstm_model_cost};
+    use dart_nn::model::{LstmConfig, ModelConfig};
 
     #[test]
     fn dart_latency_matches_paper_band() {
@@ -233,7 +240,7 @@ mod tests {
     #[test]
     fn dart_ops_match_paper_band() {
         // Paper Table V: DART at 11.0K operations.
-        let ops = model_ops(&PredictorConfig::dart(), &ShapeParams::default());
+        let ops = model_cost(&PredictorConfig::dart(), &ShapeParams::default()).ops;
         assert!((8_000..14_000).contains(&ops), "ops {ops}");
     }
 
@@ -290,6 +297,83 @@ mod tests {
         assert!(model_latency(&more_l) > model_latency(&base));
     }
 
+    /// FNV-1a over little-endian `u64` words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn triple(cost: CostReport) -> (u64, u64, u64) {
+        (cost.latency_cycles, cost.storage_bytes, cost.ops)
+    }
+
+    /// `(L, D, H, K, C)` then `(latency, storage, ops)`.
+    fn words(cfg: &PredictorConfig, cost: CostReport) -> [u64; 8] {
+        let [l, d, h, k, c] = [cfg.layers, cfg.dim, cfg.heads, cfg.k, cfg.c].map(|v| v as u64);
+        [l, d, h, k, c, cost.latency_cycles, cost.storage_bytes, cost.ops]
+    }
+
+    /// Every number the cost model produces, pinned exactly: the paper
+    /// variants, a second shape, the whole default design space, the
+    /// configurator's picks over `examples/design_space.rs`'s grid, and the
+    /// neural predictors' systolic model.
+    #[test]
+    fn cost_model_is_pinned_exactly() {
+        let cost = |cfg: PredictorConfig, shape: ShapeParams| triple(model_cost(&cfg, &shape));
+        let shape = ShapeParams::default();
+        assert_eq!(cost(PredictorConfig::dart_s(), shape), (59, 26_200, 5_760));
+        assert_eq!(cost(PredictorConfig::dart(), shape), (91, 759_120, 10_912));
+        assert_eq!(cost(PredictorConfig::dart_l(), shape), (169, 3_676_576, 19_456));
+        let short = ShapeParams { seq_len: 8, output_dim: 64 };
+        assert_eq!(cost(PredictorConfig::dart(), short), (91, 693_444, 5_616));
+
+        let conf = TableConfigurator::default();
+        let cands = conf.candidates();
+        assert_eq!(cands.len(), 504);
+        let hash = fnv1a(cands.iter().flat_map(|(cfg, cost)| words(cfg, *cost)));
+        assert_eq!(format!("{hash:016x}"), "14cfa8631fe09919");
+
+        let (mut feasible, mut picks) = (0, Vec::new());
+        for tau in [40u64, 60, 100, 200, 400] {
+            for s in [16_000u64, 100_000, 1_000_000, 4_000_000] {
+                match conf.configure(&DesignConstraints { latency_cycles: tau, storage_bytes: s }) {
+                    Some((cfg, cost)) => {
+                        feasible += 1;
+                        picks.extend(words(&cfg, cost));
+                    }
+                    None => picks.push(u64::MAX),
+                }
+            }
+        }
+        assert_eq!(feasible, 12);
+        assert_eq!(format!("{:016x}", fnv1a(picks)), "bbfee3f8735e3c9c");
+        let table8: Vec<_> =
+            [DesignConstraints::dart_s(), DesignConstraints::dart(), DesignConstraints::dart_l()]
+                .iter()
+                .map(|constraints| {
+                    let (cfg, _) = conf.configure(constraints).unwrap();
+                    (cfg.layers, cfg.dim, cfg.heads, cfg.k, cfg.c)
+                })
+                .collect();
+        assert_eq!(table8, [(1, 16, 2, 16, 1), (1, 16, 2, 64, 8), (2, 16, 2, 128, 8)]);
+
+        assert_eq!(
+            triple(attention_model_cost(&ModelConfig::teacher(8, 128, 16))),
+            (17_921, 12_779_008, 102_834_176)
+        );
+        assert_eq!(
+            triple(attention_model_cost(&ModelConfig::student(8, 128, 16))),
+            (933, 69_120, 565_760)
+        );
+        let lstm = LstmConfig { input_dim: 8, hidden: 128, output_dim: 128, seq_len: 16 };
+        assert_eq!(triple(lstm_model_cost(&lstm)), (20_985, 596_992, 4_276_224));
+    }
+
     #[test]
     fn storage_exponential_in_log_k_linear_latency() {
         // Fig. 10's contrast: latency grows ~linearly with log K while
@@ -314,6 +398,120 @@ mod tests {
         }
         for w in stores.windows(2) {
             assert!(w[1] as f64 > w[0] as f64 * 1.8, "storage ~doubles per K doubling");
+        }
+    }
+
+    #[test]
+    fn linear_latency_matches_paper_example() {
+        // DART config: K=128, C=2 => log(128) + log(2) + 1 = 9.
+        assert_eq!(linear_latency(128, 2), 9);
+        // DART-S: K=16, C=1 => 4 + 0 + 1 = 5.
+        assert_eq!(linear_latency(16, 1), 5);
+    }
+
+    #[test]
+    fn attention_latency_is_twice_linear_when_c_equal() {
+        // Eq. 17 collapses to 2*(log K + log C + 1) when C_k = C_t = C.
+        for (k, c) in [(128, 2), (16, 1), (256, 2), (1024, 8)] {
+            assert_eq!(attention_latency(k, c, c), 2 * linear_latency(k, c));
+        }
+    }
+
+    #[test]
+    fn storage_grows_linearly_in_k_for_linear_kernel() {
+        let s1 = linear_storage_bits(16, 128, 64, 2, 32);
+        let s2 = linear_storage_bits(16, 128, 128, 2, 32);
+        // Table part dominates; doubling K should roughly double storage.
+        assert!(s2 > s1 * 18 / 10, "{s1} -> {s2}");
+    }
+
+    #[test]
+    fn storage_grows_quadratically_in_k_for_attention_kernel() {
+        let s1 = attention_storage_bits(16, 32, 64, 2, 2, 32);
+        let s2 = attention_storage_bits(16, 32, 128, 2, 2, 32);
+        assert!(s2 > s1 * 3, "expected ~4x growth: {s1} -> {s2}");
+    }
+
+    #[test]
+    fn latency_grows_logarithmically_in_k() {
+        // Fig. 10: latency linear in log(K).
+        let lat: Vec<u64> =
+            [16usize, 32, 64, 128, 256, 512, 1024].iter().map(|&k| linear_latency(k, 2)).collect();
+        for w in lat.windows(2) {
+            assert_eq!(w[1] - w[0], 1, "latency should step by 1 per K doubling");
+        }
+    }
+
+    #[test]
+    fn ops_dwarfed_by_dense_equivalent() {
+        // The whole point of tabularization: ops(T, D_O, K, C) must be tiny
+        // compared to the dense 2*T*D_I*D_O.
+        let (t, d_i, d_o, k, c) = (16usize, 32usize, 128usize, 128usize, 2usize);
+        let dense = 2 * t * d_i * d_o;
+        let tab = linear_ops(t, d_o, k, c);
+        assert!(tab < (dense / 10) as u64, "tab {tab} vs dense {dense}");
+    }
+
+    /// `log2_ceil` is exact (`2^(l-1) < x <= 2^l`) and monotone, for every
+    /// `x` below 100 000.
+    #[test]
+    fn log2_ceil_properties() {
+        for x in 1usize..100_000 {
+            let l = log2_ceil(x);
+            assert!(1usize << l >= x, "{x}");
+            if l > 0 {
+                assert!(1usize << (l - 1) < x, "{x}");
+            }
+            assert!(log2_ceil(x + 1) >= l, "{x}");
+        }
+    }
+
+    /// Kernel latency is monotone in K and C (Eq. 16-17), over every
+    /// `K < 512` and `C < 8`.
+    #[test]
+    fn latency_monotone() {
+        for k in 2usize..512 {
+            for c in 1usize..8 {
+                assert!(linear_latency(2 * k, c) >= linear_latency(k, c));
+                assert!(linear_latency(k, c + 1) >= linear_latency(k, c));
+                assert!(attention_latency(2 * k, c, c) >= attention_latency(k, c, c));
+            }
+        }
+    }
+
+    /// Kernel storage is monotone in every argument (Eq. 18-19): every
+    /// `T < 32` and `C < 8`, every third `D_O < 128`, every seventh `K < 256`.
+    #[test]
+    fn storage_monotone() {
+        for t in 1usize..32 {
+            for d in (1usize..128).step_by(3) {
+                for k in (2usize..256).step_by(7) {
+                    for c in 1usize..8 {
+                        let at = (t, d, k, c);
+                        assert!(
+                            linear_storage_bits(t, d, 2 * k, c, 32)
+                                > linear_storage_bits(t, d, k, c, 32),
+                            "{at:?}"
+                        );
+                        assert!(
+                            linear_storage_bits(t, d + 1, k, c, 32)
+                                >= linear_storage_bits(t, d, k, c, 32),
+                            "{at:?}"
+                        );
+                        assert!(
+                            attention_storage_bits(t, d, 2 * k, c, c, 32)
+                                > attention_storage_bits(t, d, k, c, c, 32),
+                            "{at:?}"
+                        );
+                        // Halving entry precision cannot increase storage.
+                        assert!(
+                            linear_storage_bits(t, d, k, c, 8)
+                                <= linear_storage_bits(t, d, k, c, 32),
+                            "{at:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! The paper's contribution, end to end (§IV–§VI):
 //!
-//! * [`configurator`] — the **table configurator**: whole-model latency and
-//!   storage formulas (Eq. 22–23) over the kernel costs of `dart-pq`, and
-//!   the latency-major greedy search that picks a valid
-//!   `(L, D, H, K, C)` under prefetcher design constraints `(τ, s)`,
+//! * [`configurator`] — the **table configurator**: the whole tabular cost
+//!   model (the kernel formulas of Eq. 16–21 composed into Eq. 22–23 in one
+//!   walk over the model's components, reported as a
+//!   `dart_nn::cost::CostReport`), and the latency-major greedy search that
+//!   picks a valid `(L, D, H, K, C)` under prefetcher design constraints
+//!   `(τ, s)`,
 //! * [`mod@distill`] — **multi-label knowledge distillation** with the
 //!   T-Sigmoid softening (Eq. 24–25): teacher logits are cached once, then
 //!   the student trains on `λ·KD + (1-λ)·BCE`,

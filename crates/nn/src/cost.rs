@@ -1,4 +1,7 @@
-//! Analytic complexity model for the *neural* predictors (paper Table V).
+//! Analytic complexity model for the *neural* predictors (paper Table V),
+//! and [`CostReport`], the one cost type of every predictor: the teacher,
+//! the student and the LSTM here, the tabularized model in
+//! `dart_core::configurator` (Eq. 16–23).
 //!
 //! The paper evaluates the Teacher and Student "under systolic array
 //! implementation for matrix multiplications" (citing Kung & Leiserson).
@@ -15,23 +18,20 @@
 use crate::model::{LstmConfig, ModelConfig};
 
 /// Latency (cycles), storage (bytes), and arithmetic-operation count of a
-/// model under the systolic-array cost model.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+/// model: the systolic-array model of the neural predictors, or Eq. 20–23
+/// of a tabularized one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CostReport {
     /// Inference latency in cycles, assuming full pipelining/parallelism.
     pub latency_cycles: u64,
-    /// Model storage in bytes (`f32` parameters).
+    /// Model storage in bytes (`f32` parameters, or table entries and
+    /// encoded indices).
     pub storage_bytes: u64,
     /// Arithmetic operations per inference (multiply + add counted separately).
     pub ops: u64,
 }
 
 impl CostReport {
-    /// Zero cost (identity model).
-    pub fn zero() -> Self {
-        CostReport { latency_cycles: 0, storage_bytes: 0, ops: 0 }
-    }
-
     /// Sum of two reports (sequential composition).
     pub fn seq(self, other: CostReport) -> CostReport {
         CostReport {
@@ -53,9 +53,20 @@ pub const LN_LATENCY: u64 = 5;
 /// Output-sigmoid latency constant `L_σ` of Eq. 22, cycles.
 pub const SIGMOID_LATENCY: u64 = 4;
 
+/// `ceil(log2(x))`, with `log2(1) = 0` and `log2(0) = 0`: the depth of a
+/// reduction tree or binary search over `x` items.
+#[inline]
+pub fn log2_ceil(x: usize) -> u64 {
+    if x <= 1 {
+        0
+    } else {
+        (usize::BITS - (x - 1).leading_zeros()) as u64
+    }
+}
+
 /// Latency of a row softmax over `t` elements (max/sum reduction trees).
 fn softmax_latency(t: usize) -> u64 {
-    2 * (t.max(2) as f64).log2().ceil() as u64 + 2
+    2 * log2_ceil(t.max(2)) + 2
 }
 
 /// Cost of one dense layer mapping `t x in_dim` to `t x out_dim`.
@@ -94,7 +105,7 @@ pub fn attention_model_cost(config: &ModelConfig) -> CostReport {
 
     for _ in 0..config.layers {
         // LN1 + QKV projection + attention core + output projection
-        let mut layer = CostReport::zero();
+        let mut layer = CostReport::default();
         layer.latency_cycles += LN_LATENCY;
         layer = layer.seq(linear_cost(t, d, 3 * d));
         layer = layer.seq(attention_core_cost(t, d, config.heads));
@@ -216,6 +227,17 @@ mod tests {
             seq_len: 16,
         });
         assert!(lstm.latency_cycles > attn.latency_cycles);
+    }
+
+    #[test]
+    fn log2_ceil_values() {
+        assert_eq!(log2_ceil(0), 0);
+        assert_eq!(log2_ceil(1), 0);
+        assert_eq!(log2_ceil(2), 1);
+        assert_eq!(log2_ceil(3), 2);
+        assert_eq!(log2_ceil(16), 4);
+        assert_eq!(log2_ceil(128), 7);
+        assert_eq!(log2_ceil(1024), 10);
     }
 
     #[test]

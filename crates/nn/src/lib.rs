@@ -16,7 +16,9 @@
 //! * the Adam optimizer ([`optim`]) and a mini-batch trainer ([`train`]),
 //! * parameter (state-dict) serialization ([`serialize`]),
 //! * an analytic cost model ([`cost`]) for the latency / storage / arithmetic
-//!   operation counts reported in the paper's Table V.
+//!   operation counts reported in the paper's Table V, and its one
+//!   `CostReport` type, which serves the teacher, the student, the LSTM and
+//!   the tables (`dart_core::configurator`) alike.
 //!
 //! Design notes:
 //!

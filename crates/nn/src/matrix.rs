@@ -363,13 +363,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
     /// Scalar multiple.
     pub fn scale(&self, alpha: f32) -> Matrix {
         let data = self.data.iter().map(|a| a * alpha).collect();

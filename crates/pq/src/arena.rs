@@ -134,14 +134,6 @@ impl TableArena {
         &self.data[c * span..(c + 1) * span]
     }
 
-    /// Mutable view of sub-table `c`.
-    #[inline]
-    pub fn subtable_mut(&mut self, c: usize) -> &mut [f32] {
-        debug_assert!(c < self.subspaces);
-        let span = self.protos * self.width;
-        &mut self.data[c * span..(c + 1) * span]
-    }
-
     /// Copy sub-table `c` out as a `K x width` matrix (diagnostics and the
     /// layout benchmark's seed-shape reference).
     pub fn subtable_to_matrix(&self, c: usize) -> Matrix {

@@ -13,7 +13,6 @@ use dart_nn::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::TableArena;
-use crate::complexity::{linear_latency, KernelCost};
 use crate::quantizer::{EncoderKind, ProductQuantizer};
 
 /// A whole FFN collapsed into one table hierarchy.
@@ -135,23 +134,6 @@ impl FusedFfnTable {
     pub fn storage_bytes(&self) -> u64 {
         (self.table.len() * 4) as u64
     }
-
-    /// Kernel cost: a single linear-kernel query replaces the FFN's two
-    /// (halving Eq. 22's `2 L_l(K_F, C_F)` contribution).
-    pub fn cost(&self, t: usize, d_bits: usize) -> KernelCost {
-        KernelCost {
-            latency_cycles: linear_latency(self.pq.num_protos(), self.pq.num_subspaces()),
-            storage_bits: (self.table.len() * d_bits) as u64
-                + (t * self.pq.num_subspaces()) as u64
-                    * crate::complexity::log2_ceil(self.pq.num_protos()),
-            ops: crate::complexity::linear_ops(
-                t,
-                self.out_dim,
-                self.pq.num_protos(),
-                self.pq.num_subspaces(),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,28 +185,6 @@ mod tests {
         let exact = dense_ffn(&test, &wh, &bh, &wo, &bo);
         let sim = dart_nn::matrix::cosine_similarity(approx.as_slice(), exact.as_slice());
         assert!(sim > 0.7, "cosine {sim}");
-    }
-
-    #[test]
-    fn fused_is_faster_than_two_kernels() {
-        // Latency: one linear-kernel query vs two (Eq. 16 doubled).
-        let train = rand_matrix(100, 8, 23);
-        let wh = rand_matrix(16, 8, 29);
-        let wo = rand_matrix(4, 16, 31);
-        let fused = FusedFfnTable::fit(
-            &train,
-            &wh,
-            &[0.0; 16],
-            &wo,
-            &[0.0; 4],
-            2,
-            64,
-            EncoderKind::Argmin,
-            1,
-        );
-        let fused_lat = fused.cost(16, 32).latency_cycles;
-        let two_kernel_lat = 2 * linear_latency(64, 2);
-        assert!(fused_lat < two_kernel_lat);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   intermediate `QK^T`, and a QKV table with scaling and activation folded
 //!   into the prototypes,
 //! * [`sigmoid_lut`] — fixed lookup-table sigmoid (paper ref. \[46\]),
-//! * [`complexity`] — the latency / storage / arithmetic-operation formulas
-//!   of Eq. 16–21 used by DART's table configurator,
 //! * [`simd`] — the exact argmin scan over a dimension-major codebook
 //!   block (arg-min encodes and k-means assignment): one safe body, compiled for the baseline target and for AVX2
 //!   (chosen per process from the CPU it observes), both bit-for-bit
@@ -25,7 +23,6 @@
 
 pub mod arena;
 pub mod attention_table;
-pub mod complexity;
 pub mod fused;
 pub mod kmeans;
 pub mod linear_table;

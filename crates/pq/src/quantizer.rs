@@ -278,14 +278,6 @@ impl Quantizer {
             Encoder::HashTree(tree) => tree.encode(sub),
         }
     }
-
-    /// The encoder kind in use.
-    pub fn encoder_kind(&self) -> EncoderKind {
-        match self.encoder {
-            Encoder::Argmin => EncoderKind::Argmin,
-            Encoder::HashTree(_) => EncoderKind::HashTree,
-        }
-    }
 }
 
 /// Split `dim` into `c` contiguous chunks whose sizes differ by at most one.

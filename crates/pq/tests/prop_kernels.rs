@@ -1,11 +1,9 @@
-//! Property-based tests on the PQ stack: quantizer invariants, kernel cost
-//! monotonicity, and LUT correctness over random configurations.
+//! Property-based tests on the PQ stack: quantizer invariants and LUT
+//! correctness over random configurations. (The kernel cost formulas'
+//! properties are unit tests of `dart_core::configurator`.)
 
 use dart_nn::init::InitRng;
 use dart_nn::matrix::Matrix;
-use dart_pq::complexity::{
-    attention_latency, attention_storage_bits, linear_latency, linear_storage_bits, log2_ceil,
-};
 use dart_pq::{EncoderKind, ProductQuantizer, SigmoidLut};
 use proptest::prelude::*;
 
@@ -44,49 +42,6 @@ proptest! {
         for i in 0..10 {
             prop_assert_eq!(pq.encode_row(data.row(i)), pq.encode_row(data.row(i)));
         }
-    }
-
-    /// log2_ceil is monotone and exact on powers of two.
-    #[test]
-    fn log2_ceil_properties(x in 1usize..100_000) {
-        let l = log2_ceil(x);
-        prop_assert!(1usize << l >= x);
-        if l > 0 {
-            prop_assert!(1usize << (l - 1) < x);
-        }
-        prop_assert!(log2_ceil(x + 1) >= l);
-    }
-
-    /// Kernel latency is monotone in K and C (Eq. 16-17).
-    #[test]
-    fn latency_monotone(k in 2usize..512, c in 1usize..8) {
-        prop_assert!(linear_latency(2 * k, c) >= linear_latency(k, c));
-        prop_assert!(linear_latency(k, c + 1) >= linear_latency(k, c));
-        prop_assert!(attention_latency(2 * k, c, c) >= attention_latency(k, c, c));
-    }
-
-    /// Kernel storage is monotone in every argument (Eq. 18-19).
-    #[test]
-    fn storage_monotone(
-        t in 1usize..32,
-        d in 1usize..128,
-        k in 2usize..256,
-        c in 1usize..8,
-    ) {
-        prop_assert!(
-            linear_storage_bits(t, d, 2 * k, c, 32) > linear_storage_bits(t, d, k, c, 32)
-        );
-        prop_assert!(
-            linear_storage_bits(t, d + 1, k, c, 32) >= linear_storage_bits(t, d, k, c, 32)
-        );
-        prop_assert!(
-            attention_storage_bits(t, d, 2 * k, c, c, 32)
-                > attention_storage_bits(t, d, k, c, c, 32)
-        );
-        // Halving entry precision cannot increase storage.
-        prop_assert!(
-            linear_storage_bits(t, d, k, c, 8) <= linear_storage_bits(t, d, k, c, 32)
-        );
     }
 
     /// The sigmoid LUT is within its own error bound everywhere.

@@ -213,7 +213,7 @@ pub struct ServeRuntime {
     queues: Vec<Arc<ShardQueue>>,
     sink: Arc<CompletionSink>,
     /// The built-in lane behind `submit`/`try_submit`/`submit_all` and
-    /// the `drain_completed`/`take_completed_timeout` family.
+    /// `drain_completed`/`take_completed_timeout_into`.
     default_lane: Arc<CompletionLane>,
     /// The versioned model slot every shard worker serves through, and
     /// its registry front (version metadata, publish/rollback, swap and
@@ -594,20 +594,11 @@ impl ServeRuntime {
     }
 
     /// Block until at least one response is available on the default lane
-    /// (or `timeout` elapses), then take everything completed so far.
-    /// Returns an empty vector on timeout — it wakes on every completed
-    /// batch and on failure deliveries, without spinning on
-    /// [`Self::drain_completed`].
-    pub fn take_completed_timeout(&self, timeout: std::time::Duration) -> Vec<PrefetchResponse> {
-        let mut out = Vec::new();
-        self.take_completed_timeout_into(timeout, &mut out);
-        out
-    }
-
-    /// [`Self::take_completed_timeout`], but draining into a
-    /// caller-owned buffer (cleared first) so a consumer pumping this in
-    /// a loop reuses one allocation instead of taking a fresh `Vec` per
-    /// tick. On timeout `out` is left empty.
+    /// (or `timeout` elapses), then take everything completed so far into
+    /// a caller-owned buffer (cleared first), so a consumer pumping this in
+    /// a loop reuses one allocation. It wakes on every completed batch and
+    /// on failure deliveries, without spinning on
+    /// [`Self::drain_completed`]. On timeout `out` is left empty.
     pub fn take_completed_timeout_into(
         &self,
         timeout: std::time::Duration,
