@@ -98,6 +98,11 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 /// bit-identical `clone` of the active model. Because the clone is
 /// bit-identical, any lost, failed, or changed response after the swap is
 /// the swap machinery's fault — which is what this smoke exists to catch.
+///
+/// The counter is checked before every 1 ms wait and once more when the
+/// run is over, so a trigger the run reaches is never missed, however
+/// short the run; the printed line says whether the swap fired mid-run or
+/// at the end.
 struct SwapDrill {
     stop: mpsc::Sender<()>,
     watcher: JoinHandle<bool>,
@@ -107,18 +112,27 @@ impl SwapDrill {
     fn arm(runtime: Arc<ServeRuntime>, trigger: u64) -> SwapDrill {
         let (stop, stopped) = mpsc::channel::<()>();
         let watcher = std::thread::spawn(move || {
+            let swap_if_due = |when: &str| {
+                if runtime.stats_snapshot().requests < trigger {
+                    return false;
+                }
+                let (_, active) = runtime.registry().active();
+                let version = runtime
+                    .swap_model(Arc::new(TabularModel::clone(&active)), "loadgen mid-run swap")
+                    .expect("bit-identical clone must be dimension-compatible");
+                println!("loadgen: hot-swapped to model version {version} {when}");
+                true
+            };
             // Poll once a millisecond until the sender is dropped.
-            while stopped.recv_timeout(Duration::from_millis(1)) == Err(RecvTimeoutError::Timeout) {
-                if runtime.stats_snapshot().requests >= trigger {
-                    let (_, active) = runtime.registry().active();
-                    let version = runtime
-                        .swap_model(Arc::new(TabularModel::clone(&active)), "loadgen mid-run swap")
-                        .expect("bit-identical clone must be dimension-compatible");
-                    println!("loadgen: hot-swapped to model version {version} mid-run");
+            loop {
+                if swap_if_due("mid-run") {
                     return true;
                 }
+                if stopped.recv_timeout(Duration::from_millis(1)) != Err(RecvTimeoutError::Timeout)
+                {
+                    return swap_if_due("at the end of the run");
+                }
             }
-            false
         });
         SwapDrill { stop, watcher }
     }

@@ -183,23 +183,19 @@ impl TabularEncoderBlock {
         let mut codes = vec![0u16; rows * width];
         let mut at = 0;
         for (h, head) in self.heads.iter().enumerate() {
-            let ck = head.qk_subspaces();
             let qs = qkv.slice_cols(h * dh, (h + 1) * dh);
             let ks = qkv.slice_cols(dim + h * dh, dim + (h + 1) * dh);
-            let (mut q_codes, mut k_codes) = (vec![0u16; rows * ck], vec![0u16; rows * ck]);
-            head.encode_qk_rows(&qs, &ks, &mut q_codes, &mut k_codes);
-            for (r, row) in codes.chunks_mut(width).enumerate() {
-                row[at..at + ck].copy_from_slice(&q_codes[r * ck..(r + 1) * ck]);
-                row[at + ck..at + 2 * ck].copy_from_slice(&k_codes[r * ck..(r + 1) * ck]);
-            }
-            at += 2 * ck;
+            head.encode_qk_rows(&qs, &ks, &mut codes, width, at);
+            at += 2 * head.qk_subspaces();
         }
         (qkv.slice_cols(2 * dim, 3 * dim), codes)
     }
 
     /// The window-mixing half: attention over each `seq_len`-row window of
     /// the projected rows, the output projection, the residual, LN2 and
-    /// the FFN.
+    /// the FFN. Each head reads its codes and its V columns where
+    /// [`Self::project`] left them and writes its columns of the concat
+    /// matrix in place.
     fn mix(&self, x: &Matrix, v: &Matrix, qk_codes: &[u16], seq_len: usize) -> Matrix {
         let dim = x.cols();
         let dh = dim / self.heads.len();
@@ -207,24 +203,12 @@ impl TabularEncoderBlock {
         let width = self.code_width();
         debug_assert_eq!(rows % seq_len, 0, "rows not divisible by seq_len");
         assert_eq!(v.shape(), x.shape(), "V shape mismatch");
-        assert_eq!(qk_codes.len(), rows * width, "code buffer size mismatch");
 
         let mut concat = Matrix::zeros(rows, dim);
         let mut at = 0;
         for (h, head) in self.heads.iter().enumerate() {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let ck = head.qk_subspaces();
-            let (mut q_codes, mut k_codes) =
-                (Vec::with_capacity(rows * ck), Vec::with_capacity(rows * ck));
-            for row in qk_codes.chunks(width) {
-                q_codes.extend_from_slice(&row[at..at + ck]);
-                k_codes.extend_from_slice(&row[at + ck..at + 2 * ck]);
-            }
-            at += 2 * ck;
-            let y = head.query_batch_coded(&q_codes, &k_codes, &v.slice_cols(lo, hi));
-            for r in 0..rows {
-                concat.row_mut(r)[lo..hi].copy_from_slice(y.row(r));
-            }
+            head.query_batch_coded(qk_codes, width, at, v, h * dh, &mut concat);
+            at += 2 * head.qk_subspaces();
         }
         let x1 = x.add(&self.out.query(&concat));
 
@@ -352,25 +336,12 @@ impl TabularModel {
         h
     }
 
-    /// Pooled pre-sigmoid logits of stacked windows of token rows.
+    /// Pooled pre-sigmoid logits of stacked windows of token rows: the
+    /// output projection and the mean over each window in one kernel
+    /// ([`LinearTable::query_pooled`]), which never holds more per-token
+    /// rows than one tile.
     fn logits_of_tokens(&self, tokens: &TokenRows) -> Matrix {
-        let per_token = self.output_linear.query(&self.mix_tokens(tokens));
-        let t = self.config.seq_len;
-        let batch = per_token.rows() / t;
-        let mut out = Matrix::zeros(batch, self.config.output_dim);
-        for n in 0..batch {
-            let orow = out.row_mut(n);
-            for step in 0..t {
-                for (o, &v) in orow.iter_mut().zip(per_token.row(n * t + step)) {
-                    *o += v;
-                }
-            }
-            let inv = 1.0 / t as f32;
-            for o in orow.iter_mut() {
-                *o *= inv;
-            }
-        }
-        out
+        self.output_linear.query_pooled(&self.mix_tokens(tokens), self.config.seq_len)
     }
 
     /// The window-mixing suffix of the forward: `tokens` holds `B` stacked

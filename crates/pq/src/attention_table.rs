@@ -230,60 +230,75 @@ impl AttentionTable {
 
     /// Batched attention over `B` stacked samples (`q`/`k`/`v` are
     /// `(B*T) x D_k`): [`Self::encode_qk_rows`] then
-    /// [`Self::query_batch_coded`] — the multi-sample counterpart of
-    /// [`Self::query`], bit-for-bit equal to querying each sample
-    /// individually.
+    /// [`Self::query_batch_coded`] on one code row per input row — the
+    /// multi-sample counterpart of [`Self::query`], bit-for-bit equal to
+    /// querying each sample individually.
     pub fn query_batch(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
         assert_eq!(k.shape(), q.shape());
-        let mut q_codes = vec![0u16; q.rows() * self.qk_subspaces()];
-        let mut k_codes = vec![0u16; q_codes.len()];
-        self.encode_qk_rows(q, k, &mut q_codes, &mut k_codes);
-        self.query_batch_coded(&q_codes, &k_codes, v)
+        assert_eq!(v.cols(), self.dk, "V shape mismatch");
+        let width = 2 * self.qk_subspaces();
+        let mut codes = vec![0u16; q.rows() * width];
+        self.encode_qk_rows(q, k, &mut codes, width, 0);
+        let mut out = Matrix::zeros(v.rows(), self.dk);
+        self.query_batch_coded(&codes, width, 0, v, 0, &mut out);
+        out
     }
 
     /// The per-row half of the attention query: encode every Q row and
-    /// every K row (`R x D_k` each) into `C_k` prototype codes, row-major
-    /// (`q_codes[r * C_k + ci]`). A row's codes depend on that row alone,
-    /// so a caller that sees the same row again (a sliding window) can keep
-    /// them. Each encode is its quantizer's own — hash-tree walks in lane
-    /// blocks (`ProductQuantizer::encode_run`), or for an argmin table
-    /// the process-wide dispatched scan (`simd::nearest_dim_major`); row
-    /// tiles run rayon-parallel.
-    pub fn encode_qk_rows(&self, q: &Matrix, k: &Matrix, q_codes: &mut [u16], k_codes: &mut [u16]) {
+    /// every K row (`R x D_k` each) into `C_k` prototype codes each, written
+    /// in place into rows of `width` codes (row `r` at `r * width`): Q codes
+    /// at `[at, at + C_k)`, K codes at `[at + C_k, at + 2 C_k)`. A row's
+    /// codes depend on that row alone, so a caller that sees the same row
+    /// again (a sliding window) can keep them. Each encode is its
+    /// quantizer's own — hash-tree walks in lane blocks
+    /// (`ProductQuantizer::encode_run`), or for an argmin table the
+    /// process-wide dispatched scan (`simd::nearest_dim_major`); row tiles
+    /// run rayon-parallel.
+    pub fn encode_qk_rows(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        codes: &mut [u16],
+        width: usize,
+        at: usize,
+    ) {
         let nearest = crate::simd::nearest_dim_major();
         let ck = self.qk_subspaces();
         assert_eq!(q.cols(), self.dk, "Q shape mismatch");
         assert_eq!(k.shape(), q.shape());
-        assert_eq!(q_codes.len(), q.rows() * ck, "Q code buffer size mismatch");
-        assert_eq!(k_codes.len(), q.rows() * ck, "K code buffer size mismatch");
+        assert!(at + 2 * ck <= width, "code row too narrow");
+        assert_eq!(codes.len(), q.rows() * width, "code buffer size mismatch");
         let protos = self.q_pq.num_protos().max(self.k_pq.num_protos());
         assert!(protos <= usize::from(u16::MAX), "codes do not fit u16");
-        let tile = ENCODE_TILE_ROWS * ck;
-        q_codes.par_chunks_mut(tile).zip(k_codes.par_chunks_mut(tile)).enumerate().for_each(
-            |(t, (qc, kc))| {
-                let r0 = t * ENCODE_TILE_ROWS;
-                let rows = qc.len() / ck;
-                for (pq, x, codes) in [(&self.q_pq, q, qc), (&self.k_pq, k, kc)] {
-                    for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
-                        pq.encode_run(
-                            ci,
-                            rows,
-                            nearest,
-                            |rr| &x.row(r0 + rr)[lo..hi],
-                            |rr, code| codes[rr * ck + ci] = code as u16,
-                        );
-                    }
+        codes.par_chunks_mut(ENCODE_TILE_ROWS * width).enumerate().for_each(|(tile, codes)| {
+            let r0 = tile * ENCODE_TILE_ROWS;
+            let rows = codes.len() / width;
+            for (pq, x, first) in [(&self.q_pq, q, at), (&self.k_pq, k, at + ck)] {
+                for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
+                    pq.encode_run(
+                        ci,
+                        rows,
+                        nearest,
+                        |rr| &x.row(r0 + rr)[lo..hi],
+                        |rr, code| codes[rr * width + first + ci] = code as u16,
+                    );
                 }
-            },
-        );
+            }
+        });
     }
 
-    /// The window-mixing half of the attention query: `B` stacked samples
-    /// whose Q and K rows are already encoded (`q_codes` / `k_codes` as
-    /// written by [`Self::encode_qk_rows`], `(B*T) x C_k`; `v` is
-    /// `(B*T) x D_k`). Tiled by [`ATTN_TILE_SAMPLES`]; tiles run
-    /// rayon-parallel over disjoint output rows, each on its own slice of
-    /// two per-call scratch buffers (floats and codes).
+    /// The window-mixing half of the attention query, and the one
+    /// attention kernel: `B` stacked samples whose Q and K rows are already
+    /// encoded, read and written in place. `codes` holds one row of `width`
+    /// codes per input row, laid out as [`Self::encode_qk_rows`] writes
+    /// them (this head's Q codes at `at`, its K codes at `at + C_k`); the
+    /// head's V rows are columns `[col, col + D_k)` of `v`, and its output
+    /// goes to the same columns of `out` (both `(B*T) x` any width), so a
+    /// block's heads share the V matrix and the concat matrix with no
+    /// per-head copy. Nothing else of `out` is touched. Tiled by
+    /// [`ATTN_TILE_SAMPLES`]; tiles run rayon-parallel over disjoint output
+    /// rows, each on its own slice of two per-call scratch buffers (floats
+    /// and codes).
     ///
     /// Each sample's V block is transposed once into the tile scratch
     /// (`D_k x T`), so its columns are contiguous subvectors and both of
@@ -298,53 +313,65 @@ impl AttentionTable {
     /// lane `o` (QKV) reads `table_row[idx[lane]]` and accumulates in
     /// subspace order — exactly the `acc += table.get(..)` loop of a
     /// per-sample query.
-    pub fn query_batch_coded(&self, q_codes: &[u16], k_codes: &[u16], v: &Matrix) -> Matrix {
+    pub fn query_batch_coded(
+        &self,
+        codes: &[u16],
+        width: usize,
+        at: usize,
+        v: &Matrix,
+        col: usize,
+        out: &mut Matrix,
+    ) {
         let nearest = crate::simd::nearest_dim_major();
         let t = self.seq_len;
         let ck = self.qk_subspaces();
         let ct = self.qkt_pq.num_subspaces();
         let dk = self.dk;
-        assert_eq!(v.cols(), dk, "V shape mismatch");
-        assert_eq!(v.rows() % t, 0, "rows not divisible by seq_len");
-        assert_eq!(q_codes.len(), v.rows() * ck, "Q code buffer size mismatch");
-        assert_eq!(k_codes.len(), v.rows() * ck, "K code buffer size mismatch");
-        crate::profile::profile_kernel("attention_query", v.rows() as u64);
+        let rows = v.rows();
+        let out_cols = out.cols();
+        assert!(col + dk <= v.cols(), "V shape mismatch");
+        assert!(col + dk <= out_cols, "output shape mismatch");
+        assert_eq!(out.rows(), rows, "output shape mismatch");
+        assert_eq!(rows % t, 0, "rows not divisible by seq_len");
+        assert!(at + 2 * ck <= width, "code row too narrow");
+        assert_eq!(codes.len(), rows * width, "code buffer size mismatch");
+        crate::profile::profile_kernel("attention_query", rows as u64);
         let qk_width = self.qk.width();
         let qkv_width = self.qkv.width();
 
-        let mut out = Matrix::zeros(v.rows(), dk);
-        let sample_span = t * dk;
+        let sample_span = t * out_cols;
         // Per-tile scratch, one slice of each buffer per tile. Floats:
         // the `T x T` Q̂K^T block, then the sample's V block transposed
         // (`D_k x T`: column `o` at `o * t`). Codes, subspace-major
         // `i32`: K rows (row `t2` under subspace `ci` at `ci * t + t2`),
         // then V columns (column `o` under subspace `c` at `c * dk + o`).
-        let tiles = out.len().div_ceil(ATTN_TILE_SAMPLES * sample_span);
+        let tiles = (rows / t).div_ceil(ATTN_TILE_SAMPLES);
         let (tile_floats, tile_codes) = (t * t + dk * t, ck * t + ct * dk);
         let mut floats = vec![0.0f32; tiles * tile_floats];
-        let mut codes = vec![0i32; tiles * tile_codes];
+        let mut scratch_codes = vec![0i32; tiles * tile_codes];
         out.as_mut_slice()
             .par_chunks_mut(ATTN_TILE_SAMPLES * sample_span)
             .zip(floats.par_chunks_mut(tile_floats))
-            .zip(codes.par_chunks_mut(tile_codes))
+            .zip(scratch_codes.par_chunks_mut(tile_codes))
             .enumerate()
-            .for_each(|(tile, ((ochunk, floats), codes))| {
+            .for_each(|(tile, ((ochunk, floats), scratch_codes))| {
                 let n0 = tile * ATTN_TILE_SAMPLES;
                 let (qkt, v_t) = floats.split_at_mut(t * t);
-                let (k_codes_t, col_codes_t) = codes.split_at_mut(ck * t);
+                let (k_codes_t, col_codes_t) = scratch_codes.split_at_mut(ck * t);
 
                 for (s, osample) in ochunk.chunks_mut(sample_span).enumerate() {
                     let base = (n0 + s) * t;
+                    let code_row = |r: usize| &codes[(base + r) * width + at..][..2 * ck];
 
                     // Stage 1: Q̂K^T via the QK table (Eq. 13).
                     for r in 0..t {
-                        for ci in 0..ck {
-                            k_codes_t[ci * t + r] = i32::from(k_codes[(base + r) * ck + ci]);
+                        for (ci, &code) in code_row(r)[ck..].iter().enumerate() {
+                            k_codes_t[ci * t + r] = i32::from(code);
                         }
                     }
                     for (t1, orow) in qkt.chunks_mut(t).enumerate() {
-                        for ci in 0..ck {
-                            let qcode = usize::from(q_codes[(base + t1) * ck + ci]);
+                        for (ci, &qcode) in code_row(t1)[..ck].iter().enumerate() {
+                            let qcode = usize::from(qcode);
                             let trow =
                                 &self.qk.subtable(ci)[qcode * qk_width..(qcode + 1) * qk_width];
                             let idx = &k_codes_t[ci * t..(ci + 1) * t];
@@ -361,7 +388,7 @@ impl AttentionTable {
                     // Subspace-outer: an output row still accumulates in
                     // subspace order 0, 1, ….
                     for tt in 0..t {
-                        for (o, &x) in v.row(base + tt).iter().enumerate() {
+                        for (o, &x) in v.row(base + tt)[col..col + dk].iter().enumerate() {
                             v_t[o * t + tt] = x;
                         }
                     }
@@ -382,7 +409,7 @@ impl AttentionTable {
                             nearest,
                             |t1| &qkt[t1 * t + lo..t1 * t + hi],
                             |t1, rcode| {
-                                let orow = &mut osample[t1 * dk..(t1 + 1) * dk];
+                                let orow = &mut osample[t1 * out_cols + col..][..dk];
                                 let trow = &self.qkv.subtable(c)
                                     [rcode * qkv_width..(rcode + 1) * qkv_width];
                                 if c == 0 {
@@ -395,7 +422,6 @@ impl AttentionTable {
                     }
                 }
             });
-        out
     }
 
     /// Intermediate `Q̂K^T` (exposed for diagnostics and tests).

@@ -113,7 +113,7 @@ impl FusedFfnTable {
     pub fn query_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
         assert_eq!(out.shape(), (x.rows(), self.out_dim), "output shape mismatch");
-        crate::linear_table::aggregate_codes_batch(&self.pq, &self.table, x, out);
+        crate::linear_table::aggregate_codes_batch(&self.pq, &self.table, x, out, None);
     }
 
     /// Single-row query: the row-at-a-time reference the differential

@@ -176,7 +176,25 @@ impl LinearTable {
     pub fn query_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
         assert_eq!(out.shape(), (x.rows(), self.out_dim), "output shape mismatch");
-        aggregate_codes_batch(&self.pq, &self.table, x, out);
+        aggregate_codes_batch(&self.pq, &self.table, x, out, None);
+    }
+
+    /// The query averaged over windows: `x` is `B` stacked windows of
+    /// `seq_len` rows, and row `n` of the `B x D_O` result is the mean of
+    /// window `n`'s row queries — bit for bit `query(x)` followed by a sum
+    /// from `0.0` over the window's rows in order and a multiply by
+    /// `1.0 / seq_len`. One [`aggregate_codes_batch`] pass with a window
+    /// epilogue: its tiles hold whole windows (one window when `seq_len >
+    /// AGG_TILE_ROWS`), each row is fully aggregated before it joins its
+    /// window's sum, and no more than one tile of per-row results exists
+    /// at a time.
+    pub fn query_pooled(&self, x: &Matrix, seq_len: usize) -> Matrix {
+        assert_eq!(x.cols(), self.pq.dim(), "query dim mismatch");
+        assert!(seq_len > 0, "seq_len must be positive");
+        assert_eq!(x.rows() % seq_len, 0, "rows not divisible by seq_len");
+        let mut out = Matrix::zeros(x.rows() / seq_len, self.out_dim);
+        aggregate_codes_batch(&self.pq, &self.table, x, &mut out, Some(seq_len));
+        out
     }
 
     /// Single-row query into a caller buffer: the row-at-a-time reference
@@ -227,17 +245,22 @@ pub(crate) fn validate_table(
 
 /// The linear kernel's batch query, shared by [`LinearTable`] and
 /// [`crate::FusedFfnTable`]: encode the rows of `x` and sum each row's
-/// per-subspace table rows into `out`, in one pass.
+/// per-subspace table rows into `out`, in one pass — one output row per
+/// input row, or with `window = Some(t)` one per `t`-row window, the mean
+/// of its rows ([`LinearTable::query_pooled`]).
 ///
-/// Tiled over [`AGG_TILE_ROWS`]-row blocks of the output; within a tile the
+/// Tiled over [`AGG_TILE_ROWS`]-row blocks of the input (with a window,
+/// as many whole windows as fit, at least one); within a tile the
 /// subspace loop is **outer**, and each subspace hands the tile's rows to
 /// [`ProductQuantizer::encode_run`], whose codes are consumed as they are
 /// produced: a lane block of rows is encoded, then their table rows — all
 /// from the one contiguous sub-table block being swept — are added to their
-/// output rows. No code is ever stored. Per-`(row, output)` accumulation
-/// still runs in subspace order 0, 1, …, so results match the single-row
-/// query paths bit for bit; tiles write disjoint output rows and run
-/// rayon-parallel.
+/// rows. No code is ever stored. Per-`(row, output)` accumulation still
+/// runs in subspace order 0, 1, …, so results match the single-row query
+/// paths bit for bit; tiles write disjoint output rows and run
+/// rayon-parallel. A windowed tile aggregates into its own scratch rows,
+/// then sums each window's rows from `0.0` in step order and scales by
+/// `1.0 / t`.
 ///
 /// One function, two kernel names: it reports the batch under
 /// `encode_batch` *and* under `aggregate_codes` (see [`crate::profile`]),
@@ -250,38 +273,54 @@ pub(crate) fn aggregate_codes_batch(
     table: &TableArena,
     x: &Matrix,
     out: &mut Matrix,
+    window: Option<usize>,
 ) {
     let nearest = crate::simd::nearest_dim_major();
     let out_dim = out.cols();
     crate::profile::profile_kernel("aggregate_codes", x.rows() as u64);
     crate::profile::profile_kernel("encode_batch", x.rows() as u64);
-    out.as_mut_slice().par_chunks_mut(AGG_TILE_ROWS * out_dim).enumerate().for_each(
-        |(tile, orows)| {
-            let r0 = tile * AGG_TILE_ROWS;
-            let rows = orows.len() / out_dim;
-            for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
-                let sub = table.subtable(ci);
-                pq.encode_run(
-                    ci,
-                    rows,
-                    nearest,
-                    |rr| &x.row(r0 + rr)[lo..hi],
-                    |rr, code| {
-                        let orow = &mut orows[rr * out_dim..(rr + 1) * out_dim];
-                        let trow = &sub[code * out_dim..(code + 1) * out_dim];
-                        if ci == 0 {
-                            // First pass initializes the tile: `0.0 + t` (not a
-                            // copy) keeps the accumulation bit-identical to the
-                            // fill-then-add scalar path, including -0.0 entries.
-                            init_row(orow, trow);
-                        } else {
-                            add_assign(orow, trow);
-                        }
-                    },
-                );
+    let t = window.unwrap_or(1);
+    // Output rows per tile; a tile reads `tile_out * t` input rows.
+    let tile_out = (AGG_TILE_ROWS / t).max(1);
+    out.as_mut_slice().par_chunks_mut(tile_out * out_dim).enumerate().for_each(|(tile, orows)| {
+        let r0 = tile * tile_out * t;
+        // A windowed tile aggregates its rows here, then pools them.
+        let mut scratch = if window.is_some() { vec![0.0f32; orows.len() * t] } else { Vec::new() };
+        let rows = if window.is_some() { &mut scratch[..] } else { &mut *orows };
+        for (ci, &(lo, hi)) in pq.bounds().iter().enumerate() {
+            let sub = table.subtable(ci);
+            pq.encode_run(
+                ci,
+                rows.len() / out_dim,
+                nearest,
+                |rr| &x.row(r0 + rr)[lo..hi],
+                |rr, code| {
+                    let row = &mut rows[rr * out_dim..(rr + 1) * out_dim];
+                    let trow = &sub[code * out_dim..(code + 1) * out_dim];
+                    if ci == 0 {
+                        // First pass initializes the tile: `0.0 + t` (not a
+                        // copy) keeps the accumulation bit-identical to the
+                        // fill-then-add scalar path, including -0.0 entries.
+                        init_row(row, trow);
+                    } else {
+                        add_assign(row, trow);
+                    }
+                },
+            );
+        }
+        if window.is_some() {
+            let inv = 1.0 / t as f32;
+            for (orow, steps) in orows.chunks_mut(out_dim).zip(scratch.chunks(t * out_dim)) {
+                orow.fill(0.0);
+                for step in steps.chunks(out_dim) {
+                    add_assign(orow, step);
+                }
+                for o in orow.iter_mut() {
+                    *o *= inv;
+                }
             }
-        },
-    );
+        }
+    });
 }
 
 #[cfg(test)]

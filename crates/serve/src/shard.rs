@@ -761,8 +761,13 @@ impl ShardWorker {
                 windows.resize_rows(warm.len() * t);
                 let probs = model.predict_tokens(&windows);
                 for (w, &(i, anchor)) in warm.iter().enumerate() {
-                    responses[i].prefetch_blocks =
-                        decode_bitmap(probs.row(w), &self.pre, anchor, self.emit, &mut candidates);
+                    responses[i].prefetch_blocks = self.pre.decode_bitmap_into(
+                        probs.row(w),
+                        anchor,
+                        self.emit.threshold,
+                        self.emit.max_degree,
+                        &mut candidates,
+                    );
                 }
             }
             let t_predicted = Instant::now();
@@ -851,19 +856,6 @@ impl ShardWorker {
             }
         }
     }
-}
-
-/// Turn one bitmap-probability row into prefetch block addresses via the
-/// emission rule shared with `DartPrefetcher`
-/// ([`PreprocessConfig::decode_bitmap_into`]).
-pub(crate) fn decode_bitmap(
-    probs: &[f32],
-    pre: &PreprocessConfig,
-    anchor_block: u64,
-    emit: EmitPolicy,
-    candidates: &mut Vec<(f32, usize)>,
-) -> Vec<u64> {
-    pre.decode_bitmap_into(probs, anchor_block, emit.threshold, emit.max_degree, candidates)
 }
 
 #[cfg(test)]
@@ -1075,9 +1067,8 @@ mod tests {
         probs[pre.delta_to_bit(1).unwrap()] = 0.9;
         probs[pre.delta_to_bit(-2).unwrap()] = 0.8;
         probs[pre.delta_to_bit(3).unwrap()] = 0.6;
-        let emit = EmitPolicy { threshold: 0.7, max_degree: 4 };
-        let mut scratch = Vec::new();
-        let out = decode_bitmap(&probs, &pre, 100, emit, &mut scratch);
+        // Threshold 0.7, degree 4.
+        let out = pre.decode_bitmap_into(&probs, 100, 0.7, 4, &mut Vec::new());
         assert_eq!(out, vec![101, 98]); // delta +1 first (higher prob), then -2
     }
 
@@ -1107,9 +1098,7 @@ mod tests {
         let pre = PreprocessConfig { delta_range: 4, ..Default::default() };
         let mut probs = vec![0.0f32; pre.output_dim()];
         probs[pre.delta_to_bit(-3).unwrap()] = 0.9;
-        let emit = EmitPolicy { threshold: 0.5, max_degree: 2 };
-        let mut scratch = Vec::new();
         // Anchor block 2: 2 - 3 = -1 is not a valid block.
-        assert!(decode_bitmap(&probs, &pre, 2, emit, &mut scratch).is_empty());
+        assert!(pre.decode_bitmap_into(&probs, 2, 0.5, 2, &mut Vec::new()).is_empty());
     }
 }

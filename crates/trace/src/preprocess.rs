@@ -88,9 +88,19 @@ impl PreprocessConfig {
     /// `precompute_predictions` and the `dart-serve` runtime: rank bitmap
     /// probabilities at or above `threshold`, take the strongest
     /// `max_degree` bits (at least one: a cap of 0 means the minimum useful
-    /// degree, never "off"), and map each to a prefetch block address
-    /// relative to `anchor_block` (dropping non-positive targets).
+    /// degree, never "off"; equal probabilities rank in ascending bit
+    /// order), and map each to a prefetch block address relative to
+    /// `anchor_block` (dropping non-positive targets after the selection).
     /// `candidates` is caller-owned scratch.
+    ///
+    /// One pass, no sort: `candidates` holds only the strongest bits seen
+    /// so far, strongest first. Bits are read 64 at a time; a mask of the
+    /// ones at or above the current floor (`threshold`, or the weakest held
+    /// bit once `k` are held) is built branch-free, and only its set bits
+    /// are visited. A bit enters a full buffer only by strictly beating the
+    /// weakest held bit, and goes in after every held bit it does not
+    /// strictly beat — the order a stable descending sort gives. NaN is
+    /// never at or above anything, so it never enters.
     pub fn decode_bitmap_into(
         &self,
         probs: &[f32],
@@ -99,14 +109,30 @@ impl PreprocessConfig {
         max_degree: usize,
         candidates: &mut Vec<(f32, usize)>,
     ) -> Vec<u64> {
+        let k = max_degree.max(1);
         candidates.clear();
-        candidates.extend(
-            probs.iter().enumerate().filter(|&(_, &p)| p >= threshold).map(|(bit, &p)| (p, bit)),
-        );
-        candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+        for (chunk_at, chunk) in probs.chunks(64).enumerate() {
+            let floor = if candidates.len() < k { threshold } else { candidates[k - 1].0 };
+            let mut mask = 0u64;
+            for (i, &p) in chunk.iter().enumerate() {
+                mask |= u64::from(p >= floor) << i;
+            }
+            while mask != 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let p = chunk[i];
+                if candidates.len() == k {
+                    if p <= candidates[k - 1].0 {
+                        continue;
+                    }
+                    candidates.pop();
+                }
+                let at = candidates.iter().position(|&(held, _)| p > held);
+                candidates.insert(at.unwrap_or(candidates.len()), (p, chunk_at * 64 + i));
+            }
+        }
         candidates
             .iter()
-            .take(max_degree.max(1))
             .filter_map(|&(_, bit)| {
                 let target = anchor_block as i64 + self.bit_to_delta(bit);
                 (target > 0).then_some(target as u64)
@@ -170,9 +196,81 @@ pub fn build_dataset(trace: &[TraceRecord], cfg: &PreprocessConfig, stride: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dart_pq::SigmoidLut;
+    use proptest::prelude::*;
 
     fn rec(addr: u64) -> TraceRecord {
         TraceRecord { instr_id: 0, pc: 0x400100, addr }
+    }
+
+    /// The emission rule as it was first written — every bit at or above
+    /// `threshold`, a stable descending sort, the first `max(1,
+    /// max_degree)`, then the target map — which the one-pass selection of
+    /// [`PreprocessConfig::decode_bitmap_into`] must equal exactly.
+    fn decode_by_sort(
+        cfg: &PreprocessConfig,
+        probs: &[f32],
+        anchor_block: u64,
+        threshold: f32,
+        max_degree: usize,
+    ) -> Vec<u64> {
+        let mut candidates: Vec<(f32, usize)> = probs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p >= threshold)
+            .map(|(b, &p)| (p, b))
+            .collect();
+        candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+        candidates
+            .iter()
+            .take(max_degree.max(1))
+            .filter_map(|&(_, bit)| {
+                let target = anchor_block as i64 + cfg.bit_to_delta(bit);
+                (target > 0).then_some(target as u64)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Rows as a shard sees them — logits through the 1024-entry LUT, on
+        /// a coarse grid so most probabilities tie with others — with
+        /// planted `-0.0`, `+0.0` and NaN entries, widths that straddle the
+        /// 64-bit mask chunks, thresholds 0, 0.5 and 1 and one LUT step
+        /// either side of 0.5, degrees below, at and past the row width,
+        /// and anchors so low that most negative deltas fall off after the
+        /// selection.
+        #[test]
+        fn one_pass_emission_equals_the_stable_sort(
+            delta_range in 1usize..101,
+            grid in proptest::collection::vec(0u16..48, 200),
+            plants in proptest::collection::vec((0usize..200, 0u8..3), 0..8),
+            threshold_idx in 0usize..5,
+            degree_idx in 0usize..6,
+            anchor in 0u64..4,
+        ) {
+            let lut = SigmoidLut::default_table();
+            let cfg = PreprocessConfig { delta_range, ..Default::default() };
+            let mut probs: Vec<f32> = grid[..cfg.output_dim()]
+                .iter()
+                .map(|&g| lut.query((f32::from(g) - 24.0) * 0.25))
+                .collect();
+            for &(at, kind) in &plants {
+                let width = probs.len();
+                probs[at % width] = [-0.0, 0.0, f32::NAN][usize::from(kind)];
+            }
+            // Entries 511 and 512 straddle 0.5; 0.0 and 1.0 admit all or
+            // (almost) nothing.
+            let threshold =
+                [0.0, 0.5, 1.0, lut.query(-1e-3), lut.query(1e-3)][threshold_idx];
+            let max_degree = [0, 1, 4, 127, 128, 200][degree_idx];
+            let mut scratch = vec![(9.0, 9); 3];
+            let got = cfg.decode_bitmap_into(&probs, anchor, threshold, max_degree, &mut scratch);
+            let want = decode_by_sort(&cfg, &probs, anchor, threshold, max_degree);
+            prop_assert_eq!(got, want, "threshold {} degree {} anchor {}", threshold, max_degree, anchor);
+            prop_assert!(scratch.len() <= max_degree.max(1));
+        }
     }
 
     #[test]

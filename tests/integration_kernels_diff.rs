@@ -2,7 +2,8 @@
 //!
 //! The tiled kernels (`ProductQuantizer::encode_batch_into`,
 //! `LinearTable`/`FusedFfnTable::query_batch_into`,
-//! `AttentionTable::query_batch`, `TabularModel::predict_batch`) process a
+//! `LinearTable::query_pooled`, `AttentionTable::query_batch` and its
+//! in-place `query_batch_coded`, `TabularModel::predict_batch`) process a
 //! block of rows per sub-table pass over one contiguous arena. Their
 //! contract is **bit-for-bit** equality with the straightforward scalar
 //! reference (`encode_row`, `query_row_into`, per-sample `query` /
@@ -259,6 +260,116 @@ fn attention_batch_matches_per_sample_at_vector_filling_shapes() {
                 bits_of(&batch.slice_rows(rows.start, rows.end)),
                 "encoder {encoder:?} k {k} sample {n}"
             );
+        }
+    }
+}
+
+/// Window lengths the in-place heads and the pooled query are pinned at:
+/// a divisor of `AGG_TILE_ROWS` (8 windows a tile), one that is not (11:
+/// two windows and 10 idle rows), DART's 16, and one past a whole tile
+/// (33: a tile is one window).
+const WINDOWS: [usize; 4] = [4, 11, 16, 33];
+
+/// A block's heads through the one attention kernel, in place — codes read
+/// from shared code rows at each head's offset, V read from and output
+/// written to each head's columns of shared matrices — equal, bit for bit,
+/// each head queried alone through `query_batch` on copied columns. Heads
+/// 1 / 2 / 4 with unequal `C_k`, a `D_k` off a multiple of 8, and a batch
+/// past one attention tile. Columns of later heads are untouched until
+/// their head runs.
+#[test]
+fn in_place_heads_equal_per_head_query_batch() {
+    let dk = 5usize;
+    let samples = ATTN_TILE_SAMPLES + 3;
+    let untouched = f32::from_bits(0x7fc0_1234);
+    for heads in [1usize, 2, 4] {
+        for t in WINDOWS {
+            let seed = (heads * 100 + t) as u64;
+            let tables: Vec<AttentionTable> = (0..heads)
+                .map(|h| {
+                    let fit = |s| rand_matrix(12 * t, dk, seed ^ (h as u64) << 8 ^ s);
+                    let cfg = AttentionTableConfig {
+                        k: 8,
+                        ck: [2, 1, 3, 2][h],
+                        ct: 2,
+                        encoder: encoder_of(h % 2 == 0),
+                        ..Default::default()
+                    };
+                    AttentionTable::fit(&fit(1), &fit(2), &fit(3), t, &cfg)
+                })
+                .collect();
+            let rows = samples * t;
+            let width: usize = tables.iter().map(|a| 2 * a.qk_subspaces()).sum();
+            let q: Vec<Matrix> =
+                (0..heads).map(|h| rand_matrix(rows, dk, seed ^ 0x10 ^ h as u64)).collect();
+            let k: Vec<Matrix> =
+                (0..heads).map(|h| rand_matrix(rows, dk, seed ^ 0x20 ^ h as u64)).collect();
+            let v = rand_matrix(rows, heads * dk, seed ^ 0x30);
+
+            let mut codes = vec![0u16; rows * width];
+            let mut at = 0;
+            for (h, table) in tables.iter().enumerate() {
+                table.encode_qk_rows(&q[h], &k[h], &mut codes, width, at);
+                at += 2 * table.qk_subspaces();
+            }
+            let mut concat = Matrix::from_fn(rows, heads * dk, |_, _| untouched);
+            let mut at = 0;
+            for (h, table) in tables.iter().enumerate() {
+                table.query_batch_coded(&codes, width, at, &v, h * dk, &mut concat);
+                at += 2 * table.qk_subspaces();
+                let later = concat.slice_cols((h + 1) * dk, heads * dk);
+                assert!(
+                    later.as_slice().iter().all(|x| x.to_bits() == untouched.to_bits()),
+                    "{heads} heads, T {t}: head {h} wrote past its columns"
+                );
+            }
+            for (h, table) in tables.iter().enumerate() {
+                let (lo, hi) = (h * dk, (h + 1) * dk);
+                let alone = table.query_batch(&q[h], &k[h], &v.slice_cols(lo, hi));
+                assert_eq!(
+                    bits_of(&concat.slice_cols(lo, hi)),
+                    bits_of(&alone),
+                    "{heads} heads, T {t}: head {h}"
+                );
+            }
+        }
+    }
+}
+
+/// The pooled linear query equals materialise-then-mean bit for bit: every
+/// row's full query, then per window a sum from `0.0` over its rows in step
+/// order and one multiply by `1.0 / T`. Window counts from none to past
+/// several tiles at each window length, with output widths on and off the
+/// vector lanes.
+#[test]
+fn pooled_query_equals_materialise_then_mean() {
+    let din = 7usize;
+    for t in WINDOWS {
+        for (dout, tree) in [(5usize, true), (16, false), (19, true)] {
+            let seed = (t * 10 + dout) as u64;
+            let train = rand_matrix(90, din, seed);
+            let w = rand_matrix(dout, din, seed ^ 0x11);
+            let b: Vec<f32> = (0..dout).map(|o| o as f32 * 0.25 - 0.5).collect();
+            let table = LinearTable::fit(&train, &w, &b, 3, 12, encoder_of(tree), seed);
+            for windows in [0usize, 1, 2, 9, 17] {
+                let x = rand_matrix(windows * t, din, seed ^ windows as u64);
+                let per_row = table.query(&x);
+                let mut want = Matrix::zeros(windows, dout);
+                for n in 0..windows {
+                    let orow = want.row_mut(n);
+                    for step in 0..t {
+                        for (o, &r) in orow.iter_mut().zip(per_row.row(n * t + step)) {
+                            *o += r;
+                        }
+                    }
+                    for o in orow.iter_mut() {
+                        *o *= 1.0 / t as f32;
+                    }
+                }
+                let got = table.query_pooled(&x, t);
+                assert_eq!(got.shape(), (windows, dout));
+                assert_eq!(bits_of(&got), bits_of(&want), "T {t}, D_O {dout}, {windows} windows");
+            }
         }
     }
 }

@@ -275,6 +275,39 @@ fn lane_block_boundaries_are_thread_count_invariant() {
     }
 }
 
+/// The pooled linear query (the output projection's window mean) is
+/// identical at every thread count and equal to materialise-then-mean, at
+/// window lengths that divide a tile, leave idle rows in it, and exceed it.
+#[test]
+fn pooled_query_is_thread_count_invariant() {
+    let (din, dout) = (6usize, 9usize);
+    let train = rand_matrix(80, din, 0x9001);
+    let w = rand_matrix(dout, din, 0x9002);
+    let b: Vec<f32> = (0..dout).map(|o| o as f32 * 0.25 - 0.5).collect();
+    for encoder in [EncoderKind::HashTree, EncoderKind::Argmin] {
+        let table = LinearTable::fit(&train, &w, &b, 2, 16, encoder, 3);
+        for (t, windows) in [(4usize, 19usize), (11, 7), (16, 5), (AGG_TILE_ROWS + 1, 3)] {
+            let x = rand_matrix(windows * t, din, 0x9100 + t as u64);
+            let pooled = invariant_across_pools(
+                || bits(&table.query_pooled(&x, t)),
+                &format!("{encoder:?} query_pooled, T {t}"),
+            );
+            let per_row = table.query(&x);
+            let mut want = Vec::new();
+            for n in 0..windows {
+                let mut sum = vec![0.0f32; dout];
+                for step in 0..t {
+                    for (s, &r) in sum.iter_mut().zip(per_row.row(n * t + step)) {
+                        *s += r;
+                    }
+                }
+                want.extend(sum.iter().map(|s| (s * (1.0 / t as f32)).to_bits()));
+            }
+            assert_eq!(pooled, want, "{encoder:?}, T {t}");
+        }
+    }
+}
+
 /// End-to-end `predict_batch`: identical bits at 1/2/4/8 threads and equal
 /// to per-sample `forward_probs`, at batch sizes wider than every tile.
 #[test]
