@@ -17,6 +17,9 @@
 //!   matrix multiplications, split into a per-token prefix and a
 //!   window-mixing suffix so a stream computes each token once
 //!   ([`token_ring`] keeps the rows),
+//! * [`stream`] — the **prefetcher** around the tables (Fig. 3): per-stream
+//!   history and token rings, and the one batched step from accesses to
+//!   prefetches that both `DartPrefetcher` and the serving runtime run,
 //! * [`mod@tabularize`] — **layer-wise tabularization with fine-tuning**
 //!   (Algorithm 1): each linear layer is re-fit by MSE against the original
 //!   layer outputs with the *approximated* inputs produced by the tables
@@ -25,24 +28,15 @@
 //! * [`pipeline`] — the three-step workflow (attention → distillation →
 //!   tabularization) packaged for examples and the experiment harness.
 
-/// Cache-block shift: 64-byte blocks (`addr >> 6`), matching the paper's
-/// ChampSim setup.
-///
-/// This is THE block-granularity constant for the whole workspace —
-/// `dart-trace` (trace preprocessing, delta labels) and `dart-serve` /
-/// `dart-net` (request decoding on the serving path) both re-export it
-/// from here. It used to be duplicated in `dart_trace::record` and
-/// `dart_serve::request` with only a comment tying them together; two
-/// copies of the constant that defines what a "block" is cannot be
-/// allowed to drift, because a mismatch silently shears the serving
-/// path's deltas away from the labels the model was trained on.
-pub const BLOCK_BITS: u32 = 6;
+/// Cache-block shift, defined once in `dart-trace`.
+pub use dart_trace::record::BLOCK_BITS;
 
 pub mod config;
 pub mod configurator;
 pub mod distill;
 pub mod eval;
 pub mod pipeline;
+pub mod stream;
 pub mod tabular_model;
 pub mod tabularize;
 pub mod token_ring;
@@ -51,6 +45,7 @@ pub use config::{DesignConstraints, PredictorConfig, TabularConfig};
 pub use configurator::TableConfigurator;
 pub use distill::{distill, DistillConfig};
 pub use pipeline::{run_pipeline, PipelineArtifacts, PipelineConfig};
+pub use stream::{EmitPolicy, StepCounters, StreamEngine, StreamLookup, StreamState};
 pub use tabular_model::{TabularModel, TokenRows};
 pub use tabularize::{tabularize, TabularizationReport};
 pub use token_ring::TokenRing;

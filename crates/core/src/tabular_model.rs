@@ -250,7 +250,7 @@ pub struct TabularModel {
 /// function of feature row `r` — the model has no positional encoding — so
 /// a caller sliding a window over an access stream computes each token's
 /// row once and keeps it (see [`crate::TokenRing`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TokenRows {
     /// Hidden rows after the input projection and its LayerNorm, `rows x D`.
     pub hidden: Matrix,

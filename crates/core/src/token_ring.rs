@@ -4,8 +4,9 @@
 //! with request `n`, and a token's [`TokenRows`] row depends on that token
 //! alone. [`TokenRing`] is where a stream keeps those rows between
 //! requests, so each access costs one [`TabularModel::encode_tokens`] row
-//! instead of `T`: `dart-serve`'s per-stream state and `DartPrefetcher`
-//! both hold one.
+//! instead of `T`. Each [`crate::StreamState`] holds one, and
+//! [`crate::StreamEngine::step`] — what both `DartPrefetcher` and the
+//! serving runtime run — keeps it current.
 //!
 //! [`TabularModel::encode_tokens`]: crate::TabularModel::encode_tokens
 

@@ -16,7 +16,7 @@ const PAR_THRESHOLD: usize = 64 * 64;
 const BLOCK: usize = 64;
 
 /// Dense row-major matrix of `f32`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -4,29 +4,21 @@
 
 use dart_core::config::PredictorConfig;
 use dart_core::configurator::model_latency;
-use dart_core::{TabularModel, TokenRing, TokenRows};
-use dart_nn::matrix::Matrix;
+use dart_core::{EmitPolicy, StreamEngine, StreamState, TabularModel};
 use dart_sim::{LlcAccess, Prefetcher};
 use dart_trace::PreprocessConfig;
 
 /// DART: table-based neural prefetching at rule-based-prefetcher cost.
 ///
-/// The history buffer is a [`TokenRing`]: each access is encoded once
-/// (`encode_tokens` on its one feature row) and joins the ring; a
-/// prediction runs `predict_tokens` over the ring's window — bit for bit
-/// `forward_probs` on the window's `T x D_I` feature matrix.
+/// One stream through the serving runtime's [`StreamEngine`], one access
+/// per step: each access is encoded once and joins the stream's token
+/// ring, and a prediction runs `predict_tokens` over the ring's window —
+/// bit for bit `forward_probs` on the window's `T x D_I` feature matrix.
 pub struct DartPrefetcher {
     name: String,
     model: TabularModel,
-    pre: PreprocessConfig,
-    history: TokenRing,
-    /// The newest access's feature row.
-    features: Matrix,
-    /// The history window, as `predict_tokens` takes it.
-    window: TokenRows,
-    candidates: Vec<(f32, usize)>,
-    threshold: f32,
-    max_degree: usize,
+    stream: StreamState,
+    engine: StreamEngine,
     latency: u64,
 }
 
@@ -54,26 +46,13 @@ impl DartPrefetcher {
         threshold: f32,
         max_degree: usize,
     ) -> DartPrefetcher {
-        assert_eq!(model.config.seq_len, pre.seq_len, "seq_len mismatch");
-        assert_eq!(model.config.input_dim, pre.input_dim(), "input dim mismatch");
-        assert_eq!(model.config.output_dim, pre.output_dim(), "output dim mismatch");
         DartPrefetcher {
             name: name.into(),
-            features: Matrix::zeros(1, pre.input_dim()),
-            window: TokenRows::zeros(&model, pre.seq_len),
+            engine: StreamEngine::new(&model, pre, EmitPolicy { threshold, max_degree }),
             model,
-            pre,
-            history: TokenRing::default(),
-            candidates: Vec::new(),
-            threshold,
-            max_degree: max_degree.max(1),
+            stream: StreamState::new(pre.seq_len),
             latency,
         }
-    }
-
-    /// The wrapped tabular model.
-    pub fn model(&self) -> &TabularModel {
-        &self.model
     }
 }
 
@@ -87,25 +66,10 @@ impl Prefetcher for DartPrefetcher {
     }
 
     fn on_access(&mut self, access: &LlcAccess) -> Vec<u64> {
-        self.pre.write_token_features(access.block, access.pc, self.features.row_mut(0));
-        let token = self.model.encode_tokens(&self.features);
-        self.history.push(self.pre.seq_len, &token, 0);
-        if self.history.len() < self.pre.seq_len {
-            return Vec::new();
-        }
-
-        self.history.write_window(&mut self.window, 0);
-        let probs = self.model.predict_tokens(&self.window);
-
-        // Rank bits above threshold, emit the strongest `max_degree` deltas
-        // (the emission rule shared with `dart-serve`).
-        self.pre.decode_bitmap_into(
-            probs.row(0),
-            access.block,
-            self.threshold,
-            self.max_degree,
-            &mut self.candidates,
-        )
+        // One stream, one model: epoch 1 throughout.
+        let access = [(0, access.block, access.pc)];
+        let mut out = self.engine.step(&self.model, 1, &mut self.stream, access);
+        out.next().map_or_else(Vec::new, |(_, prefetch)| prefetch)
     }
 
     fn storage_bytes(&self) -> u64 {
@@ -121,6 +85,7 @@ mod tests {
     use dart_core::tabularize::tabularize;
     use dart_nn::init::InitRng;
     use dart_nn::layers::Param;
+    use dart_nn::matrix::Matrix;
     use dart_nn::model::{AccessPredictor, ModelConfig, SequenceModel};
     use dart_trace::TraceRecord;
 

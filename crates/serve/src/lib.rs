@@ -18,11 +18,11 @@
 //!        ┌─────────────┼─────────────┐
 //!   ┌────▼────┐   ┌────▼────┐   ┌────▼────┐
 //!   │ shard 0 │   │ shard 1 │   │ shard N │   each: queue + worker thread
-//!   │ worker  │   │ worker  │   │ worker  │   owns per-stream history state
+//!   │ worker  │   │ worker  │   │ worker  │   owns a StreamLru of StreamStates
 //!   └────┬────┘   └────┬────┘   └────┬────┘
-//!        │  coalesce pending requests: one feature row each,
-//!        │  one encode_tokens call, each row into its stream's
-//!        ▼  ring, one predict_tokens call over the warm windows
+//!        │  each drained batch is one dart_core StreamEngine::step:
+//!        │  one feature row each, one encode_tokens call, each row into
+//!        ▼  its stream's ring, one predict_tokens call over the warm windows
 //!   PrefetchResponse (per request, in per-stream order)
 //! ```
 //!
@@ -47,17 +47,17 @@
 //!   a runtime started on an exact-argmin model serves hash-tree tables
 //!   from its first promotion on (the encoder is part of the model, and
 //!   the swap path does not care which one it is).
-//! * **Batch coalescing** — each worker drains its queue (up to
-//!   `max_batch` requests) and issues one `encode_tokens` call for the
-//!   drain's new tokens and one `predict_tokens` call for its warm
-//!   streams' windows, amortizing table-lookup locality.
-//! * **Each token computed once** — a stream's request `n + 1` shares
-//!   `T - 1` of its `T` window tokens with request `n`, and everything the
-//!   model does to a token before attention mixes the window is a function
-//!   of that token alone. [`StreamState`] keeps those rows in a ring beside
-//!   the history; a hot swap or an eviction re-derives them from the
-//!   history. Answers are bit for bit `predict_batch` on the window
-//!   written out ([`StreamState::write_features_into`]).
+//! * **Batch coalescing, each token computed once** — each worker drains
+//!   up to `max_batch` requests into one [`dart_core::StreamEngine::step`]:
+//!   one `encode_tokens` call for the drain's new tokens, one
+//!   `predict_tokens` call for the warm windows. A stream's request `n + 1`
+//!   shares `T - 1` of its `T` window tokens with request `n`, and all the
+//!   model does to a token before attention is a function of that token
+//!   alone, so [`StreamState`] keeps those rows in a ring beside the
+//!   history (a hot swap or an eviction re-derives them). Answers are bit
+//!   for bit `predict_batch` on the window written out
+//!   ([`StreamState::write_features_into`]). `DartPrefetcher` runs the same
+//!   engine; this crate adds the serving policy around it.
 //! * **Complete accounting** — every submitted request produces exactly one
 //!   [`PrefetchResponse`] (cold-history requests return an empty prefetch
 //!   list), so dropped or misrouted work is detectable. Responses land in
@@ -87,8 +87,9 @@ pub mod runtime;
 pub mod shadow;
 pub mod shard;
 pub mod slot;
-pub mod stream;
 
+/// The per-stream state of [`StreamLru`], defined with its step in `dart-core`.
+pub use dart_core::StreamState;
 pub use loadgen::{
     drill_model, drill_pre, generate_requests, hold_shard, run_load, LoadGenConfig, LoadReport,
     ShardHold,
@@ -107,4 +108,3 @@ pub use shadow::{
 };
 pub use shard::CompletionLane;
 pub use slot::ModelSlot;
-pub use stream::StreamState;

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use crate::stream::StreamState;
+use dart_core::{StreamLookup, StreamState};
 
 /// Sentinel slot index for "no neighbor".
 const NIL: usize = usize::MAX;
@@ -210,6 +210,13 @@ impl StreamLru {
         if self.tail == NIL {
             self.tail = slot;
         }
+    }
+}
+
+/// The shard's lookup for [`dart_core::StreamEngine::step`].
+impl StreamLookup for StreamLru {
+    fn stream(&mut self, stream: u64, seq_len: usize) -> &mut StreamState {
+        self.entry(stream, seq_len)
     }
 }
 

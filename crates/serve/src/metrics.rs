@@ -32,7 +32,7 @@
 //! | `dart_serve_shard_model_version{shard}` | gauge | version each shard adopted |
 //! | `dart_serve_request_latency_nanoseconds` | histogram | queue+serve |
 //! | `dart_serve_batch_size` | histogram | coalesced batch sizes |
-//! | `dart_serve_stage_duration_nanoseconds{stage}` | histogram | lifecycle stages |
+//! | `dart_serve_stage_duration_nanoseconds{stage}` | histogram | lifecycle stages: `queue_wait` (per request), then per batch `coalesce` (drain → its `StreamEngine::step` begins), `kernel` (the step, feature rows included), `sink` (→ delivered) |
 
 use dart_telemetry::{Exposition, MetricKind};
 

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Cache-block shift (64-byte blocks), re-exported from `dart-core` —
+/// Cache-block shift (64-byte blocks), re-exported through `dart-core` —
 /// the same definition `dart-trace` preprocessing uses, so the serving
 /// path's block arithmetic cannot drift from the training labels.
 pub use dart_core::BLOCK_BITS;

@@ -5,7 +5,7 @@ use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dart_core::TabularModel;
+use dart_core::{EmitPolicy, StreamEngine, TabularModel};
 use dart_telemetry::{Histogram, SpanRecord, SpanRing};
 use dart_trace::PreprocessConfig;
 
@@ -14,8 +14,8 @@ use crate::request::{PrefetchRequest, PrefetchResponse};
 use crate::router::StreamRouter;
 use crate::shadow::ReplaySampler;
 use crate::shard::{
-    CompletionLane, CompletionSink, EmitPolicy, Envelope, RetireCell, ShardQueue, ShardReport,
-    ShardTelemetry, ShardWorker, TryPushError,
+    CompletionLane, CompletionSink, Envelope, RetireCell, ShardQueue, ShardReport, ShardTelemetry,
+    ShardWorker, TryPushError,
 };
 use crate::slot::ModelSlot;
 
@@ -44,8 +44,8 @@ pub struct ServeConfig {
     /// Bitmap probability threshold for emitting a prefetch.
     pub threshold: f32,
     /// Maximum prefetches emitted per prediction (variable degree cap).
-    /// Clamped to at least 1 at [`ServeRuntime::start`], so the serving
-    /// path and `DartPrefetcher` (the sim path) apply one emission rule.
+    /// At least 1 is emitted even at 0: the serving path and
+    /// `DartPrefetcher` (the sim path) run one step and one emission rule.
     pub max_degree: usize,
     /// Resident-stream cap **per shard**: each shard's stream-state map
     /// holds at most this many streams, evicting the least-recently-seen
@@ -251,10 +251,6 @@ impl ServeRuntime {
     /// Spawn `cfg.shards` worker threads, each holding a handle to the
     /// model and its own bounded per-stream state.
     ///
-    /// Validates the emission rule here, once, for the whole runtime:
-    /// `max_degree` is clamped to at least 1, the same rule
-    /// `DartPrefetcher` applies.
-    ///
     /// Panics if the model is inconsistent ([`TabularModel::validate`]) or
     /// it and the preprocessing dimensions disagree (same contract as
     /// `DartPrefetcher`), or — here, on the caller's thread, before any
@@ -268,12 +264,8 @@ impl ServeRuntime {
         if let Err(e) = model.validate() {
             panic!("inconsistent model: {e}");
         }
-        assert_eq!(model.config.seq_len, pre.seq_len, "seq_len mismatch");
-        assert_eq!(model.config.input_dim, pre.input_dim(), "input dim mismatch");
-        assert_eq!(model.config.output_dim, pre.output_dim(), "output dim mismatch");
-        // Unified emission rule (shared with `DartPrefetcher`): a degree
-        // cap of 0 means "the minimum useful degree", never "silently off".
-        let emit = EmitPolicy { threshold: cfg.threshold, max_degree: cfg.max_degree.max(1) };
+        let emit = EmitPolicy { threshold: cfg.threshold, max_degree: cfg.max_degree };
+        let engine = StreamEngine::new(&model, pre, emit);
 
         // Versioned model state: the slot holds the authoritative
         // (epoch, model) pair every worker reads through a per-shard
@@ -322,6 +314,7 @@ impl ServeRuntime {
             reports.push(Arc::clone(&report_cell));
             let worker_slot = Arc::clone(&slot);
             let worker_replay = replay.clone();
+            let worker_engine = engine.clone();
             let max_batch = cfg.max_batch;
             let max_streams = cfg.max_streams_per_shard;
             let q = Arc::clone(&queue);
@@ -338,9 +331,8 @@ impl ServeRuntime {
                         let worker = ShardWorker {
                             shard_id,
                             model,
-                            pre,
+                            engine: worker_engine,
                             max_batch,
-                            emit,
                             max_streams,
                             retire: retire_cell,
                             telemetry: shard_telemetry,
@@ -678,15 +670,15 @@ impl ServeRuntime {
         for (cell, telem) in self.reports.iter().zip(&self.telemetry) {
             let report = cell.lock().unwrap_or_else(PoisonError::into_inner).clone();
             stats.requests += report.requests;
-            stats.predictions += report.predictions;
+            stats.predictions += report.step.predictions;
             stats.batches += report.batches;
             stats.max_batch = stats.max_batch.max(report.max_batch);
             stats.per_shard_requests.push(report.requests);
             stats.per_shard_streams.push(report.resident_streams);
             stats.stream_evictions += report.stream_evictions;
             stats.stream_retirements += report.stream_retirements;
-            stats.per_shard_token_rows_computed.push(report.token_rows_computed);
-            stats.per_shard_token_rows_reused.push(report.token_rows_reused);
+            stats.per_shard_token_rows_computed.push(report.step.token_rows_computed);
+            stats.per_shard_token_rows_reused.push(report.step.token_rows_reused);
             latency.merge(&report.latency);
             stats.batch_sizes.merge(&telem.batch_size.snapshot());
             stats.stage_queue_wait.merge(&telem.queue_wait.snapshot());

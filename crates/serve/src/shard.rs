@@ -6,10 +6,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
-use dart_core::TokenRows;
-use dart_nn::matrix::Matrix;
+use dart_core::{StepCounters, StreamEngine};
 use dart_telemetry::{AtomicHistogram, Gauge, Histogram, SpanRecord, SpanRing};
-use dart_trace::PreprocessConfig;
 
 use crate::lru::StreamLru;
 use crate::request::PrefetchResponse;
@@ -553,13 +551,12 @@ impl Drop for BatchGuard<'_> {
 
 /// Per-shard serving statistics, committed whole-batch under the report
 /// cell's lock so any clone of the cell is internally consistent
-/// (`latency.count() == requests`, `predictions <= requests`). Backs both
+/// (`latency.count() == requests`, `step.predictions <= requests`). Backs both
 /// `ServeRuntime::stats_snapshot` (live) and `shutdown` (final) through
 /// the same aggregation path.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ShardReport {
     pub requests: u64,
-    pub predictions: u64,
     pub batches: u64,
     pub max_batch: usize,
     /// Streams resident in the shard's LRU map as of the last served
@@ -570,13 +567,8 @@ pub(crate) struct ShardReport {
     /// Streams explicitly retired (dead-connection cleanup via
     /// [`RetireCell`]) so far.
     pub stream_retirements: u64,
-    /// Token rows this shard ran through `encode_tokens`: one per request,
-    /// plus a stream's whole history when its ring was not current (first
-    /// request after a hot swap).
-    pub token_rows_computed: u64,
-    /// Token rows of served windows that came out of a stream's ring
-    /// instead (`seq_len - 1` per warm request in steady state).
-    pub token_rows_reused: u64,
+    /// Predictions and token rows computed / reused by this shard's steps.
+    pub step: StepCounters,
     /// Request latency (queue + inference), log2-bucketed
     /// ([`dart_telemetry::Histogram`], promoted out of this module).
     pub latency: Histogram,
@@ -592,24 +584,17 @@ pub(crate) struct ShardReport {
 pub(crate) struct ShardTelemetry {
     /// Enqueue → drained by the worker, per request, nanoseconds.
     pub queue_wait: AtomicHistogram,
-    /// Drain → feature rows formed (one row per request), per batch,
-    /// nanoseconds.
+    /// Drain → the batch's step begins (batch guard, model adoption), per
+    /// batch, nanoseconds.
     pub coalesce: AtomicHistogram,
-    /// Feature rows → predictions decoded (`encode_tokens`, stream
-    /// updates, `predict_tokens`, emission), per batch, nanoseconds.
+    /// The step: feature rows, `encode_tokens`, stream updates,
+    /// `predict_tokens` and emission, per batch, nanoseconds.
     pub kernel: AtomicHistogram,
     /// Predictions → responses delivered to their completion lanes, per
     /// batch, nanoseconds.
     pub sink: AtomicHistogram,
     /// Coalesced batch-size distribution (per batch, in requests).
     pub batch_size: AtomicHistogram,
-}
-
-/// Emission policy applied to each bitmap prediction.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EmitPolicy {
-    pub threshold: f32,
-    pub max_degree: usize,
 }
 
 /// One shard: owns its streams' history state and a versioned handle
@@ -620,9 +605,9 @@ pub(crate) struct ShardWorker {
     /// atomic load when nothing changed), so hot-swapped versions are
     /// adopted between batches and a batch never observes a torn model.
     pub model: ModelHandle,
-    pub pre: PreprocessConfig,
+    /// The step every drained batch runs, and its scratch.
+    pub engine: StreamEngine,
     pub max_batch: usize,
-    pub emit: EmitPolicy,
     /// Resident-stream cap of this shard's LRU state map
     /// (`ServeConfig::max_streams_per_shard`).
     pub max_streams: usize,
@@ -642,53 +627,30 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Worker loop: drain → coalesce → encode → predict → respond, until
-    /// the queue shuts down.
-    ///
-    /// Each request contributes **one** feature row; the whole drained
-    /// batch goes through `encode_tokens` once, each resulting token row
-    /// joins its stream's ring, and the warm streams' windows — `seq_len -
-    /// 1` rows from the ring, one fresh — are stacked for one
-    /// `predict_tokens` call. Bit for bit what `predict_batch` answers on
-    /// the materialised windows ([`crate::StreamState::write_features_into`]).
+    /// Worker loop, until the queue shuts down: drain a batch, run it as
+    /// one [`StreamEngine::step`] over the shard's streams, respond.
     ///
     /// Statistics land in the shared `report` cell once per batch (after
     /// that batch's responses are final), so a worker that panics later
     /// loses at most the dying batch's numbers — everything it served
     /// before the panic stays counted in `ServeStats`.
-    ///
-    /// The feature rows and the stacked windows live in buffers owned by
-    /// the worker and resized in place, so a long-running shard performs
-    /// no steady-state allocation for staging regardless of how many
-    /// batches it drains.
     pub fn run(
         mut self,
         queue: Arc<ShardQueue>,
         sink: Arc<CompletionSink>,
         report: Arc<Mutex<ShardReport>>,
     ) {
-        let t = self.pre.seq_len;
-        let di = self.pre.input_dim();
         // Bounded per-stream state: at most `max_streams` resident, LRU
         // eviction beyond that (see `crate::lru` for why an evicted stream
         // re-warms from scratch).
         let mut streams = StreamLru::new(self.max_streams);
-        // (request index in batch, anchor block) of each warm request, in
-        // stacked-window order.
-        let mut warm: Vec<(usize, u64)> = Vec::new();
-        let mut candidates: Vec<(f32, usize)> = Vec::new();
-        let mut feat_buf: Vec<f32> = Vec::new();
-        // The stacked windows handed to `predict_tokens`, shaped for the
-        // model of `windows_epoch`.
-        let mut windows_epoch = self.model.epoch();
-        let mut windows = TokenRows::zeros(self.model.current(), 0);
 
         while let Some(batch) = queue.pop_batch(self.max_batch) {
             // Dead-connection cleanup first, so this batch's new streams
             // see the freed residency instead of evicting live ones.
             self.retire.drain_into(&mut streams);
-            // Lifecycle tracing stamp 1 of 4 (drained, formed, predicted,
-            // delivered).
+            // Lifecycle tracing stamp 1 of 4 (drained, stepping,
+            // predicted, delivered).
             let t_drained = Instant::now();
             // If anything below unwinds, the guard converts this batch
             // into failure responses so its in-flight slots are released.
@@ -702,96 +664,38 @@ impl ShardWorker {
             // never torn.
             let model = Arc::clone(self.model.current());
             let epoch = self.model.epoch();
-            if epoch != windows_epoch {
-                windows = TokenRows::zeros(&model, 0);
-                windows_epoch = epoch;
-            }
-            warm.clear();
 
-            // Phase 1: one feature row per request — a pure function of
-            // the request, so no stream state is touched yet.
-            feat_buf.clear();
-            feat_buf.resize(batch.len() * di, 0.0);
-            let mut feats = Matrix::from_vec(batch.len(), di, std::mem::take(&mut feat_buf));
-            for (i, env) in batch.iter().enumerate() {
-                self.pre.write_token_features(env.req.block(), env.req.pc, feats.row_mut(i));
-            }
-
-            let t_formed = Instant::now();
-
-            // Phase 2: encode every request's token once, then update
-            // stream state in arrival order. Each token row joins its
-            // stream's ring and a warm stream's window is copied out right
-            // away, so a stream submitting several requests within one
-            // batch gets one prediction per request, each over its own
-            // history window.
-            let tokens = model.encode_tokens(&feats);
-            feat_buf = feats.into_vec();
-            let (mut rows_computed, mut rows_reused) = (batch.len(), 0);
-            windows.resize_rows(batch.len() * t);
-            let mut responses: Vec<PrefetchResponse> = Vec::with_capacity(batch.len());
-            for (i, env) in batch.iter().enumerate() {
-                let state = streams.entry(env.req.stream_id, t);
-                // Rows encoded by another model version (or none yet) are
-                // re-derived from the history, never mixed into a window.
-                let rebuilt = !state.ring_current(epoch);
-                if rebuilt {
-                    rows_computed += state.rebuild_ring(epoch, &model, &self.pre);
-                }
-                let seq = state.push_token(env.req.block(), env.req.pc, &tokens, i);
-                responses.push(PrefetchResponse {
-                    stream_id: env.req.stream_id,
-                    seq,
-                    shard: self.shard_id,
-                    prefetch_blocks: Vec::new(),
-                    latency_ns: 0,
-                    error: None,
-                });
-                if state.warm() {
-                    state.write_tokens_into(&mut windows, warm.len());
-                    warm.push((i, env.req.block()));
-                    if !rebuilt {
-                        rows_reused += t - 1;
-                    }
-                }
-            }
-
-            // Phase 3: one batched prediction for every warm request.
-            if !warm.is_empty() {
-                windows.resize_rows(warm.len() * t);
-                let probs = model.predict_tokens(&windows);
-                for (w, &(i, anchor)) in warm.iter().enumerate() {
-                    responses[i].prefetch_blocks = self.pre.decode_bitmap_into(
-                        probs.row(w),
-                        anchor,
-                        self.emit.threshold,
-                        self.emit.max_degree,
-                        &mut candidates,
-                    );
-                }
-            }
+            let t_stepping = Instant::now();
+            let accesses = batch.iter().map(|env| (env.req.stream_id, env.req.block(), env.req.pc));
+            let answers = self.engine.step(&model, epoch, &mut streams, accesses);
             let t_predicted = Instant::now();
 
-            // Phase 4: stamp latencies, then deliver. All fallible work is
+            // Assemble the responses, then deliver. All fallible work is
             // done; disarm before taking any lock so the guard's Drop can
             // never re-lock the sink from this thread. Commit this batch's
             // statistics only now that its responses are final: a panic
             // earlier in the batch loses at most the dying batch's numbers.
-            for (env, resp) in batch.iter().zip(&mut responses) {
-                resp.latency_ns = t_predicted.duration_since(env.enqueued).as_nanos() as u64;
-            }
+            let responses: Vec<PrefetchResponse> = answers
+                .zip(&batch)
+                .map(|((seq, prefetch_blocks), env)| PrefetchResponse {
+                    stream_id: env.req.stream_id,
+                    seq,
+                    shard: self.shard_id,
+                    prefetch_blocks,
+                    latency_ns: t_predicted.duration_since(env.enqueued).as_nanos() as u64,
+                    error: None,
+                })
+                .collect();
             batch_guard.armed = false;
             {
                 let mut r = report.lock().unwrap_or_else(PoisonError::into_inner);
                 r.batches += 1;
                 r.max_batch = r.max_batch.max(batch.len());
                 r.requests += batch.len() as u64;
-                r.predictions += warm.len() as u64;
                 r.resident_streams = streams.len();
                 r.stream_evictions = streams.evictions();
                 r.stream_retirements = streams.retirements();
-                r.token_rows_computed += rows_computed as u64;
-                r.token_rows_reused += rows_reused as u64;
+                r.step = self.engine.counters();
                 for resp in &responses {
                     r.latency.record(resp.latency_ns);
                 }
@@ -810,8 +714,8 @@ impl ShardWorker {
             let t_delivered = Instant::now();
             let queue_wait_ns =
                 |env: &Envelope| t_drained.duration_since(env.enqueued).as_nanos() as u64;
-            let coalesce_ns = t_formed.duration_since(t_drained).as_nanos() as u64;
-            let kernel_ns = t_predicted.duration_since(t_formed).as_nanos() as u64;
+            let coalesce_ns = t_stepping.duration_since(t_drained).as_nanos() as u64;
+            let kernel_ns = t_predicted.duration_since(t_stepping).as_nanos() as u64;
             let sink_ns = t_delivered.duration_since(t_predicted).as_nanos() as u64;
             self.telemetry.batch_size.record(batch.len() as u64);
             self.telemetry.coalesce.record(coalesce_ns);
@@ -861,6 +765,7 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dart_trace::PreprocessConfig;
 
     fn env_on(lane: &Arc<CompletionLane>, stream_id: u64) -> Envelope {
         Envelope {

@@ -400,9 +400,10 @@ fn retire_prefix_frees_dead_connection_streams() {
 /// Regression (emission-rule drift): `DartPrefetcher` clamps
 /// `max_degree.max(1)` but serve's emit policy did not, so
 /// `max_degree: 0` silently disabled all serving-path prefetching while
-/// the sim path emitted 1 per prediction. The rule is now unified at
-/// `ServeRuntime::start`. (Cross-path agreement with `DartPrefetcher`
-/// itself is pinned in `tests/integration_serve.rs`.)
+/// the sim path emitted 1 per prediction. The floor now lives once, in
+/// `decode_bitmap_into`, behind the one `StreamEngine::step` both paths
+/// run. (Cross-path agreement with `DartPrefetcher` itself is pinned in
+/// `tests/integration_serve.rs`.)
 #[test]
 fn zero_max_degree_clamps_to_one_instead_of_disabling() {
     let (model, pre) = tiny_setup();

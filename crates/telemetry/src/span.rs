@@ -25,9 +25,9 @@ pub struct SpanRecord {
     pub batch_size: usize,
     /// Enqueue → drained by the worker.
     pub queue_wait_ns: u64,
-    /// Drain → feature matrix formed (stream-state update + staging).
+    /// Drain → the batch's step begins (guard, model adoption).
     pub coalesce_ns: u64,
-    /// Feature matrix → predictions decoded (`predict_batch` + emission).
+    /// The step: feature rows, encode, stream updates, predict, emission.
     pub kernel_ns: u64,
     /// Predictions → responses delivered to their completion lanes.
     pub sink_ns: u64,

@@ -2,12 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Cache-block size: 64 bytes (matching the paper's ChampSim setup).
-///
-/// Re-exported from `dart-core` — the one workspace-wide definition —
-/// so trace preprocessing and the serving path (`dart_serve::request`)
-/// can never drift apart on what a "block" is.
-pub use dart_core::BLOCK_BITS;
+/// Cache-block shift: 64-byte blocks (matching the paper's ChampSim
+/// setup). The one workspace-wide definition — `dart-core` re-exports it
+/// for the serving path (`dart_serve::request`) — so trace preprocessing
+/// and serving can never drift apart on what a "block" is.
+pub const BLOCK_BITS: u32 = 6;
 
 /// Page size: 4 KiB.
 pub const PAGE_BITS: u32 = 12;

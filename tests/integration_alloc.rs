@@ -26,6 +26,8 @@ use dart::nn::init::InitRng;
 use dart::nn::matrix::Matrix;
 use dart::nn::model::AccessPredictor;
 use dart::pq::EncoderKind;
+use dart::prefetch::DartPrefetcher;
+use dart::sim::{LlcAccess, Prefetcher};
 use dart::trace::PreprocessConfig;
 use rayon::ThreadPool;
 
@@ -109,6 +111,37 @@ fn a_warm_prediction_allocates_what_the_forward_plumbing_does() {
     let mix = allocations_of(|| model.predict_tokens(&tokens));
     assert!(mix <= 13, "predict_tokens made {mix} allocations");
     assert!(mix < forward, "the window half ({mix}) is part of the whole ({forward})");
+}
+
+/// The paper loop's per-access path: one warm `DartPrefetcher::on_access`
+/// is one step of the stream engine — one feature row, `encode_tokens`,
+/// the ring, `predict_tokens` on the window, the emission rule — and
+/// allocates what those two forward halves and the emitted list do, with
+/// the engine's staging reused. Whether bits pass the threshold or not.
+#[test]
+fn a_warm_paper_loop_access_allocates_what_the_forward_halves_do() {
+    let pre = PreprocessConfig::default();
+    let model = dart_model(&pre);
+    let access = |i: u64| {
+        let block = 1_000 + 3 * i + i % 5;
+        LlcAccess {
+            seq: i as usize,
+            instr_id: 4 * i,
+            pc: 0x400100,
+            addr: block << 6,
+            block,
+            hit: false,
+        }
+    };
+    for threshold in [0.0, 0.5] {
+        let mut pf = DartPrefetcher::with_latency("DART", model.clone(), pre, 0, threshold, 4);
+        let warm = pre.seq_len as u64 + 1;
+        for i in 0..warm {
+            pf.on_access(&access(i));
+        }
+        let made = allocations_of(|| pf.on_access(&access(warm)));
+        assert!(made <= 24, "on_access at threshold {threshold} made {made} allocations");
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! `BLOCK_BITS` is defined once, in `dart-core`, and re-exported by
+//! `BLOCK_BITS` is defined once, in `dart-trace`, and re-exported by
 //! every crate that slices addresses into cache blocks. These constants
 //! drifting apart would silently misalign the serving runtime's block
 //! addresses against the trace preprocessor's — the exact bug class the
