@@ -5,7 +5,9 @@
 //! trace. Future layout or serialization refactors must keep loading the
 //! fixtures and reproducing those predictions — this is the backstop that
 //! caught-in-review changes to `TableArena`/`CodebookArena`/`HashTree`
-//! serialization cannot silently slip past.
+//! serialization cannot silently slip past. A last test pins the training
+//! path (teacher training, distillation, fine-tuned tabularization) by
+//! hashes of its bits, since the fixtures never train.
 //!
 //! Regenerate (after an *intentional* format change) with:
 //!
@@ -14,10 +16,12 @@
 //! ```
 
 use dart::core::config::TabularConfig;
+use dart::core::distill::{distill, DistillConfig};
 use dart::core::tabularize::tabularize;
 use dart::core::TabularModel;
 use dart::nn::matrix::Matrix;
-use dart::nn::model::{AccessPredictor, ModelConfig};
+use dart::nn::model::{AccessPredictor, ModelConfig, SequenceModel};
+use dart::nn::train::{train_bce, Dataset, TrainConfig};
 use dart::pq::EncoderKind;
 use dart::trace::PreprocessConfig;
 
@@ -210,4 +214,61 @@ fn damaged_model_files_are_rejected_at_load() {
             assert!(TabularModel::from_json(bad).is_err(), "{:?}, {what}: loaded", golden.encoder);
         }
     }
+}
+
+/// FNV-1a over the bit patterns of a run of `f32`s.
+fn fnv_f32_bits(hash: u64, values: &[f32]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
+}
+
+/// FNV-1a over every parameter of `model`, in `visit_params` order.
+fn params_hash(model: &mut impl SequenceModel) -> u64 {
+    let mut hash = 0xcbf29ce484222325;
+    model.visit_params(&mut |p| hash = fnv_f32_bits(hash, p.value.as_slice()));
+    hash
+}
+
+/// The fixtures above tabularize an untrained student without fine-tuning,
+/// so they never run a backward pass. This pins the training path itself:
+/// `train_bce` on a tiny teacher, `distill` into a student, and
+/// `tabularize` with fine-tuning, every weight compared as bits. Every
+/// `Linear` forward, backward and attention product runs through the three
+/// dense kernels, so a kernel that changes one output's float operations
+/// (a fused multiply-add, a reassociated sum) changes these hashes. The
+/// dimensions leave every `k % 4` tail in play (inputs 6, heads 10 wide,
+/// FFN 34 wide).
+#[test]
+fn training_path_is_pinned_bit_for_bit() {
+    let (input_dim, output_dim, seq_len, samples) = (6, 10, 4, 48);
+    let inputs = Matrix::from_fn(samples * seq_len, input_dim, |r, c| {
+        ((r * 37 + c * 11) % 23) as f32 / 23.0 - 0.5
+    });
+    let targets =
+        Matrix::from_fn(samples, output_dim, |r, c| f32::from(u8::from((r * 7 + c * 3) % 5 == 0)));
+    let data = Dataset::new(inputs, targets, seq_len);
+    let train = TrainConfig { epochs: 2, batch_size: 16, ..Default::default() };
+
+    let teacher_cfg =
+        ModelConfig { input_dim, dim: 20, heads: 2, layers: 1, ffn_dim: 34, output_dim, seq_len };
+    let mut teacher = AccessPredictor::new(teacher_cfg, 0x7EAC).expect("valid teacher config");
+    train_bce(&mut teacher, &data, &train);
+
+    let student_cfg =
+        ModelConfig { input_dim, dim: 8, heads: 2, layers: 1, ffn_dim: 14, output_dim, seq_len };
+    let distill_cfg = DistillConfig { train: train.clone(), ..Default::default() };
+    let (mut student, _) = distill(&mut teacher, student_cfg, &data, &distill_cfg);
+
+    let tab_cfg =
+        TabularConfig { k: 8, c: 2, fine_tune_epochs: 2, seed: 0x7AB, ..Default::default() };
+    let (model, _) = tabularize(&student, &data.inputs, &tab_cfg);
+
+    let got = (params_hash(&mut teacher), params_hash(&mut student), model.fingerprint());
+    assert_eq!(
+        got,
+        (0x1a82_2d38_c5f2_cb67, 0x2245_4fb1_4dcb_846b, 0x5a16_cf32_db0f_3c70),
+        "the training path's bits moved (teacher params, student params, table fingerprint)"
+    );
 }
