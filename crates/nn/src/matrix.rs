@@ -1,9 +1,25 @@
-//! Dense row-major `f32` matrix with rayon-parallel blocked multiplication.
+//! Dense row-major `f32` matrix and the three dense products.
 //!
 //! This is the only tensor type in the substrate. Batches of sequences are
 //! stored stacked (`(N*T) x D`), so almost all heavy math funnels through
-//! [`Matrix::matmul`] / [`Matrix::matmul_transb`], which are cache-blocked
-//! and parallelized over row blocks.
+//! [`Matrix::matmul_transb`] (every `Linear` forward), [`Matrix::matmul_transa`]
+//! (weight gradients) and [`Matrix::matmul`] (input gradients).
+//!
+//! Each product fixes the float operations of every output element — the
+//! order contract in each method's doc — and the kernels only choose how
+//! many of those per-output chains run side by side:
+//!
+//! * `matmul_transb` computes a 2-row x 4-column tile of [`dot`]s at once
+//!   (`dot_block`): eight independent 4-lane accumulator chains instead of
+//!   one latency-bound chain per output.
+//! * `matmul` and `matmul_transa` share one serial-sum kernel
+//!   (`serial_sum_block`) that keeps a 2-row x 16- (or 8-) column tile of
+//!   sums in registers while it walks `k`.
+//!
+//! Large products are split over rayon into row blocks; tiles live inside a
+//! block and no sum crosses one, so the thread count cannot change a bit.
+//! The kernels are portable Rust that LLVM vectorizes at the baseline
+//! target: no `unsafe`, no intrinsics, no fused multiply-add.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -12,8 +28,12 @@ use serde::{Deserialize, Serialize};
 /// Below this, rayon's scheduling overhead dominates.
 const PAR_THRESHOLD: usize = 64 * 64;
 
-/// Row block size for the blocked matmul kernels (fits L1/L2 comfortably).
+/// Rows per parallel task of `matmul` and `matmul_transb`.
 const BLOCK: usize = 64;
+
+/// Rows per register tile in all three products (and per parallel task of
+/// `matmul_transa`).
+const TILE_ROWS: usize = 2;
 
 /// Dense row-major matrix of `f32`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -219,7 +239,11 @@ impl Matrix {
         out
     }
 
-    /// `self @ other` — blocked, rayon-parallel over row blocks.
+    /// `self @ other`: `out[i][j]` is the serial sum over `k` ascending of
+    /// `self[i][k] * other[k][j]`, starting from `+0.0`, with every term
+    /// whose coefficient `self[i][k] == 0.0` skipped (so a NaN or ±inf in
+    /// `other` behind a zero coefficient never reaches the output). See
+    /// `serial_sum_block` for the tiles.
     ///
     /// # Panics
     /// If `self.cols != other.rows`.
@@ -231,36 +255,19 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        let kernel = |a_rows: &[f32], out_rows: &mut [f32], nrows: usize| {
-            // i-k-j loop order: streams through `other` rows, vectorizes on j.
-            for i in 0..nrows {
-                let arow = &a_rows[i * k..(i + 1) * k];
-                let orow = &mut out_rows[i * n..(i + 1) * n];
-                for (kk, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &other.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += aik * b;
-                    }
-                }
-            }
-        };
-        if m * n >= PAR_THRESHOLD && m > 1 {
-            out.data
-                .par_chunks_mut(BLOCK * n)
-                .zip(self.data.par_chunks(BLOCK * k))
-                .for_each(|(out_rows, a_rows)| kernel(a_rows, out_rows, a_rows.len() / k));
-        } else {
-            kernel(&self.data, &mut out.data, m);
-        }
+        let a = &self.data;
+        for_row_blocks(&mut out.data, m, n, BLOCK, |i0, out_rows| {
+            serial_sum_block(|i, kk| a[(i0 + i) * k + kk], &other.data, out_rows, k, n);
+        });
         out
     }
 
     /// `self @ other.T` without materializing the transpose.
     ///
     /// Contracts over the shared column dimension: `(m x k) @ (n x k).T = m x n`.
+    /// `out[i][j]` is exactly [`dot`]`(self.row(i), other.row(j))`: four lane
+    /// sums over chunks of four, reduced as `((l0 + l1) + l2) + l3`, then the
+    /// `k % 4` tail added serially. See `dot_block` for the tiles.
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -269,30 +276,18 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
-        let kernel = |a_rows: &[f32], out_rows: &mut [f32], nrows: usize| {
-            for i in 0..nrows {
-                let arow = &a_rows[i * k..(i + 1) * k];
-                let orow = &mut out_rows[i * n..(i + 1) * n];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let brow = &other.data[j * k..(j + 1) * k];
-                    *o = dot(arow, brow);
-                }
-            }
-        };
-        if m * n >= PAR_THRESHOLD && m > 1 {
-            out.data
-                .par_chunks_mut(BLOCK * n)
-                .zip(self.data.par_chunks(BLOCK * k))
-                .for_each(|(out_rows, a_rows)| kernel(a_rows, out_rows, a_rows.len() / k));
-        } else {
-            kernel(&self.data, &mut out.data, m);
-        }
+        let a = &self.data;
+        for_row_blocks(&mut out.data, m, n, BLOCK, |i0, out_rows| {
+            dot_block(&a[i0 * k..], &other.data, out_rows, k, n);
+        });
         out
     }
 
     /// `self.T @ other` without materializing the transpose.
     ///
     /// Contracts over the shared row dimension: `(k x m).T @ (k x n) = m x n`.
+    /// `out[i][j]` is the same skipping serial sum as [`Matrix::matmul`]'s,
+    /// over `self[k][i] * other[k][j]`.
     pub fn matmul_transa(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -300,36 +295,14 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        // out[i][j] = sum_kk self[kk][i] * other[kk][j]
         let mut out = Matrix::zeros(m, n);
-        if m * n >= PAR_THRESHOLD {
-            out.data.par_chunks_mut(n).enumerate().for_each(|(i, orow)| {
-                for kk in 0..k {
-                    let a = self.data[kk * m + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let brow = &other.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
-                    }
-                }
-            });
-        } else {
-            for kk in 0..k {
-                let arow = &self.data[kk * m..(kk + 1) * m];
-                let brow = &other.data[kk * n..(kk + 1) * n];
-                for (i, &a) in arow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &mut out.data[i * n..(i + 1) * n];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
+        let a = &self.data;
+        // `m` is a layer's output width here (64–256 for a teacher's weight
+        // gradients), too few rows for `BLOCK`-row tasks to keep every
+        // thread busy: each task is one tile row.
+        for_row_blocks(&mut out.data, m, n, TILE_ROWS, |i0, out_rows| {
+            serial_sum_block(|i, kk| a[kk * m + i0 + i], &other.data, out_rows, k, n);
+        });
         out
     }
 
@@ -382,16 +355,15 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Add a row vector (`1 x cols` semantics) to every row.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
+    /// Add a row vector (`1 x cols` semantics) to every row, in place.
+    pub fn add_row_broadcast(mut self, bias: &[f32]) -> Matrix {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(bias.iter()) {
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(bias) {
                 *o += b;
             }
         }
-        out
+        self
     }
 
     /// Column-wise sums (length `cols`).
@@ -447,8 +419,177 @@ impl Matrix {
     }
 }
 
-/// Dot product of two equal-length slices (the hot inner loop of
-/// `matmul_transb`; written to auto-vectorize).
+/// Run `block(first_row, rows)` over consecutive `rows_per_task`-row slices
+/// of the `m x n` output `out`, on the rayon pool once the product has
+/// `PAR_THRESHOLD` elements, else as one block on the caller.
+fn for_row_blocks(
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    rows_per_task: usize,
+    block: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if out.is_empty() {
+        return;
+    }
+    if m * n >= PAR_THRESHOLD && m > 1 {
+        out.par_chunks_mut(rows_per_task * n)
+            .enumerate()
+            .for_each(|(t, rows)| block(t * rows_per_task, rows));
+    } else {
+        block(0, out);
+    }
+}
+
+/// `out[i][j] = dot(a_i, b_j)` over one row block: `a` holds the block's
+/// rows (`k` wide, possibly followed by more), `b` is `n x k`, `out` is the
+/// block's `rows x n`.
+///
+/// A 2 x 4 tile keeps eight dots' lane accumulators live at once; each
+/// dot's operations are exactly [`dot`]'s, in [`dot`]'s order. Leftover
+/// columns and a leftover row call [`dot`] itself.
+fn dot_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let rows = out.len() / n;
+    let body = k / 4 * 4;
+    let b_row = |j: usize| &b[j * k..(j + 1) * k];
+    let mut i = 0;
+    while i + TILE_ROWS <= rows {
+        let (a0, a1) = (&a[i * k..(i + 1) * k], &a[(i + 1) * k..(i + 2) * k]);
+        let mut j = 0;
+        while j + 4 <= n {
+            let bj: [&[f32]; 4] = std::array::from_fn(|c| b_row(j + c));
+            // lanes[row][col][lane], as `dot`'s `acc`.
+            let mut lanes = [[[0.0f32; 4]; 4]; 2];
+            for o in (0..body).step_by(4) {
+                let (x0, x1) = (&a0[o..o + 4], &a1[o..o + 4]);
+                for c in 0..4 {
+                    let y = &bj[c][o..o + 4];
+                    for l in 0..4 {
+                        lanes[0][c][l] += x0[l] * y[l];
+                        lanes[1][c][l] += x1[l] * y[l];
+                    }
+                }
+            }
+            for (r, arow) in [a0, a1].into_iter().enumerate() {
+                for c in 0..4 {
+                    let acc = lanes[r][c];
+                    let mut total = acc[0] + acc[1] + acc[2] + acc[3];
+                    for t in body..k {
+                        total += arow[t] * bj[c][t];
+                    }
+                    out[(i + r) * n + j + c] = total;
+                }
+            }
+            j += 4;
+        }
+        for j in j..n {
+            out[i * n + j] = dot(a0, b_row(j));
+            out[(i + 1) * n + j] = dot(a1, b_row(j));
+        }
+        i += TILE_ROWS;
+    }
+    for i in i..rows {
+        for j in 0..n {
+            out[i * n + j] = dot(&a[i * k..(i + 1) * k], b_row(j));
+        }
+    }
+}
+
+/// `out[i][j] = Σ_kk coef(i, kk) * b[kk][j]` over one row block: `b` is
+/// `k x n`, `out` is the block's `rows x n` and starts at `+0.0`, `coef`
+/// addresses the block's coefficients by block-local row. The sum runs
+/// serially with `kk` ascending and skips every term whose coefficient is
+/// `== 0.0` — a branch, never an add of a zero product, so a NaN or ±inf in
+/// `b` behind a zero coefficient stays out of the sum.
+///
+/// Row pairs walk the columns in 2 x 16 register tiles, then one 2 x 8
+/// tile; the last `n % 8` columns and a leftover row accumulate in `out`
+/// row by row.
+fn serial_sum_block(
+    coef: impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    let rows = out.len() / n;
+    let mut i = 0;
+    while i + TILE_ROWS <= rows {
+        serial_sum_rows::<TILE_ROWS>(&coef, b, out, k, n, i);
+        i += TILE_ROWS;
+    }
+    if i < rows {
+        serial_sum_rows::<1>(&coef, b, out, k, n, i);
+    }
+}
+
+/// Rows `i..i + R` of [`serial_sum_block`].
+#[inline(always)]
+fn serial_sum_rows<const R: usize>(
+    coef: &impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    i: usize,
+) {
+    let mut j = 0;
+    while j + 16 <= n {
+        serial_sum_tile::<R, 16>(coef, b, out, k, n, i, j);
+        j += 16;
+    }
+    if j + 8 <= n {
+        serial_sum_tile::<R, 8>(coef, b, out, k, n, i, j);
+        j += 8;
+    }
+    if j < n {
+        for r in 0..R {
+            let orow = &mut out[(i + r) * n + j..(i + r + 1) * n];
+            for kk in 0..k {
+                let x = coef(i + r, kk);
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in orow.iter_mut().zip(&b[kk * n + j..(kk + 1) * n]) {
+                    *o += x * y;
+                }
+            }
+        }
+    }
+}
+
+/// The `R x C` tile of [`serial_sum_block`] at `(i, j)`, summed in registers.
+#[inline(always)]
+fn serial_sum_tile<const R: usize, const C: usize>(
+    coef: &impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    for kk in 0..k {
+        let y = &b[kk * n + j..kk * n + j + C];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let x = coef(i + r, kk);
+            if x == 0.0 {
+                continue;
+            }
+            for (a, &y) in acc_r.iter_mut().zip(y) {
+                *a += x * y;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(acc_r);
+    }
+}
+
+/// Dot product of two equal-length slices: four lane sums over chunks of
+/// four, reduced as `((l0 + l1) + l2) + l3`, then the `len % 4` tail added
+/// serially. Every `matmul_transb` output is exactly this.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -510,6 +651,149 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `matmul` before the register tiles: the i-k-j row loop, the
+    /// definition of its skipping serial sum.
+    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            let arow = &a.data[i * k..(i + 1) * k];
+            let orow = &mut out.data[i * n..(i + 1) * n];
+            for (kk, &aik) in arow.iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[kk * n..(kk + 1) * n];
+                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
+                    *o += aik * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// `matmul_transb` before the register tiles: one `dot` per output.
+    fn matmul_transb_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            let arow = &a.data[i * k..(i + 1) * k];
+            let orow = &mut out.data[i * n..(i + 1) * n];
+            for (j, o) in orow.iter_mut().enumerate() {
+                *o = dot(arow, &b.data[j * k..(j + 1) * k]);
+            }
+        }
+        out
+    }
+
+    /// `matmul_transa` before the register tiles: the k-i-j loop.
+    fn matmul_transa_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let (k, m, n) = (a.rows, a.cols, b.cols);
+        let mut out = Matrix::zeros(m, n);
+        for kk in 0..k {
+            let arow = &a.data[kk * m..(kk + 1) * m];
+            let brow = &b.data[kk * n..(kk + 1) * n];
+            for (i, &a) in arow.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.data[i * n..(i + 1) * n];
+                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// A `rows x cols` matrix of values in `(-2, 2)` with, by `plant`
+    /// level, nothing else (0), zeros of both signs and subnormals (1), a
+    /// sprinkle of NaN and ±inf too (2), or all of them densely (3).
+    fn planted(rows: usize, cols: usize, seed: u64, plant: u8) -> Matrix {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let sub = f32::MIN_POSITIVE / 8.0;
+        Matrix::from_fn(rows, cols, |_, _| {
+            let roll = next();
+            let normal = (roll >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0;
+            let special = match (plant, roll % 256) {
+                (0, _) => None,
+                (1 | 2, 0..=15) | (3, 0..=63) => Some([0.0, -0.0, sub, -sub][(roll % 4) as usize]),
+                (2, 16..=18) | (3, 64..=79) => {
+                    Some([f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(roll % 3) as usize])
+                }
+                _ => None,
+            };
+            special.unwrap_or(normal)
+        })
+    }
+
+    /// Bit-for-bit equality, except that every NaN is one value: Rust
+    /// leaves the payload of a NaN an operation creates unspecified, so
+    /// NaN bits are not part of any kernel's contract. Zeros of either
+    /// sign, subnormals and infinities all compare as bits.
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (idx, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            assert!(
+                (g.is_nan() && w.is_nan()) || g.to_bits() == w.to_bits(),
+                "{what}: element {idx} is {g:?} ({:#010x}), the reference {w:?} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// All three products equal their pre-tiling loops bit for bit, on
+        /// every shape up to 70 (every `k % 4`, rows and columns off the
+        /// tile multiples, both sides of `PAR_THRESHOLD`) with zeros of
+        /// both signs, subnormals, NaN and ±inf planted in both operands.
+        #[test]
+        fn products_equal_their_reference_loops_bit_for_bit(
+            dims in (1usize..71, 1usize..71, 1usize..71),
+            seed in 0u64..u64::MAX,
+            plants in (0u8..4, 0u8..4),
+        ) {
+            let (m, k, n) = dims;
+            let (pa, pb) = plants;
+            let a = planted(m, k, seed, pa);
+            let b = planted(k, n, seed ^ 0x9E37_79B9, pb);
+            assert_same_bits(&a.matmul(&b), &matmul_reference(&a, &b), "matmul");
+            let bt = planted(n, k, seed ^ 0x7F4A_7C15, pb);
+            assert_same_bits(&a.matmul_transb(&bt), &matmul_transb_reference(&a, &bt), "transb");
+            let at = planted(k, m, seed ^ 0x2545_F491, pa);
+            assert_same_bits(&at.matmul_transa(&b), &matmul_transa_reference(&at, &b), "transa");
+        }
+    }
+
+    /// The skip is a skip: a NaN or ±inf behind a zero coefficient (of
+    /// either sign) never reaches the output of `matmul` or `matmul_transa`.
+    #[test]
+    fn zero_coefficients_hide_non_finite_terms() {
+        for (m, k, n) in [(1, 3, 1), (2, 5, 16), (3, 4, 25), (70, 9, 70)] {
+            let a = Matrix::from_fn(m, k, |_, c| if c == 1 { -0.0 } else { 0.5 });
+            let at = a.transpose();
+            let b = Matrix::from_fn(k, n, |r, c| match (r, c % 2) {
+                (1, 0) => f32::NAN,
+                (1, _) => f32::INFINITY,
+                _ => 1.0,
+            });
+            let want = 0.5 * (k - 1) as f32;
+            for got in [a.matmul(&b), at.matmul_transa(&b)] {
+                assert!(got.as_slice().iter().all(|&v| v == want), "{m}x{k}x{n}: {got:?}");
+            }
+        }
+    }
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -607,8 +891,7 @@ mod tests {
 
     #[test]
     fn add_row_broadcast_adds_bias_each_row() {
-        let a = Matrix::zeros(3, 2);
-        let out = a.add_row_broadcast(&[1.0, -2.0]);
+        let out = Matrix::zeros(3, 2).add_row_broadcast(&[1.0, -2.0]);
         for r in 0..3 {
             assert_eq!(out.row(r), &[1.0, -2.0]);
         }

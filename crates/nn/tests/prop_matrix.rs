@@ -1,12 +1,16 @@
 //! Property-based tests on the matrix substrate: algebraic identities that
 //! must hold for every input the generators produce.
 
-use dart_nn::matrix::Matrix;
+use dart_nn::matrix::{dot, Matrix};
 use proptest::prelude::*;
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
@@ -40,22 +44,30 @@ proptest! {
         prop_assert!(approx_eq(&lhs, &rhs, 1e-2));
     }
 
-    /// matmul_transb(A, B) = A @ B^T exactly.
+    /// matmul_transb(A, B)[i][j] is exactly dot(A_i, B_j); it equals
+    /// A @ B^T only up to rounding, since `matmul` sums in another order.
     #[test]
     fn matmul_transb_consistent(
         a in matrix_strategy(5, 7),
         b in matrix_strategy(4, 7),
     ) {
-        prop_assert!(approx_eq(&a.matmul_transb(&b), &a.matmul(&b.transpose()), 1e-2));
+        let got = a.matmul_transb(&b);
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                prop_assert_eq!(got.get(i, j).to_bits(), dot(a.row(i), b.row(j)).to_bits());
+            }
+        }
+        prop_assert!(approx_eq(&got, &a.matmul(&b.transpose()), 1e-2));
     }
 
-    /// matmul_transa(A, B) = A^T @ B exactly.
+    /// matmul_transa(A, B) = A^T @ B exactly: both are the same skipping
+    /// serial sum over the shared dimension.
     #[test]
     fn matmul_transa_consistent(
         a in matrix_strategy(6, 3),
         b in matrix_strategy(6, 4),
     ) {
-        prop_assert!(approx_eq(&a.matmul_transa(&b), &a.transpose().matmul(&b), 1e-2));
+        prop_assert_eq!(bits(&a.matmul_transa(&b)), bits(&a.transpose().matmul(&b)));
     }
 
     /// Softmax rows are probability distributions.

@@ -360,20 +360,36 @@ fn predict_batch_is_thread_count_invariant() {
     }
 }
 
-/// The rayon-parallel blocked matmul (the training-side hot path, above
-/// `PAR_THRESHOLD`) is also thread-count invariant.
+/// The three dense products (the training-side hot path) are thread-count
+/// invariant, below `PAR_THRESHOLD` (4096 output elements, one block on the
+/// caller) and above it (row blocks on the pool), on shapes that are not
+/// multiples of the register tiles (2 rows; 4, 8 or 16 columns; `k % 4`).
+/// Each product keeps its own summation order per output — `matmul` and
+/// `matmul_transa` a serial sum, `matmul_transb` `dot`'s four lanes — so
+/// only each kernel's agreement with itself is asserted.
 #[test]
 fn blocked_matmul_is_thread_count_invariant() {
-    // 96x64 @ 64x96: m*n = 9216, comfortably above PAR_THRESHOLD (4096).
-    let a = rand_matrix(96, 64, 0xAB);
-    let b = rand_matrix(64, 96, 0xCD);
-    let product_bits = invariant_across_pools(|| bits(&a.matmul(&b)), "blocked matmul");
-    let transb_bits =
-        invariant_across_pools(|| bits(&a.matmul_transb(&b.transpose())), "matmul_transb");
-    // The two kernels share accumulation order per output element, but
-    // that is not part of this contract — only self-consistency is.
-    assert_eq!(product_bits.len(), 96 * 96);
-    assert_eq!(transb_bits.len(), 96 * 96);
+    // (m, k, n): 97 x 67 = 6499 and 61 x 75 = 4575 outputs are above the
+    // threshold, 23 x 37 = 851 below it.
+    for (m, k, n) in [(97, 67, 67), (61, 43, 75), (23, 13, 37)] {
+        let a = rand_matrix(m, k, 0xAB ^ m as u64);
+        let b = rand_matrix(k, n, 0xCD ^ n as u64);
+        let bt = rand_matrix(n, k, 0xEF ^ k as u64);
+        let at = rand_matrix(k, m, 0x12 ^ k as u64);
+        let shape = format!("{m}x{k}x{n}");
+        let product = invariant_across_pools(|| bits(&a.matmul(&b)), &format!("matmul {shape}"));
+        let transb = invariant_across_pools(
+            || bits(&a.matmul_transb(&bt)),
+            &format!("matmul_transb {shape}"),
+        );
+        let transa = invariant_across_pools(
+            || bits(&at.matmul_transa(&b)),
+            &format!("matmul_transa {shape}"),
+        );
+        for got in [product, transb, transa] {
+            assert_eq!(got.len(), m * n, "{shape}");
+        }
+    }
 }
 
 /// Tabularization itself (k-means fitting with parallel assignment steps)
