@@ -31,8 +31,8 @@ const PAR_THRESHOLD: usize = 64 * 64;
 /// Rows per parallel task of `matmul` and `matmul_transb`.
 const BLOCK: usize = 64;
 
-/// Rows per register tile in all three products (and per parallel task of
-/// `matmul_transa`).
+/// Rows per register tile of the serial-sum kernel behind `matmul` and
+/// `matmul_transa`, and per parallel task of `matmul_transa`.
 const TILE_ROWS: usize = 2;
 
 /// Dense row-major matrix of `f32`.
@@ -453,22 +453,33 @@ fn dot_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     let body = k / 4 * 4;
     let b_row = |j: usize| &b[j * k..(j + 1) * k];
     let mut i = 0;
-    while i + TILE_ROWS <= rows {
+    while i + 2 <= rows {
         let (a0, a1) = (&a[i * k..(i + 1) * k], &a[(i + 1) * k..(i + 2) * k]);
+        let (x0s, x1s) = (a0.as_chunks::<4>().0, a1.as_chunks::<4>().0);
         let mut j = 0;
         while j + 4 <= n {
             let bj: [&[f32]; 4] = std::array::from_fn(|c| b_row(j + c));
+            let ys: [&[[f32; 4]]; 4] = std::array::from_fn(|c| bj[c].as_chunks::<4>().0);
             // lanes[row][col][lane], as `dot`'s `acc`.
             let mut lanes = [[[0.0f32; 4]; 4]; 2];
-            for o in (0..body).step_by(4) {
-                let (x0, x1) = (&a0[o..o + 4], &a1[o..o + 4]);
+            let mut q = 0;
+            while q < x0s.len() {
+                let (x0, x1) = (x0s[q], x1s[q]);
                 for c in 0..4 {
-                    let y = &bj[c][o..o + 4];
-                    for l in 0..4 {
-                        lanes[0][c][l] += x0[l] * y[l];
-                        lanes[1][c][l] += x1[l] * y[l];
-                    }
+                    let y = ys[c][q];
+                    // The four lanes written out, as in `dot`: an inner
+                    // lane loop costs a call per term in debug builds.
+                    let [l0, l1] = &mut lanes;
+                    l0[c][0] += x0[0] * y[0];
+                    l0[c][1] += x0[1] * y[1];
+                    l0[c][2] += x0[2] * y[2];
+                    l0[c][3] += x0[3] * y[3];
+                    l1[c][0] += x1[0] * y[0];
+                    l1[c][1] += x1[1] * y[1];
+                    l1[c][2] += x1[2] * y[2];
+                    l1[c][3] += x1[3] * y[3];
                 }
+                q += 1;
             }
             for (r, arow) in [a0, a1].into_iter().enumerate() {
                 for c in 0..4 {
@@ -486,7 +497,7 @@ fn dot_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
             out[i * n + j] = dot(a0, b_row(j));
             out[(i + 1) * n + j] = dot(a1, b_row(j));
         }
-        i += TILE_ROWS;
+        i += 2;
     }
     for i in i..rows {
         for j in 0..n {
@@ -569,16 +580,25 @@ fn serial_sum_tile<const R: usize, const C: usize>(
     i: usize,
     j: usize,
 ) {
+    const { assert!(C % 4 == 0, "the tile's column loop steps by four") };
     let mut acc = [[0.0f32; C]; R];
     for kk in 0..k {
-        let y = &b[kk * n + j..kk * n + j + C];
+        let y: &[f32; C] = b[kk * n + j..kk * n + j + C].try_into().expect("C columns");
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let x = coef(i + r, kk);
             if x == 0.0 {
                 continue;
             }
-            for (a, &y) in acc_r.iter_mut().zip(y) {
-                *a += x * y;
+            // Four terms per step of a plain counter: the same code as a
+            // zipped loop once optimized, and no call per term in the
+            // unoptimized builds the tests run.
+            let mut c = 0;
+            while c < C {
+                acc_r[c] += x * y[c];
+                acc_r[c + 1] += x * y[c + 1];
+                acc_r[c + 2] += x * y[c + 2];
+                acc_r[c + 3] += x * y[c + 3];
+                c += 4;
             }
         }
     }
