@@ -580,7 +580,7 @@ fn serial_sum_tile<const R: usize, const C: usize>(
     i: usize,
     j: usize,
 ) {
-    const { assert!(C % 4 == 0, "the tile's column loop steps by four") };
+    const { assert!(C.is_multiple_of(4), "the tile's column loop steps by four") };
     let mut acc = [[0.0f32; C]; R];
     for kk in 0..k {
         let y: &[f32; C] = b[kk * n + j..kk * n + j + C].try_into().expect("C columns");
