@@ -14,8 +14,8 @@
 //! same reason. The first layer sees exact inputs, so it is not fine-tuned
 //! (Algorithm 1 line 7 guards `i > 0`).
 
-use dart_nn::layers::{Layer, Linear};
-use dart_nn::matrix::{cosine_similarity, softmax_in_place, Matrix};
+use dart_nn::layers::{scaled_dot_product, Layer, Linear};
+use dart_nn::matrix::{cosine_similarity, Matrix};
 use dart_nn::model::AccessPredictor;
 use dart_nn::optim::{Adam, AdamConfig};
 use dart_pq::{
@@ -133,8 +133,8 @@ pub fn tabularize(
             head_tables.push(head);
         }
 
-        // The exact softmax reference for the same stage.
-        let concat_exact = attention_concat_exact(&qkv_target, t, dim, dh);
+        // The exact softmax reference for the same stage: the student's own core.
+        let (concat_exact, _) = scaled_dot_product(&qkv_target, t, heads);
         report.record(format!("block{bi}.attn"), &concat_approx, &concat_exact);
 
         // Output projection + residual.
@@ -264,32 +264,6 @@ fn fine_tune_linear(
     }
     let b = lin.b.value.as_slice().to_vec();
     (lin.w.value, b)
-}
-
-/// Exact softmax attention (the neural reference) from a stacked QKV matrix.
-fn attention_concat_exact(qkv: &Matrix, t: usize, dim: usize, dh: usize) -> Matrix {
-    let batch = qkv.rows() / t;
-    let heads = dim / dh;
-    let scale = 1.0 / (dh as f32).sqrt();
-    let mut concat = Matrix::zeros(qkv.rows(), dim);
-    for n in 0..batch {
-        for h in 0..heads {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qs = qkv.slice_rows(n * t, (n + 1) * t).slice_cols(lo, hi);
-            let ks = qkv.slice_rows(n * t, (n + 1) * t).slice_cols(dim + lo, dim + hi);
-            let vs = qkv.slice_rows(n * t, (n + 1) * t).slice_cols(2 * dim + lo, 2 * dim + hi);
-            let mut scores = qs.matmul_transb(&ks);
-            scores.scale_assign(scale);
-            for r in 0..t {
-                softmax_in_place(scores.row_mut(r));
-            }
-            let y = scores.matmul(&vs);
-            for step in 0..t {
-                concat.row_mut(n * t + step)[lo..hi].copy_from_slice(y.row(step));
-            }
-        }
-    }
-    concat
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ mod linear;
 mod lstm;
 
 pub use activation::{sigmoid as activation_sigmoid, Relu, Sigmoid};
-pub use attention::Msa;
+pub use attention::{scaled_dot_product, Msa};
 pub use encoder::EncoderBlock;
 pub use ffn::Ffn;
 pub use layernorm::LayerNorm;

@@ -28,8 +28,9 @@
 //!   a fixed seed and thread count.
 //! * Sequence batches are stored *stacked*: a batch of `N` sequences of `T`
 //!   tokens with `D` features is one `(N*T) x D` matrix, which lets linear
-//!   layers run as single large matmuls; attention layers split the stack
-//!   per-sample and process samples in parallel with rayon.
+//!   layers run as single large matmuls; attention layers read each
+//!   sample's rows of the stack in place (per-head column blocks, no copies)
+//!   and process samples in parallel with rayon.
 
 pub mod cost;
 pub mod init;

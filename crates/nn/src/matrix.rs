@@ -9,17 +9,23 @@
 //! order contract in each method's doc — and the kernels only choose how
 //! many of those per-output chains run side by side:
 //!
-//! * `matmul_transb` computes a 2-row x 4-column tile of [`dot`]s at once
-//!   (`dot_block`): eight independent 4-lane accumulator chains instead of
-//!   one latency-bound chain per output.
+//! * `matmul_transb` copies `B` once per call into k-major panels of four
+//!   columns (`Panels`) and computes a 2-row x 4-column tile of [`dot`]s at
+//!   once (`dot_tile`): each dot keeps `dot`'s four lane sums, and the tile
+//!   holds lane `l` of its four columns as one 4-wide accumulator, so it
+//!   streams panel rows and broadcasts `A` values — eight vector chains.
 //! * `matmul` and `matmul_transa` share one serial-sum kernel
 //!   (`serial_sum_block`) that keeps a 2-row x 16- (or 8-) column tile of
 //!   sums in registers while it walks `k`.
 //!
-//! Large products are split over rayon into row blocks; tiles live inside a
-//! block and no sum crosses one, so the thread count cannot change a bit.
-//! The kernels are portable Rust that LLVM vectorizes at the baseline
-//! target: no `unsafe`, no intrinsics, no fused multiply-add.
+//! Every kernel reads its operands and writes its output through `View` /
+//! `ViewMut` blocks (rows a fixed stride apart), so `Msa`'s attention core
+//! runs the same kernels on per-head column blocks of the stacked Q / K / V
+//! without copying them out. Large products are split over rayon into row
+//! blocks; tiles live inside a block and no sum crosses one, so the thread
+//! count cannot change a bit. The kernels are portable Rust that LLVM
+//! vectorizes at the baseline target: no `unsafe`, no intrinsics, no fused
+//! multiply-add.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -239,6 +245,18 @@ impl Matrix {
         out
     }
 
+    /// The whole matrix as a [`View`].
+    pub(crate) fn view(&self) -> View<'_> {
+        View::new(&self.data, self.rows, self.cols, self.cols)
+    }
+
+    /// Rows `[r0, r0 + rows)` x columns `[c0, c0 + cols)` as a [`View`],
+    /// read in place.
+    pub(crate) fn block(&self, r0: usize, rows: usize, c0: usize, cols: usize) -> View<'_> {
+        assert!(r0 + rows <= self.rows && c0 + cols <= self.cols, "block out of bounds");
+        View::new(&self.data[r0 * self.cols + c0..], rows, cols, self.cols)
+    }
+
     /// `self @ other`: `out[i][j]` is the serial sum over `k` ascending of
     /// `self[i][k] * other[k][j]`, starting from `+0.0`, with every term
     /// whose coefficient `self[i][k] == 0.0` skipped (so a NaN or ±inf in
@@ -255,9 +273,8 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        let a = &self.data;
-        for_row_blocks(&mut out.data, m, n, BLOCK, |i0, out_rows| {
-            serial_sum_block(|i, kk| a[(i0 + i) * k + kk], &other.data, out_rows, k, n);
+        for_row_blocks(&mut out.data, m, n, BLOCK, |i0, mut block| {
+            matmul_into(self.block(i0, block.rows, 0, k), other.view(), &mut block);
         });
         out
     }
@@ -266,8 +283,11 @@ impl Matrix {
     ///
     /// Contracts over the shared column dimension: `(m x k) @ (n x k).T = m x n`.
     /// `out[i][j]` is exactly [`dot`]`(self.row(i), other.row(j))`: four lane
-    /// sums over chunks of four, reduced as `((l0 + l1) + l2) + l3`, then the
-    /// `k % 4` tail added serially. See `dot_block` for the tiles.
+    /// sums, lane `l` adding `self[i][4c + l] * other[j][4c + l]` for `c`
+    /// ascending from `+0.0`, reduced as `((l0 + l1) + l2) + l3`, then the
+    /// `k % 4` tail added serially. The kernel copies `other` once into
+    /// k-major panels of four columns and runs 2 x 4 tiles of these dots
+    /// (`dot_tile`); the copy moves values and never touches the sums.
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -276,9 +296,9 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
-        let a = &self.data;
-        for_row_blocks(&mut out.data, m, n, BLOCK, |i0, out_rows| {
-            dot_block(&a[i0 * k..], &other.data, out_rows, k, n);
+        let bt = Panels::pack(other.view());
+        for_row_blocks(&mut out.data, m, n, BLOCK, |i0, mut block| {
+            dot_tiles(self.block(i0, block.rows, 0, k), &bt, &mut block);
         });
         out
     }
@@ -296,12 +316,11 @@ impl Matrix {
         );
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        let a = &self.data;
         // `m` is a layer's output width here (64–256 for a teacher's weight
         // gradients), too few rows for `BLOCK`-row tasks to keep every
         // thread busy: each task is one tile row.
-        for_row_blocks(&mut out.data, m, n, TILE_ROWS, |i0, out_rows| {
-            serial_sum_block(|i, kk| a[kk * m + i0 + i], &other.data, out_rows, k, n);
+        for_row_blocks(&mut out.data, m, n, TILE_ROWS, |i0, mut block| {
+            transa_into(self.block(0, k, i0, block.rows), other.view(), &mut block);
         });
         out
     }
@@ -419,91 +438,199 @@ impl Matrix {
     }
 }
 
-/// Run `block(first_row, rows)` over consecutive `rows_per_task`-row slices
-/// of the `m x n` output `out`, on the rayon pool once the product has
-/// `PAR_THRESHOLD` elements, else as one block on the caller.
+/// A `rows x cols` block of a row-major buffer whose rows start `stride`
+/// floats apart: what every product kernel reads, so a block of a larger
+/// matrix (one head's columns of a sample's rows) is used in place.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct View<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> View<'a> {
+    /// The block whose element `(r, c)` is `data[r * stride + c]`.
+    pub(crate) fn new(data: &'a [f32], rows: usize, cols: usize, stride: usize) -> Self {
+        assert!(cols <= stride, "view of {cols} columns at stride {stride}");
+        assert!(rows == 0 || (rows - 1) * stride + cols <= data.len(), "view past its buffer");
+        View { data, rows, cols, stride }
+    }
+
+    /// Row `r` of the block.
+    #[inline]
+    fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.stride..r * self.stride + self.cols]
+    }
+}
+
+/// The writable counterpart of [`View`]: where a product kernel writes.
+#[derive(Debug)]
+pub(crate) struct ViewMut<'a> {
+    data: &'a mut [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> ViewMut<'a> {
+    /// The block whose element `(r, c)` is `data[r * stride + c]`.
+    pub(crate) fn new(data: &'a mut [f32], rows: usize, cols: usize, stride: usize) -> Self {
+        assert!(cols <= stride, "view of {cols} columns at stride {stride}");
+        assert!(rows == 0 || (rows - 1) * stride + cols <= data.len(), "view past its buffer");
+        ViewMut { data, rows, cols, stride }
+    }
+
+    /// Row `r` of the block.
+    #[inline]
+    fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.data[r * self.stride..r * self.stride + self.cols]
+    }
+}
+
+/// Run `block(first_row, rows)` over consecutive `rows_per_task`-row blocks
+/// of the `m x n` output `out` (each block a [`ViewMut`] of its rows), on
+/// the rayon pool once the product has `PAR_THRESHOLD` elements, else as
+/// one block on the caller.
 fn for_row_blocks(
     out: &mut [f32],
     m: usize,
     n: usize,
     rows_per_task: usize,
-    block: impl Fn(usize, &mut [f32]) + Sync,
+    block: impl Fn(usize, ViewMut<'_>) + Sync,
 ) {
     if out.is_empty() {
         return;
     }
     if m * n >= PAR_THRESHOLD && m > 1 {
-        out.par_chunks_mut(rows_per_task * n)
-            .enumerate()
-            .for_each(|(t, rows)| block(t * rows_per_task, rows));
+        out.par_chunks_mut(rows_per_task * n).enumerate().for_each(|(t, chunk)| {
+            let rows = chunk.len() / n;
+            block(t * rows_per_task, ViewMut::new(chunk, rows, n, n));
+        });
     } else {
-        block(0, out);
+        block(0, ViewMut::new(out, m, n, n));
+    }
+}
+
+/// `out = a @ b.T` for blocks already in place: `out[i][j] = dot(a_i, b_j)`,
+/// as [`Matrix::matmul_transb`], on the caller's thread.
+pub(crate) fn transb_into(a: View<'_>, b: View<'_>, out: &mut ViewMut<'_>) {
+    dot_tiles(a, &Panels::pack(b), out);
+}
+
+/// `out = a @ b` for blocks already in place, as [`Matrix::matmul`], on the
+/// caller's thread. `out` must start at `+0.0`.
+pub(crate) fn matmul_into(a: View<'_>, b: View<'_>, out: &mut ViewMut<'_>) {
+    assert!(a.cols == b.rows && a.rows == out.rows && b.cols == out.cols, "matmul_into shapes");
+    serial_sum_block(|i, kk| a.data[i * a.stride + kk], a.cols, b, out);
+}
+
+/// `out = a.T @ b` for blocks already in place, as [`Matrix::matmul_transa`],
+/// on the caller's thread. `out` must start at `+0.0`.
+pub(crate) fn transa_into(a: View<'_>, b: View<'_>, out: &mut ViewMut<'_>) {
+    assert!(a.rows == b.rows && a.cols == out.rows && b.cols == out.cols, "transa_into shapes");
+    serial_sum_block(|i, kk| a.data[kk * a.stride + i], a.rows, b, out);
+}
+
+/// `B` (`n x k`) copied k-major for [`dot_tile`]: panel `p` holds columns
+/// `4p..4p + 4` of `Bᵀ` as `k` rows of four (`[kk][c] = b[4p + c][kk]`). The
+/// last panel is padded with zeros; padded columns are computed and never
+/// written.
+struct Panels {
+    data: Vec<[f32; 4]>,
+    k: usize,
+    n: usize,
+}
+
+impl Panels {
+    fn pack(b: View<'_>) -> Panels {
+        let (n, k) = (b.rows, b.cols);
+        let mut data = vec![[0.0f32; 4]; n.div_ceil(4) * k];
+        for j in 0..n {
+            let panel = &mut data[j / 4 * k..(j / 4 + 1) * k];
+            for (row, &v) in panel.iter_mut().zip(b.row(j)) {
+                row[j % 4] = v;
+            }
+        }
+        Panels { data, k, n }
     }
 }
 
 /// `out[i][j] = dot(a_i, b_j)` over one row block: `a` holds the block's
-/// rows (`k` wide, possibly followed by more), `b` is `n x k`, `out` is the
-/// block's `rows x n`.
-///
-/// A 2 x 4 tile keeps eight dots' lane accumulators live at once; each
-/// dot's operations are exactly [`dot`]'s, in [`dot`]'s order. Leftover
-/// columns and a leftover row call [`dot`] itself.
-fn dot_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    let rows = out.len() / n;
-    let body = k / 4 * 4;
-    let b_row = |j: usize| &b[j * k..(j + 1) * k];
+/// rows (`k` wide), `bt` is `B` packed, `out` is the block's `rows x n`.
+/// Row pairs walk every panel with one [`dot_tile`]; a leftover row runs
+/// the same tile with itself as the second row and keeps only the first.
+fn dot_tiles(a: View<'_>, bt: &Panels, out: &mut ViewMut<'_>) {
+    assert!(a.cols == bt.k && a.rows == out.rows && bt.n == out.cols, "dot_tiles shapes");
+    let k = bt.k;
     let mut i = 0;
-    while i + 2 <= rows {
-        let (a0, a1) = (&a[i * k..(i + 1) * k], &a[(i + 1) * k..(i + 2) * k]);
-        let (x0s, x1s) = (a0.as_chunks::<4>().0, a1.as_chunks::<4>().0);
-        let mut j = 0;
-        while j + 4 <= n {
-            let bj: [&[f32]; 4] = std::array::from_fn(|c| b_row(j + c));
-            let ys: [&[[f32; 4]]; 4] = std::array::from_fn(|c| bj[c].as_chunks::<4>().0);
-            // lanes[row][col][lane], as `dot`'s `acc`.
-            let mut lanes = [[[0.0f32; 4]; 4]; 2];
-            let mut q = 0;
-            while q < x0s.len() {
-                let (x0, x1) = (x0s[q], x1s[q]);
-                for c in 0..4 {
-                    let y = ys[c][q];
-                    // The four lanes written out, as in `dot`: an inner
-                    // lane loop costs a call per term in debug builds.
-                    let [l0, l1] = &mut lanes;
-                    l0[c][0] += x0[0] * y[0];
-                    l0[c][1] += x0[1] * y[1];
-                    l0[c][2] += x0[2] * y[2];
-                    l0[c][3] += x0[3] * y[3];
-                    l1[c][0] += x1[0] * y[0];
-                    l1[c][1] += x1[1] * y[1];
-                    l1[c][2] += x1[2] * y[2];
-                    l1[c][3] += x1[3] * y[3];
-                }
-                q += 1;
-            }
-            for (r, arow) in [a0, a1].into_iter().enumerate() {
-                for c in 0..4 {
-                    let acc = lanes[r][c];
-                    let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-                    for t in body..k {
-                        total += arow[t] * bj[c][t];
-                    }
-                    out[(i + r) * n + j + c] = total;
+    while i < out.rows {
+        let pair = i + 1 < out.rows;
+        let a0 = a.row(i);
+        let a1 = if pair { a.row(i + 1) } else { a0 };
+        for (p, panel) in bt.data.chunks_exact(k.max(1)).enumerate() {
+            let [s0, s1] = dot_tile(a0, a1, panel);
+            let (j, cols) = (4 * p, (bt.n - 4 * p).min(4));
+            if pair && cols == 4 {
+                // Fixed-width stores: a variable-length copy is a call.
+                out.row_mut(i)[j..j + 4].copy_from_slice(&s0);
+                out.row_mut(i + 1)[j..j + 4].copy_from_slice(&s1);
+            } else {
+                out.row_mut(i)[j..j + cols].copy_from_slice(&s0[..cols]);
+                if pair {
+                    out.row_mut(i + 1)[j..j + cols].copy_from_slice(&s1[..cols]);
                 }
             }
-            j += 4;
-        }
-        for j in j..n {
-            out[i * n + j] = dot(a0, b_row(j));
-            out[(i + 1) * n + j] = dot(a1, b_row(j));
         }
         i += 2;
     }
-    for i in i..rows {
-        for j in 0..n {
-            out[i * n + j] = dot(&a[i * k..(i + 1) * k], b_row(j));
+}
+
+/// The 2 x 4 tile of [`dot_tiles`]: `dot(a_r, b_{4p+c})` for rows `a0`, `a1`
+/// and the four columns of `panel`. `acc[r][l]` holds lane `l` of the four
+/// dots of row `r` — [`dot`]'s `acc[l]`, one column per element — and gains
+/// `a_r[4q + l] * panel[4q + l][c]` for `q` ascending; then the lanes are
+/// reduced as `((l0 + l1) + l2) + l3` and the `k % 4` tail added in order.
+#[inline(always)]
+fn dot_tile(a0: &[f32], a1: &[f32], panel: &[[f32; 4]]) -> [[f32; 4]; 2] {
+    let k = panel.len();
+    let body = k / 4 * 4;
+    let (x0s, x1s) = (a0.as_chunks::<4>().0, a1.as_chunks::<4>().0);
+    let ys = panel.as_chunks::<4>().0;
+    let mut acc = [[[0.0f32; 4]; 4]; 2];
+    let mut q = 0;
+    while q < ys.len() {
+        let (x0, x1, y) = (x0s[q], x1s[q], &ys[q]);
+        let [r0, r1] = &mut acc;
+        for l in 0..4 {
+            // The four columns written out: an inner column loop costs a
+            // call per term in the unoptimized builds the tests run.
+            let (u, v, yl) = (x0[l], x1[l], y[l]);
+            r0[l][0] += u * yl[0];
+            r0[l][1] += u * yl[1];
+            r0[l][2] += u * yl[2];
+            r0[l][3] += u * yl[3];
+            r1[l][0] += v * yl[0];
+            r1[l][1] += v * yl[1];
+            r1[l][2] += v * yl[2];
+            r1[l][3] += v * yl[3];
+        }
+        q += 1;
+    }
+    let mut sums = [[0.0f32; 4]; 2];
+    for ((s, lanes), arow) in sums.iter_mut().zip(&acc).zip([a0, a1]) {
+        for c in 0..4 {
+            s[c] = lanes[0][c] + lanes[1][c] + lanes[2][c] + lanes[3][c];
+        }
+        for t in body..k {
+            let (x, y) = (arow[t], panel[t]);
+            s[0] += x * y[0];
+            s[1] += x * y[1];
+            s[2] += x * y[2];
+            s[3] += x * y[3];
         }
     }
+    sums
 }
 
 /// `out[i][j] = Σ_kk coef(i, kk) * b[kk][j]` over one row block: `b` is
@@ -518,19 +645,17 @@ fn dot_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
 /// row by row.
 fn serial_sum_block(
     coef: impl Fn(usize, usize) -> f32,
-    b: &[f32],
-    out: &mut [f32],
     k: usize,
-    n: usize,
+    b: View<'_>,
+    out: &mut ViewMut<'_>,
 ) {
-    let rows = out.len() / n;
     let mut i = 0;
-    while i + TILE_ROWS <= rows {
-        serial_sum_rows::<TILE_ROWS>(&coef, b, out, k, n, i);
+    while i + TILE_ROWS <= out.rows {
+        serial_sum_rows::<TILE_ROWS>(&coef, k, b, out, i);
         i += TILE_ROWS;
     }
-    if i < rows {
-        serial_sum_rows::<1>(&coef, b, out, k, n, i);
+    if i < out.rows {
+        serial_sum_rows::<1>(&coef, k, b, out, i);
     }
 }
 
@@ -538,30 +663,30 @@ fn serial_sum_block(
 #[inline(always)]
 fn serial_sum_rows<const R: usize>(
     coef: &impl Fn(usize, usize) -> f32,
-    b: &[f32],
-    out: &mut [f32],
     k: usize,
-    n: usize,
+    b: View<'_>,
+    out: &mut ViewMut<'_>,
     i: usize,
 ) {
+    let n = out.cols;
     let mut j = 0;
     while j + 16 <= n {
-        serial_sum_tile::<R, 16>(coef, b, out, k, n, i, j);
+        serial_sum_tile::<R, 16>(coef, k, b, out, i, j);
         j += 16;
     }
     if j + 8 <= n {
-        serial_sum_tile::<R, 8>(coef, b, out, k, n, i, j);
+        serial_sum_tile::<R, 8>(coef, k, b, out, i, j);
         j += 8;
     }
     if j < n {
         for r in 0..R {
-            let orow = &mut out[(i + r) * n + j..(i + r + 1) * n];
+            let orow = &mut out.row_mut(i + r)[j..];
             for kk in 0..k {
                 let x = coef(i + r, kk);
                 if x == 0.0 {
                     continue;
                 }
-                for (o, &y) in orow.iter_mut().zip(&b[kk * n + j..(kk + 1) * n]) {
+                for (o, &y) in orow.iter_mut().zip(&b.row(kk)[j..]) {
                     *o += x * y;
                 }
             }
@@ -573,17 +698,17 @@ fn serial_sum_rows<const R: usize>(
 #[inline(always)]
 fn serial_sum_tile<const R: usize, const C: usize>(
     coef: &impl Fn(usize, usize) -> f32,
-    b: &[f32],
-    out: &mut [f32],
     k: usize,
-    n: usize,
+    b: View<'_>,
+    out: &mut ViewMut<'_>,
     i: usize,
     j: usize,
 ) {
     const { assert!(C.is_multiple_of(4), "the tile's column loop steps by four") };
     let mut acc = [[0.0f32; C]; R];
     for kk in 0..k {
-        let y: &[f32; C] = b[kk * n + j..kk * n + j + C].try_into().expect("C columns");
+        let at = kk * b.stride + j;
+        let y: &[f32; C] = b.data[at..at + C].try_into().expect("C columns");
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let x = coef(i + r, kk);
             if x == 0.0 {
@@ -603,7 +728,7 @@ fn serial_sum_tile<const R: usize, const C: usize>(
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(acc_r);
+        out.row_mut(i + r)[j..j + C].copy_from_slice(acc_r);
     }
 }
 
@@ -708,6 +833,56 @@ mod tests {
         out
     }
 
+    /// `matmul_transb`'s tile before the k-major panels: a 2 x 4 tile of
+    /// dots read row-major from `B` (`n x k`), leftovers by [`dot`].
+    fn dot_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        let rows = out.len() / n;
+        let body = k / 4 * 4;
+        let b_row = |j: usize| &b[j * k..(j + 1) * k];
+        let mut i = 0;
+        while i + 2 <= rows {
+            let (a0, a1) = (&a[i * k..(i + 1) * k], &a[(i + 1) * k..(i + 2) * k]);
+            let (x0s, x1s) = (a0.as_chunks::<4>().0, a1.as_chunks::<4>().0);
+            let mut j = 0;
+            while j + 4 <= n {
+                let bj: [&[f32]; 4] = std::array::from_fn(|c| b_row(j + c));
+                let ys: [&[[f32; 4]]; 4] = std::array::from_fn(|c| bj[c].as_chunks::<4>().0);
+                // lanes[row][col][lane], as `dot`'s `acc`.
+                let mut lanes = [[[0.0f32; 4]; 4]; 2];
+                for q in 0..x0s.len() {
+                    for c in 0..4 {
+                        let y = ys[c][q];
+                        for l in 0..4 {
+                            lanes[0][c][l] += x0s[q][l] * y[l];
+                            lanes[1][c][l] += x1s[q][l] * y[l];
+                        }
+                    }
+                }
+                for (r, arow) in [a0, a1].into_iter().enumerate() {
+                    for c in 0..4 {
+                        let acc = lanes[r][c];
+                        let mut total = acc[0] + acc[1] + acc[2] + acc[3];
+                        for t in body..k {
+                            total += arow[t] * bj[c][t];
+                        }
+                        out[(i + r) * n + j + c] = total;
+                    }
+                }
+                j += 4;
+            }
+            for j in j..n {
+                out[i * n + j] = dot(a0, b_row(j));
+                out[(i + 1) * n + j] = dot(a1, b_row(j));
+            }
+            i += 2;
+        }
+        for i in i..rows {
+            for j in 0..n {
+                out[i * n + j] = dot(&a[i * k..(i + 1) * k], b_row(j));
+            }
+        }
+    }
+
     /// `matmul_transa` before the register tiles: the k-i-j loop.
     fn matmul_transa_reference(a: &Matrix, b: &Matrix) -> Matrix {
         let (k, m, n) = (a.rows, a.cols, b.cols);
@@ -793,6 +968,51 @@ mod tests {
             assert_same_bits(&a.matmul_transb(&bt), &matmul_transb_reference(&a, &bt), "transb");
             let at = planted(k, m, seed ^ 0x2545_F491, pa);
             assert_same_bits(&at.matmul_transa(&b), &matmul_transa_reference(&at, &b), "transa");
+        }
+    }
+
+    /// `planted(.., 1)` (zeros of both signs, subnormals) plus a NaN, +inf
+    /// or -inf in every 17th row, at a column that walks the width — the
+    /// `k % 4` tail included. Sparse enough that most outputs stay finite.
+    fn sparse_specials(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = planted(rows, cols, seed, 1);
+        for r in (3..rows).step_by(17) {
+            m.set(r, r * 7 % cols, [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][r % 3]);
+        }
+        m
+    }
+
+    /// The products equal their references at the shapes training runs
+    /// (the teacher's FFN and input layer over 512 token rows, both sides
+    /// of `PAR_THRESHOLD`, several row blocks and many panels) and at an
+    /// odd shape where every tile has leftovers; `matmul_transb` also
+    /// equals the row-major tile it replaced.
+    #[test]
+    fn products_equal_their_references_at_training_shapes() {
+        for (m, k, n) in [(512, 64, 256), (512, 256, 64), (512, 6, 64), (37, 70, 257)] {
+            let shape = format!("{m}x{k}x{n}");
+            let a = sparse_specials(m, k, 0xA5 ^ k as u64);
+            let b = sparse_specials(k, n, 0x5A ^ n as u64);
+            let bt = sparse_specials(n, k, 0xC3 ^ m as u64);
+            let at = sparse_specials(k, m, 0x3C ^ n as u64);
+            let transb = a.matmul_transb(&bt);
+            assert_same_bits(
+                &transb,
+                &matmul_transb_reference(&a, &bt),
+                &format!("transb {shape}"),
+            );
+            let mut tiled = Matrix::zeros(m, n);
+            dot_block(&a.data, &bt.data, &mut tiled.data, k, n);
+            assert_same_bits(&transb, &tiled, &format!("transb vs dot_block {shape}"));
+            assert!(transb.data.iter().any(|v| v.is_nan()), "{shape}: no NaN output");
+            assert!(transb.data.iter().any(|v| v.is_finite()), "{shape}: no finite output");
+            assert_same_bits(&a.matmul(&b), &matmul_reference(&a, &b), &format!("matmul {shape}"));
+            let transa = at.matmul_transa(&b);
+            assert_same_bits(
+                &transa,
+                &matmul_transa_reference(&at, &b),
+                &format!("transa {shape}"),
+            );
         }
     }
 

@@ -369,9 +369,11 @@ fn predict_batch_is_thread_count_invariant() {
 /// only each kernel's agreement with itself is asserted.
 #[test]
 fn blocked_matmul_is_thread_count_invariant() {
-    // (m, k, n): 97 x 67 = 6499 and 61 x 75 = 4575 outputs are above the
-    // threshold, 23 x 37 = 851 below it.
-    for (m, k, n) in [(97, 67, 67), (61, 43, 75), (23, 13, 37)] {
+    // (m, k, n): 97 x 67 = 6499, 61 x 75 = 4575 and 67 x 193 = 12931
+    // outputs are above the threshold, 23 x 37 = 851 below it; k = 257 and
+    // n = 193 walk many `matmul_transb` panels (the last one partial) and
+    // the serial-sum tiles' full width in every row block.
+    for (m, k, n) in [(97, 67, 67), (61, 43, 75), (23, 13, 37), (67, 257, 193)] {
         let a = rand_matrix(m, k, 0xAB ^ m as u64);
         let b = rand_matrix(k, n, 0xCD ^ n as u64);
         let bt = rand_matrix(n, k, 0xEF ^ k as u64);
